@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -64,6 +65,13 @@ class KrausSet:
     @property
     def d(self) -> int:
         return self.ops[0].shape[0]
+
+    @cached_property
+    def effects(self) -> np.ndarray:
+        """POVM elements M_k^dag M_k stacked as (K, d, d); read-only."""
+        e = np.stack([m.conj().T @ m for m in self.ops])
+        e.flags.writeable = False
+        return e
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -5,6 +5,18 @@ Holds the 1D state of an effective circuit as a chain of rank-3 tensors
 Supports unitary gates (with swap routing for non-adjacent pairs), Born-rule
 Kraus sampling, measurement with reset, projection, and entanglement
 telemetry. All entropies are in natural-log units.
+
+Centre convention: every tensor left of ``center`` is a left isometry
+(A.reshape(l*2, r) has orthonormal columns) and every tensor right of it a
+right isometry (A.reshape(l, 2*r) has orthonormal rows), so the state's
+norm and all its weight sit in ``tensors[center]``. Single-site operations
+(Kraus sampling, measurement, projection, entropies) first move the centre
+onto their site with one QR per step. A two-site update only needs the
+centre somewhere in its block {pos, pos+1}: the SVD of the block leaves an
+isometry on one side and puts the singular values on the other, which
+becomes the new centre (the right site by default, the left one with
+``center_left``). Swap routing towards the gate therefore carries the
+centre along with the swapped content, and no QR runs between swaps.
 """
 
 from __future__ import annotations
@@ -141,22 +153,21 @@ class MatrixProductState:
 
     def _shift_right(self):
         c = self.center
-        a = self.tensors[c]
+        a, b = self.tensors[c], self.tensors[c + 1]
         l, s, r = a.shape
         q, rm = np.linalg.qr(a.reshape(l * s, r))
         self.tensors[c] = q.reshape(l, s, -1)
-        self.tensors[c + 1] = np.tensordot(rm, self.tensors[c + 1], axes=(1, 0))
+        self.tensors[c + 1] = (rm @ b.reshape(r, -1)).reshape(-1, *b.shape[1:])
         self.center = c + 1
 
     def _shift_left(self):
+        # LQ from the QR of the transpose: a = rm.T @ q.T, q.T has orthonormal rows
         c = self.center
-        a = self.tensors[c]
+        a, b = self.tensors[c], self.tensors[c - 1]
         l, s, r = a.shape
-        q, rm = np.linalg.qr(a.reshape(l, s * r).conj().T)
-        self.tensors[c] = q.conj().T.reshape(-1, s, r)
-        self.tensors[c - 1] = np.tensordot(
-            self.tensors[c - 1], rm.conj().T, axes=(2, 0)
-        )
+        q, rm = np.linalg.qr(a.reshape(l, s * r).T)
+        self.tensors[c] = q.T.reshape(-1, s, r)
+        self.tensors[c - 1] = (b.reshape(-1, l) @ rm.T).reshape(*b.shape[:2], -1)
         self.center = c - 1
 
     def _move_center(self, pos: int):
@@ -186,7 +197,7 @@ class MatrixProductState:
         """Single-qubit unitary; preserves canonical form, no center move."""
         g = _check_unitary(g, 2)
         i = self._int(site)
-        self.tensors[i] = np.einsum("st,ltr->lsr", g, self.tensors[i])
+        self.tensors[i] = np.matmul(g, self.tensors[i])
 
     def apply_2q(self, i: int, j: int, g: np.ndarray, policy: TruncationPolicy = DEFAULT_POLICY):
         """Two-qubit unitary on sites (i, j); non-adjacent pairs are swap-routed.
@@ -202,37 +213,56 @@ class MatrixProductState:
             perm = np.array(g).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
             return self.apply_2q(j, i, perm, policy)
         a, b = self._int(i), self._int(j)
-        # bring the content of internal position b down next to a
+        # bring the content of internal position b down next to a; the
+        # centre stays on the left site so it travels down with the swaps
         for k in range(b, a + 1, -1):
-            self._swap_adjacent(k - 1, policy)
+            self._apply_adjacent(k - 1, None, policy, center_left=True)
         self._apply_adjacent(a, g, policy)
         for k in range(a + 1, b):
-            self._swap_adjacent(k, policy)
+            self._apply_adjacent(k, None, policy)
 
     _SWAP = np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     )
 
-    def _swap_adjacent(self, pos: int, policy: TruncationPolicy):
-        self._apply_adjacent(pos, self._SWAP, policy)
+    def _apply_adjacent(
+        self, pos: int, g: np.ndarray | None, policy: TruncationPolicy,
+        center_left: bool = False,
+    ):
+        """Two-site update on (pos, pos+1); g None swaps the two sites.
 
-    def _apply_adjacent(self, pos: int, g: np.ndarray, policy: TruncationPolicy):
-        self._move_center(pos)
+        The centre moves only if it lies outside the block. Afterwards it
+        sits on pos+1, or on pos if center_left is set.
+        """
+        if self.center < pos:
+            self._move_center(pos)
+        elif self.center > pos + 1:
+            self._move_center(pos + 1)
         a, b = self.tensors[pos], self.tensors[pos + 1]
-        theta = np.tensordot(a, b, axes=(2, 0))  # l, s1, s2, r
-        theta = np.einsum(
-            "uvst,lstr->luvr", np.asarray(g).reshape(2, 2, 2, 2), theta
-        )
-        l, _, _, r = theta.shape
+        l, r = a.shape[0], b.shape[2]
+        theta = a.reshape(l * 2, -1) @ b.reshape(-1, 2 * r)
+        if g is None:
+            theta = theta.reshape(l, 2, 2, r).transpose(0, 2, 1, 3)
+        else:
+            theta = np.matmul(g, theta.reshape(l, 4, r))
         u, s, vh = _robust_svd(theta.reshape(l * 2, 2 * r))
         keep = self._select_rank(s, policy)
-        total = float(np.sum(s**2))
-        kept = s[:keep]
-        self.trunc_log += float(np.sum(s[keep:] ** 2)) / max(total, PROB_FLOOR)
-        kept = kept / np.sqrt(np.sum(kept**2) / max(total, PROB_FLOOR))
-        self.tensors[pos] = u[:, :keep].reshape(l, 2, keep)
-        self.tensors[pos + 1] = (kept[:, None] * vh[:keep]).reshape(keep, 2, r)
-        self.center = pos + 1
+        s2 = s * s
+        total = max(float(s2.sum()), PROB_FLOOR)
+        if keep < len(s):
+            self.trunc_log += float(s2[keep:].sum()) / total
+        s, kept = s[:keep], float(s2[:keep].sum())
+        if kept != total:  # give the kept values the weight of the whole block
+            s = s / np.sqrt(kept / total)
+        u, vh = u[:, :keep], vh[:keep]
+        if center_left:
+            self.tensors[pos] = (u * s).reshape(l, 2, keep)
+            self.tensors[pos + 1] = vh.reshape(keep, 2, r)
+            self.center = pos
+        else:
+            self.tensors[pos] = u.reshape(l, 2, keep)
+            self.tensors[pos + 1] = (s[:, None] * vh).reshape(keep, 2, r)
+            self.center = pos + 1
 
     @staticmethod
     def _select_rank(s: np.ndarray, policy: TruncationPolicy) -> int:
@@ -256,8 +286,12 @@ class MatrixProductState:
         i = self._int(site)
         self._move_center(i)
         a = self.tensors[i]
-        branches = [np.einsum("st,ltr->lsr", m, a) for m in kraus.ops]
-        probs = np.array([float(np.vdot(b, b).real) for b in branches])
+        # reduced state of the site, rho = A A^dag on the physical leg; for
+        # Hermitian rho, p_k = tr(M_k^dag M_k rho) = sum_st E_k[s, t] conj(rho[s, t])
+        l, d, r = a.shape
+        m = a.transpose(1, 0, 2).reshape(d, l * r)
+        rho = m @ m.conj().T
+        probs = (kraus.effects.reshape(len(kraus), -1) @ rho.conj().ravel()).real
         total = probs.sum()
         if total < PROB_FLOOR:
             raise MpsError("all Kraus outcomes numerically degenerate")
@@ -266,12 +300,12 @@ class MatrixProductState:
         u = rng.random()
         acc = 0.0
         pick = len(probs) - 1
-        for idx, p in enumerate(probs):
+        for idx, p in enumerate(probs.tolist()):
             acc += p
             if u < acc:
                 pick = idx
                 break
-        self.tensors[i] = branches[pick] / np.sqrt(probs[pick])
+        self.tensors[i] = np.matmul(kraus.ops[pick], a) / np.sqrt(probs[pick])
         return pick
 
     def measure_reset(self, site: int, rng) -> int:
@@ -317,14 +351,14 @@ class MatrixProductState:
             t = np.zeros((l, 2, keep), dtype=complex)
             t[:, 0, :] = u[:, :keep]
             self.tensors[i] = t
-            self.tensors[i + 1] = np.tensordot(
-                s[:keep, None] * vh[:keep], self.tensors[i + 1], axes=(1, 0)
-            )
+            b = self.tensors[i + 1]
+            self.tensors[i + 1] = (
+                (s[:keep, None] * vh[:keep]) @ b.reshape(r, -1)
+            ).reshape(keep, *b.shape[1:])
             self.center = i + 1
         else:
-            self.tensors[i - 1] = np.tensordot(
-                self.tensors[i - 1], m[:, 0], axes=(2, 0)
-            )[:, :, None]
+            b = self.tensors[i - 1]
+            self.tensors[i - 1] = (b.reshape(-1, l) @ m).reshape(*b.shape[:2], 1)
             t = np.zeros((1, 2, 1), dtype=complex)
             t[0, 0, 0] = 1.0
             self.tensors[i] = t

@@ -6,8 +6,8 @@ superoperators, so no trajectory sampling is involved; readout events
 project onto a fixed bit and the surviving trace is the probability of the
 recorded bitstring.
 
-Shares only the TruncationPolicy dataclass with the MPS trajectory
-backend. The tensor routines are written separately on purpose: agreement
+Shares only the TruncationPolicy dataclass and its TruncationOverflow
+error with the MPS trajectory backend. The tensor routines are written separately on purpose: agreement
 between the two is used as evidence of correctness, which would be
 circular if they shared contraction code.
 
@@ -18,9 +18,10 @@ Positivity is not enforced structurally; a contracted probability below
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from ..lightcone import Circuit2D, EffectiveCircuit1D, Gate, MeasureReset, Noise
-from ..mps import TruncationOverflow, TruncationPolicy, _robust_svd
+from ..mps import TruncationOverflow, TruncationPolicy
 
 __all__ = [
     "MpoError",
@@ -34,6 +35,14 @@ PROB_TOL = 1e-10
 NULL_FLOOR = 1e-280
 
 ORACLE_POLICY = TruncationPolicy(chi_max=2048, svd_cutoff=1e-12)
+
+
+def _svd(mat: np.ndarray):
+    try:
+        return np.linalg.svd(mat, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # gesdd occasionally fails to converge; gesvd is slower but sturdier
+        return scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd")
 
 
 class MpoError(Exception):
@@ -169,7 +178,7 @@ class MPODensity:
 
     def _split(self, pos: int, theta: np.ndarray, policy: TruncationPolicy):
         l, _, _, _, _, r = theta.shape
-        u, s, vh = _robust_svd(theta.reshape(l * 4, 4 * r))
+        u, s, vh = _svd(theta.reshape(l * 4, 4 * r))
         keep = self._select_rank(s, policy)
         total = float(np.sum(s**2))
         if total > 0.0:

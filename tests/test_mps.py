@@ -8,11 +8,14 @@ from scipy.stats import unitary_group
 
 from sebd.channels import (
     KrausSet,
+    NoiseModel,
+    gauge_transform,
     make_amplitude_damping,
     make_dephasing,
     make_depolarizing,
 )
 from sebd.gates import CNOT, CZ, H, W, X, fsim, pauli_half_power
+from sebd.lightcone import build_lattice, random_instance
 from sebd.mps import (
     EXACT_POLICY,
     MatrixProductState,
@@ -21,6 +24,7 @@ from sebd.mps import (
     TruncationPolicy,
 )
 from sebd.oracles.dense import DenseVector
+from sebd.sampler import RunConfig, run_trajectory
 
 LN2 = np.log(2.0)
 BIG = TruncationPolicy(chi_max=4096, svd_cutoff=0.0)
@@ -447,10 +451,8 @@ def test_product_state_amplitude_property(bits):
     assert psi.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
-@settings(max_examples=25, deadline=None)
-def test_canonical_isometries_after_random_ops(seed, n):
-    psi = random_state(n, seed, depth=4)
+def assert_canonical(psi):
+    """Tensors left of the centre are left isometries, right of it right isometries."""
     c = psi.center
     for k, t in enumerate(psi.tensors):
         l, s, r = t.shape
@@ -460,3 +462,86 @@ def test_canonical_isometries_after_random_ops(seed, n):
         elif k > c:
             m = t.reshape(l, s * r)
             np.testing.assert_allclose(m @ m.conj().T, np.eye(l), atol=1e-10)
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
+@settings(max_examples=25, deadline=None)
+def test_canonical_isometries_after_random_ops(seed, n):
+    assert_canonical(random_state(n, seed, depth=4))
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(3, 7),
+    where=st.sampled_from(("left", "inside", "right")),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_apply_2q_any_pair_any_centre_matches_dense(seed, n, where, data):
+    i, j = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True), label="pair"
+    )
+    lo, hi = min(i, j), max(i, j)
+    span = {"left": (0, lo - 1), "inside": (lo, hi), "right": (hi + 1, n - 1)}[where]
+    if span[0] > span[1]:
+        span = (lo, hi)  # the pair touches that end of the chain
+    psi = random_state(n, seed, depth=6)
+    psi._move_center(data.draw(st.integers(*span), label="centre"))
+    dv = DenseVector(n)
+    dv.psi = psi.to_dense().copy()
+    g = unitary_group.rvs(4, random_state=np.random.default_rng(seed))
+    psi.apply_2q(i, j, g, BIG)
+    dv.apply_2q(i, j, g)
+    np.testing.assert_allclose(psi.to_dense(), dv.psi, atol=1e-10)
+    assert_canonical(psi)
+
+
+def test_kraus_weights_are_branch_norms():
+    # amplitude damping on a site entangled with the rest, in a complex
+    # gauge so the effects M_k^dag M_k have complex off-diagonal entries;
+    # the weights are read back through where one draw splits the outcomes
+    u = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
+    k = gauge_transform(make_amplitude_damping(0.3, "canonical"), u)
+    base = random_state(5, 21, depth=10)
+    base._move_center(0)
+    before = base.to_dense()
+    branches = [np.moveaxis(np.tensordot(m, before, axes=(1, 2)), 0, 2) for m in k.ops]
+    weights = [float(np.vdot(b, b).real) for b in branches]
+    assert 0.05 < weights[1] < 0.95
+    for draw, want in ((weights[0] - 1e-9, 0), (weights[0] + 1e-9, 1)):
+        psi = base.copy()
+        rng = FakeRng([draw])
+        assert psi.apply_kraus(2, k, rng) == want
+        assert rng.vals == []
+        np.testing.assert_allclose(
+            psi.to_dense(), branches[want] / np.sqrt(weights[want]), atol=1e-12
+        )
+        assert_canonical(psi)
+
+
+def _count_linalg(monkeypatch):
+    calls = {"qr": 0, "svd": 0}
+    for name in calls:
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "lattice, qr, svd", ((("square", 4, 8), 165, 143), (("heavy-hex", 7, None), 99, 62))
+)
+def test_qr_calls_per_trajectory(monkeypatch, lattice, qr, svd):
+    # centre moves are structural: one QR per step the centre travels to
+    # reach a site or a two-site block, none between routing swaps
+    noise = NoiseModel(kind="depolarizing", epsilon=0.05)
+    c = random_instance(build_lattice(*lattice), "ABCD", "fsim", noise, seed=3)
+    cfg = RunConfig(circuit=c, unravel_form="weak-tetrahedron", master_seed=1)
+    cfg.effective()
+    calls = _count_linalg(monkeypatch)
+    assert run_trajectory(cfg, 0).ok
+    assert calls == {"qr": qr, "svd": svd}
