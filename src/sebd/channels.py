@@ -75,8 +75,12 @@ class KrausSet:
     def __len__(self) -> int:
         return len(self.ops)
 
+    @cached_property
     def stacked(self) -> np.ndarray:
-        return np.stack(self.ops)
+        """The operators stacked as (K, d, d); read-only."""
+        s = np.stack(self.ops)
+        s.flags.writeable = False
+        return s
 
 
 @dataclass(frozen=True)
@@ -283,7 +287,7 @@ def gauge_transform(k: KrausSet, u: np.ndarray) -> KrausSet:
         raise ChannelError("gauge must not reduce operator count below rank")
     if not np.allclose(u.conj().T @ u, np.eye(u.shape[1]), atol=1e-10):
         raise ChannelError("gauge matrix is not an isometry")
-    new = np.einsum("ji,iab->jab", u, k.stacked())
+    new = np.einsum("ji,iab->jab", u, k.stacked)
     return KrausSet(tuple(new), label=k.label + "'")
 
 
@@ -306,7 +310,7 @@ def unraveling_cost_x(k: KrausSet) -> float:
     Ranges over (1/d, 1]; 1/d means purely unitary operators (no
     disentangling), 1 means rank-one (projective). Zero operators are skipped.
     """
-    return _cost_from_stack(k.stacked(), k.d)
+    return _cost_from_stack(k.stacked, k.d)
 
 
 def reparametrize(k: KrausSet) -> ReweightedKraus:
@@ -366,7 +370,7 @@ def optimize_unraveling(
     if n_out < n_in:
         raise ChannelError("n_out must be at least the input operator count")
     base = np.zeros((n_out, k.d, k.d), dtype=complex)
-    base[:n_in] = k.stacked()
+    base[:n_in] = k.stacked
     d = k.d
     npairs = n_out * (n_out - 1) // 2
 

@@ -128,6 +128,8 @@ class ExperimentConfig:
             raise ConfigError("aspect must be positive")
         if self.chi_max < 1 or self.svd_cutoff < 0:
             raise ConfigError("invalid truncation policy")
+        if self.n_bitstrings < 1:
+            raise ConfigError("n_bitstrings must be positive")
         if self.reference not in REFERENCES:
             raise ConfigError(f"reference must be one of {REFERENCES}")
         bad = set(self.telemetry) - set(TELEMETRY_FIELDS)

@@ -25,6 +25,25 @@ site i, then on site j. θ is the centre, so each site's 2x2 reduced state
 comes from θ alone and no centre move is needed; the SVD then splits the
 post-noise block. The result equals the gate followed by apply_kraus on i
 and on j, with the same Born weights and random draws.
+
+Lanes: a state made by ``new_product_state(n, lanes=B)`` holds B
+trajectories of one event stream, with a leading lane axis on every tensor,
+(B, l, 2, r); a one-lane state keeps (l, 2, r). The centre moves, two-site
+updates, Kraus sampling and projection run over both shapes with the same
+code, batching their numpy and LAPACK calls over the lanes. Every lane
+truncates by its own singular values under the same rule (svd_cutoff,
+chi_max, hard_fail_chi, and the 1e-14 cutoff after a projection): the
+tensors are padded to the largest rank of any lane, and each lane's values
+past its own rank are zeroed and its kept ones renormalized, as a one-lane
+state would. ``ranks`` holds every lane's own bond dimensions,
+``bond_dims()`` the padded ones, and ``trunc_log`` the discarded weight
+summed over the lanes. In a lane state ``rng.random()`` returns one uniform
+for every lane id of the block, and each lane makes its own Born pick. A
+lane whose Born check or hard_fail_chi fails leaves the state, with the
+error text kept in ``failed``; a lane whose projection falls below the
+floor leaves it silently (its weight is 0). A one-lane state raises
+MpsError in both cases. Measurement with reset, the reference qubit,
+entropies and dense access take one-lane states only.
 """
 
 from __future__ import annotations
@@ -73,6 +92,8 @@ def _robust_svd(mat: np.ndarray):
         return np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge on ill-conditioned inputs
+        if mat.ndim > 2:  # retry lane by lane, so only the failing lanes fall back to gesvd
+            return tuple(np.stack(f) for f in zip(*(_robust_svd(m) for m in mat)))
         import scipy.linalg  # lazy: importing sebd loads no scipy
 
         return scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd")
@@ -101,7 +122,8 @@ class MatrixProductState:
 
     Public site indices always refer to system qubits; the reference (if
     attached) is addressed only through its handle and never takes part in
-    gates, noise, or measurements.
+    gates, noise, or measurements. ``lanes`` is None for a one-lane state;
+    in a lane state it lists the ids of the live lanes in tensor order.
     """
 
     def __init__(self, tensors: list[np.ndarray], center: int = 0):
@@ -111,25 +133,35 @@ class MatrixProductState:
         self.center = center
         self.trunc_log = 0.0
         self._ref: int | None = None
+        self.lanes: np.ndarray | None = None
+        self.ranks: np.ndarray | None = None  # (lanes, bonds): each lane's own bond dims
+        self.failed: dict = {}  # lane id -> "ErrorType: text"
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def new_product_state(cls, n: int, bits=None) -> "MatrixProductState":
-        """Product state |bits> (default all zeros) on n sites."""
+    def new_product_state(cls, n: int, bits=None, lanes: int | None = None) -> "MatrixProductState":
+        """Product state |bits> (default all zeros) on n sites; with lanes, one copy per lane."""
         if n <= 0:
             raise MpsError("need at least one site")
+        if lanes is not None and lanes < 1:
+            raise MpsError("need at least one lane")
         if bits is None:
             bits = [0] * n
         bits = [int(b) for b in bits]
         if len(bits) != n or any(b not in (0, 1) for b in bits):
             raise MpsError(f"bits must be {n} binary values")
+        lead = () if lanes is None else (lanes,)
         tensors = []
         for b in bits:
-            t = np.zeros((1, 2, 1), dtype=complex)
-            t[0, b, 0] = 1.0
+            t = np.zeros((*lead, 1, 2, 1), dtype=complex)
+            t[..., 0, b, 0] = 1.0
             tensors.append(t)
-        return cls(tensors, center=0)
+        psi = cls(tensors, center=0)
+        if lanes is not None:
+            psi.lanes = np.arange(lanes)
+            psi.ranks = np.ones((lanes, n + 1), dtype=int)
+        return psi
 
     # -- indexing ----------------------------------------------------------
 
@@ -137,6 +169,10 @@ class MatrixProductState:
     def n_sites(self) -> int:
         """Number of system sites (the reference is excluded)."""
         return len(self.tensors) - (1 if self._ref is not None else 0)
+
+    def _one_lane(self, what: str):
+        if self.lanes is not None:
+            raise MpsError(f"{what} takes a one-lane state")
 
     def _int(self, site: int) -> int:
         if not 0 <= site < self.n_sites:
@@ -153,7 +189,8 @@ class MatrixProductState:
         return cut
 
     def bond_dims(self) -> list[int]:
-        return [t.shape[0] for t in self.tensors] + [self.tensors[-1].shape[2]]
+        """Bond dimensions along the chain; in a lane state, padded to the largest lane."""
+        return [t.shape[-3] for t in self.tensors] + [self.tensors[-1].shape[-1]]
 
     def max_bond(self) -> int:
         return max(self.bond_dims())
@@ -163,20 +200,26 @@ class MatrixProductState:
     def _shift_right(self):
         c = self.center
         a, b = self.tensors[c], self.tensors[c + 1]
-        l, s, r = a.shape
-        q, rm = np.linalg.qr(a.reshape(l * s, r))
-        self.tensors[c] = q.reshape(l, s, -1)
-        self.tensors[c + 1] = (rm @ b.reshape(r, -1)).reshape(-1, *b.shape[1:])
+        lead, (l, s, r) = a.shape[:-3], a.shape[-3:]
+        q, rm = np.linalg.qr(a.reshape(lead + (l * s, r)))
+        self.tensors[c] = q.reshape(lead + (l, s, -1))
+        self.tensors[c + 1] = (rm @ b.reshape(lead + (r, -1))).reshape(lead + (-1,) + b.shape[-2:])
+        if self.ranks is not None:
+            self.ranks[:, c + 1] = np.minimum(2 * self.ranks[:, c], self.ranks[:, c + 1])
         self.center = c + 1
 
     def _shift_left(self):
         # LQ from the QR of the transpose: a = rm.T @ q.T, q.T has orthonormal rows
         c = self.center
         a, b = self.tensors[c], self.tensors[c - 1]
-        l, s, r = a.shape
-        q, rm = np.linalg.qr(a.reshape(l, s * r).T)
-        self.tensors[c] = q.T.reshape(-1, s, r)
-        self.tensors[c - 1] = (b.reshape(-1, l) @ rm.T).reshape(*b.shape[:2], -1)
+        lead, (l, s, r) = a.shape[:-3], a.shape[-3:]
+        q, rm = np.linalg.qr(a.reshape(lead + (l, s * r)).swapaxes(-1, -2))
+        self.tensors[c] = q.swapaxes(-1, -2).reshape(lead + (-1, s, r))
+        self.tensors[c - 1] = (
+            b.reshape(lead + (-1, l)) @ rm.swapaxes(-1, -2)
+        ).reshape(b.shape[:-1] + (-1,))
+        if self.ranks is not None:
+            self.ranks[:, c] = np.minimum(self.ranks[:, c], 2 * self.ranks[:, c + 1])
         self.center = c - 1
 
     def _move_center(self, pos: int):
@@ -260,51 +303,113 @@ class MatrixProductState:
         elif self.center > pos + 1:
             self._move_center(pos + 1)
         a, b = self.tensors[pos], self.tensors[pos + 1]
-        l, r = a.shape[0], b.shape[2]
-        theta = a.reshape(l * 2, -1) @ b.reshape(-1, 2 * r)
+        lead = a.shape[:-3]
+        l, r = a.shape[-3], b.shape[-1]
+        theta = a.reshape(lead + (l * 2, -1)) @ b.reshape(lead + (-1, 2 * r))
         if g is None:
-            theta = theta.reshape(l, 2, 2, r).transpose(0, 2, 1, 3)
+            theta = theta.reshape(lead + (l, 2, 2, r)).swapaxes(-3, -2)
         else:
-            theta = np.matmul(g, theta.reshape(l, 4, r))
+            theta = np.matmul(g, theta.reshape(lead + (l, 4, r)))
         picks = None
         if kraus is not None:
             # the block is the centre, so the reduced state of each site is
             # read off the view with that site's leg in the middle
             left, right = (l, 2, 2 * r), (2 * l, 2, r)
-            first, second = (right, left) if i_right else (left, right)
-            pick_i, theta = _sample_kraus(theta.reshape(first), kraus, rng)
-            pick_j, theta = _sample_kraus(theta.reshape(second), kraus, rng)
-            picks = (pick_i, pick_j)
-        u, s, vh = _robust_svd(theta.reshape(l * 2, 2 * r))
-        keep = self._select_rank(s, policy)
-        s2 = s * s
-        total = max(float(s2.sum()), PROB_FLOOR)
-        if keep < len(s):
-            self.trunc_log += float(s2[keep:].sum()) / total
-        s, kept = s[:keep], float(s2[:keep].sum())
-        if kept != total:  # give the kept values the weight of the whole block
-            s = s / np.sqrt(kept / total)
-        u, vh = u[:, :keep], vh[:keep]
+            picks = ()
+            for view in ((right, left) if i_right else (left, right)):
+                pick, theta, kept = self._sample_kraus(theta.reshape(lead + view), kraus, rng)
+                if kept is not None:
+                    lead, picks = theta.shape[:-3], tuple(q[kept] for q in picks)
+                picks += (pick,)
+        u, s, vh = _robust_svd(theta.reshape(lead + (l * 2, 2 * r)))
+        s, kept = self._truncate(s, policy, pos)
+        if kept is not None:
+            u, vh, lead = u[kept], vh[kept], s.shape[:-1]
+            if picks is not None:
+                picks = tuple(q[kept] for q in picks)
+        width = s.shape[-1]
+        if width < u.shape[-1]:
+            u, vh = u[..., :width], vh[..., :width, :]
+        # u and vh are the SVD's own arrays, so they can be scaled in place
         if center_left:
-            self.tensors[pos] = (u * s).reshape(l, 2, keep)
-            self.tensors[pos + 1] = vh.reshape(keep, 2, r)
+            u *= s[..., None, :]
+            self.tensors[pos] = u.reshape(lead + (l, 2, width))
+            self.tensors[pos + 1] = vh.reshape(lead + (width, 2, r))
             self.center = pos
         else:
-            self.tensors[pos] = u.reshape(l, 2, keep)
-            self.tensors[pos + 1] = (s[:, None] * vh).reshape(keep, 2, r)
+            vh *= s[..., None]
+            self.tensors[pos] = u.reshape(lead + (l, 2, width))
+            self.tensors[pos + 1] = vh.reshape(lead + (width, 2, r))
             self.center = pos + 1
         return picks
 
-    @staticmethod
-    def _select_rank(s: np.ndarray, policy: TruncationPolicy) -> int:
-        if s[0] <= 0.0:
-            return 1
-        want = int(np.sum(s / s[0] >= policy.svd_cutoff)) or 1
-        if policy.hard_fail_chi is not None and want > policy.hard_fail_chi:
-            raise TruncationOverflow(
-                f"needed bond {want} exceeds hard_fail_chi={policy.hard_fail_chi}"
-            )
-        return min(want, policy.chi_max)
+    def _truncate(self, s: np.ndarray, policy: TruncationPolicy, pos: int):
+        """Truncate the singular values of the block at pos; returns (values, lanes kept).
+
+        Values with s/s_max >= svd_cutoff are kept, at least one and at most
+        chi_max, and a count above hard_fail_chi fails. The kept values take
+        the weight of all of them; the discarded fraction adds to trunc_log.
+        In a lane state each lane counts among the values of its own block
+        and fails alone, its values past its own rank are zeroed, and the
+        values come cut to the largest rank kept. The mask of lanes kept is
+        None when all were. The one-lane branch is the same rule on
+        scalars, which keeps it cheap.
+        """
+        cap = policy.hard_fail_chi
+        s2 = s * s
+        if s.ndim == 1:
+            keep = 1
+            if s[0] > 0.0:
+                keep = int(np.sum(s / s[0] >= policy.svd_cutoff)) or 1
+                if cap is not None and keep > cap:
+                    raise TruncationOverflow(f"needed bond {keep} exceeds hard_fail_chi={cap}")
+                keep = min(keep, policy.chi_max)
+            kept = float(s2.sum())
+            total = max(kept, PROB_FLOOR)
+            if keep < len(s):
+                self.trunc_log += float(s2[keep:].sum()) / total
+                s, kept = s[:keep], float(s2[:keep].sum())
+            if kept != total:  # give the kept values the weight of the whole block
+                s = s / np.sqrt(kept / total)
+            return s, None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.sum(s / s[:, :1] >= policy.svd_cutoff, axis=1)
+        own = 2 * np.minimum(self.ranks[:, pos], self.ranks[:, pos + 2])
+        want = np.where(s[:, 0] > 0.0, np.clip(want, 1, own), 1)
+        lanes_kept = None
+        if cap is not None and (want > cap).any():
+            over = want > cap
+            lanes_kept = self._retire(over, TruncationOverflow, [
+                f"needed bond {w} exceeds hard_fail_chi={cap}" for w in want[over]
+            ])
+            s, s2, want = s[lanes_kept], s2[lanes_kept], want[lanes_kept]
+        keep = np.minimum(want, policy.chi_max)
+        self.ranks[:, pos + 1] = keep
+        total = np.maximum(s2.sum(axis=1, keepdims=True), PROB_FLOOR)
+        tail = np.arange(s.shape[1]) >= keep[:, None]
+        self.trunc_log += float((np.where(tail, s2, 0.0).sum(axis=1, keepdims=True) / total).sum())
+        kept = np.where(tail, 0.0, s2).sum(axis=1, keepdims=True)
+        return np.where(tail, 0.0, s)[:, : keep.max()] / np.sqrt(kept / total), lanes_kept
+
+    def _retire(self, bad, error: type, texts: list, failed: bool = True) -> np.ndarray:
+        """Take the lanes flagged in bad out of a lane state; returns the kept mask.
+
+        texts holds one message per flagged lane. A one-lane state raises
+        error(texts[0]) instead. A failed lane's "ErrorType: text" is kept
+        in self.failed; failed=False ends lanes without a record. Retiring
+        the last lane raises MpsError, which stops the kernel.
+        """
+        if self.lanes is None:
+            raise error(texts[0])
+        if failed:
+            for lane, text in zip(self.lanes[bad].tolist(), texts):
+                self.failed[lane] = f"{error.__name__}: {text}"
+        keep = ~bad
+        self.tensors = [t[keep] for t in self.tensors]
+        self.ranks, self.lanes = self.ranks[keep], self.lanes[keep]
+        if not self.lanes.size:  # nothing left to run the rest of the kernel on
+            raise MpsError("every lane has left the state")
+        return keep
 
     # -- stochastic events -------------------------------------------------
 
@@ -316,11 +421,45 @@ class MatrixProductState:
         """
         i = self._int(site)
         self._move_center(i)
-        pick, self.tensors[i] = _sample_kraus(self.tensors[i], kraus, rng)
+        pick, self.tensors[i], _ = self._sample_kraus(self.tensors[i], kraus, rng)
         return pick
+
+    def _sample_kraus(self, x: np.ndarray, kraus, rng):
+        """Born-sample a Kraus branch on the middle leg of x, shaped (..., L, 2, R).
+
+        x must hold the whole state's weight (the centre site or block), so
+        its reduced state on that leg is the site's: rho = X X^dag with X the
+        leg-first matrix, and for Hermitian rho p_k = tr(M_k^dag M_k rho) =
+        sum_st E_k[s, t] conj(rho[s, t]). Lanes failing the Born checks are
+        retired first. Draws one rng.random() and returns the index, the
+        normalized branch M_k x / sqrt(p_k), and the mask of lanes kept
+        (None when every lane was).
+        """
+        lead = x.shape[:-3]
+        m = x.swapaxes(-3, -2).reshape(lead + (2, -1))
+        rho = m @ m.conj().swapaxes(-1, -2)
+        probs = (rho.conj().reshape(lead + (4,)) @ kraus.effects.reshape(len(kraus), -1).T).real
+        total = probs.sum(-1)
+        bad = abs(total - 1.0) > 1e-10  # also flags a total below PROB_FLOOR
+        kept = None
+        if bad if self.lanes is None else bad.any():  # a scalar's .any() costs microseconds
+            kept = self._retire(bad, MpsError, [
+                "all Kraus outcomes numerically degenerate" if t < PROB_FLOOR
+                else f"Born probabilities sum to {t}, state unnormalized"
+                for t in total[bad]
+            ])
+            x, probs = x[kept], probs[kept]
+        u = rng.random()
+        if self.lanes is not None:
+            u = u[self.lanes]
+        pick, p = _born_pick(probs, u)
+        branch = np.matmul(kraus.stacked[pick, None], x)
+        branch /= np.sqrt(p)
+        return pick, branch, kept
 
     def measure_reset(self, site: int, rng) -> int:
         """Measure in the computational basis, record the bit, reset to |0>."""
+        self._one_lane("measure_reset")
         i = self._int(site)
         self._move_center(i)
         a = self.tensors[i]
@@ -333,47 +472,62 @@ class MatrixProductState:
         return bit
 
     def project_onto(self, site: int, bit: int) -> float:
-        """Project a site onto a given bit, reset it to |0>, return the probability."""
+        """Project a site onto a given bit, reset it to |0>, return the probability.
+
+        A lane state returns one probability per lane left; lanes whose
+        probability falls below the floor have left it first.
+        """
         if bit not in (0, 1):
             raise MpsError("bit must be 0 or 1")
         i = self._int(site)
         self._move_center(i)
-        a = self.tensors[i]
-        p = float(np.vdot(a[:, bit, :], a[:, bit, :]).real)
-        if p < PROB_FLOOR:
-            raise MpsError(f"projection probability {p} below floor")
+        a = self.tensors[i][..., bit, :]
+        p = np.einsum("...ij,...ij->...", a.conj(), a).real
+        low = p < PROB_FLOOR
+        if low.any():
+            p = p[self._retire(low, MpsError, [
+                f"projection probability {q} below floor" for q in p[low]
+            ], failed=False)]
+        if self.lanes is None:
+            p = float(p)
         self._project_reset(i, bit, p)
         return p
 
-    def _project_reset(self, i: int, bit: int, p: float):
+    def _project_reset(self, i: int, bit: int, p):
         # the projected site is a bare matrix on the bonds; splitting it by
         # SVD lets the adjacent bond shrink to the rank actually used
-        m = self.tensors[i][:, bit, :] / np.sqrt(p)
-        l, r = m.shape
+        scale = np.sqrt(p) if self.lanes is None else np.sqrt(p)[:, None, None]
+        m = self.tensors[i][..., bit, :] / scale
+        lead, (l, r) = m.shape[:-2], m.shape[-2:]
         n_int = len(self.tensors)
-        if n_int == 1:
-            t = np.zeros((1, 2, 1), dtype=complex)
-            t[0, 0, 0] = 1.0
-            self.tensors[i] = t
-            return
         if i < n_int - 1:
             u, s, vh = _robust_svd(m)
-            keep = max(int(np.sum(s / max(s[0], PROB_FLOOR) >= 1e-14)), 1)
-            t = np.zeros((l, 2, keep), dtype=complex)
-            t[:, 0, :] = u[:, :keep]
+            if self.ranks is None:
+                width = max(int(np.sum(s / max(s[0], PROB_FLOOR) >= 1e-14)), 1)
+            else:  # the same rule per lane; each lane's values past its own rank are zeroed
+                keep = np.sum(s / np.maximum(s[:, :1], PROB_FLOOR) >= 1e-14, axis=1)
+                keep = np.clip(keep, 1, np.minimum(self.ranks[:, i], self.ranks[:, i + 1]))
+                self.ranks[:, i + 1] = keep
+                s = np.where(np.arange(s.shape[-1]) < keep[:, None], s, 0.0)
+                width = int(keep.max())
+            t = np.zeros(lead + (l, 2, width), dtype=complex)
+            t[..., 0, :] = u[..., :width]
             self.tensors[i] = t
             b = self.tensors[i + 1]
             self.tensors[i + 1] = (
-                (s[:keep, None] * vh[:keep]) @ b.reshape(r, -1)
-            ).reshape(keep, *b.shape[1:])
+                (s[..., :width, None] * vh[..., :width, :]) @ b.reshape(lead + (r, -1))
+            ).reshape(lead + (width,) + b.shape[-2:])
             self.center = i + 1
-        else:
+            return
+        if n_int > 1:
             b = self.tensors[i - 1]
-            self.tensors[i - 1] = (b.reshape(-1, l) @ m).reshape(*b.shape[:2], 1)
-            t = np.zeros((1, 2, 1), dtype=complex)
-            t[0, 0, 0] = 1.0
-            self.tensors[i] = t
+            self.tensors[i - 1] = (b.reshape(lead + (-1, l)) @ m).reshape(b.shape[:-1] + (1,))
+            if self.ranks is not None:
+                self.ranks[:, i] = 1
             self.center = i - 1
+        fresh = np.zeros(lead + (1, 2, 1), dtype=complex)
+        fresh[..., 0, 0, 0] = 1.0
+        self.tensors[i] = fresh
 
     # -- entanglement telemetry -------------------------------------------
 
@@ -504,12 +658,14 @@ class MatrixProductState:
 
         Includes the reference site at its physical position if attached.
         """
+        self._one_lane("to_dense")
         acc = self.tensors[0]
         for t in self.tensors[1:]:
             acc = np.tensordot(acc, t, axes=(acc.ndim - 1, 0))
         return acc[0, ..., 0]
 
     def amplitude(self, bits) -> complex:
+        self._one_lane("amplitude")
         bits = [int(b) for b in bits]
         if len(bits) != self.n_sites:
             raise MpsError("bitstring length mismatch")
@@ -521,6 +677,7 @@ class MatrixProductState:
         return complex(vec[0])
 
     def copy(self) -> "MatrixProductState":
+        self._one_lane("copy")
         dup = MatrixProductState([t.copy() for t in self.tensors], self.center)
         dup.trunc_log = self.trunc_log
         dup._ref = self._ref
@@ -548,32 +705,24 @@ class MatrixProductState:
         return out
 
 
-def _sample_kraus(x: np.ndarray, kraus, rng):
-    """Born-sample a Kraus branch on the middle leg of x, shaped (L, 2, R).
+def _born_pick(probs: np.ndarray, u):
+    """The first index at which the running sum of probs exceeds u, and its probability.
 
-    x must hold the whole state's weight (the centre site or block), so
-    its reduced state on that leg is the site's: rho = X X^dag with X the
-    leg-first matrix, and for Hermitian rho p_k = tr(M_k^dag M_k rho) =
-    sum_st E_k[s, t] conj(rho[s, t]). Draws one rng.random() and returns
-    the index and the normalized branch M_k x / sqrt(p_k).
+    The last index is picked when no sum does. One lane: probs (k,) and a
+    float u. Lanes: probs (B, k) and u (B,), summed by np.cumsum, which
+    adds in the same order as the one-lane loop; the probabilities come
+    shaped to divide the lanes' tensors.
     """
-    m = x.transpose(1, 0, 2).reshape(2, -1)
-    rho = m @ m.conj().T
-    probs = (kraus.effects.reshape(len(kraus), -1) @ rho.conj().ravel()).real
-    total = probs.sum()
-    if total < PROB_FLOOR:
-        raise MpsError("all Kraus outcomes numerically degenerate")
-    if abs(total - 1.0) > 1e-10:
-        raise MpsError(f"Born probabilities sum to {total}, state unnormalized")
-    u = rng.random()
-    acc = 0.0
-    pick = len(probs) - 1
-    for idx, p in enumerate(probs.tolist()):
-        acc += p
-        if u < acc:
-            pick = idx
-            break
-    return pick, np.matmul(kraus.ops[pick], x) / np.sqrt(probs[pick])
+    if probs.ndim == 1:
+        acc = 0.0
+        for idx, p in enumerate(probs.tolist()):
+            acc += p
+            if u < acc:
+                return idx, p
+        return len(probs) - 1, probs[-1]
+    hit = u[:, None] < np.cumsum(probs, axis=1)
+    pick = np.where(hit.any(axis=1), hit.argmax(axis=1), probs.shape[1] - 1)
+    return pick, probs[np.arange(len(pick)), pick][:, None, None, None]
 
 
 def _spectrum_entropy(p: np.ndarray, n: float) -> float:

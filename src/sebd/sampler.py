@@ -7,7 +7,8 @@ joint sample, so the z marginal samples the noisy output distribution.
 
 Per-trajectory randomness comes from a counter-based Philox stream keyed by
 (master_seed, trajectory index), so results do not depend on scheduling or
-worker count.
+worker count. estimate_probability runs its trajectories as the lanes of
+one state, in fixed blocks of LANE_BLOCK trajectory indices.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ __all__ = [
     "estimate_probability",
     "purification_run",
 ]
+
+
+# trajectories per lane block of estimate_probability
+LANE_BLOCK = 128
 
 
 class SamplerError(ValueError):
@@ -213,6 +218,43 @@ def _bits_by_coord(eff: EffectiveCircuit1D, z_target) -> dict:
     return dict(zip(coords, bits))
 
 
+class _LaneUniforms:
+    """Uniforms drawn up front, one row per lane: random() hands out the next column."""
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+        self.col = 0
+
+    def random(self) -> np.ndarray:
+        self.col += 1
+        return self.table[:, self.col - 1]
+
+
+def _block_weights(cfg: RunConfig, eff: EffectiveCircuit1D, target: dict, indices) -> np.ndarray:
+    """Projection weights of the trajectories in indices, run as the lanes of one state.
+
+    A lane whose projection falls below the floor has weight 0; a failed
+    lane (an MpsError) has weight NaN.
+    """
+    n_draws = eff.counts()["noise"]  # one uniform per noise event, none per readout
+    rng = _LaneUniforms(
+        np.array([_trajectory_rng(cfg.master_seed, i).random(n_draws) for i in indices])
+    )
+    psi = MatrixProductState.new_product_state(eff.n_sites, lanes=len(indices))
+    weight = np.ones(len(indices))
+    try:
+        for ev in eff.events():
+            if not _step(psi, ev, cfg.policy, rng, []):
+                p = psi.project_onto(ev.i, target[ev.coord])  # may retire lanes
+                weight[psi.lanes] *= p
+    except MpsError:  # not a lane's own: it hits every live lane alike
+        weight[psi.lanes] = np.nan
+    out = np.zeros(len(indices))
+    out[psi.lanes] = weight[psi.lanes]
+    out[list(psi.failed)] = np.nan
+    return out
+
+
 def estimate_probability(cfg: RunConfig, z_target) -> tuple:
     """Monte Carlo estimate of the noisy output probability of one bitstring.
 
@@ -221,35 +263,30 @@ def estimate_probability(cfg: RunConfig, z_target) -> tuple:
     is an unbiased per-trajectory estimate. A projection onto a
     zero-probability branch ends that trajectory with contribution 0.
     Returns (mean, standard error) over the non-failed trajectories.
+
+    The trajectories run as the lanes of one MatrixProductState, in fixed
+    blocks of LANE_BLOCK trajectory indices. Each lane's uniforms are drawn
+    up front from its own stream, _trajectory_rng(master_seed, index): n
+    draws at once are the same numbers as n single draws, so every lane
+    makes the picks it would make alone. The block size changes only speed
+    and memory (about LANE_BLOCK * sum(chi^2) * 32 bytes for the bond
+    dimensions chi along the chain), and the results at roundoff level.
     """
     eff = cfg.effective()
     target = _bits_by_coord(eff, z_target)
-    values = []
-    n_failed = 0
-    for index in range(cfg.n_trajectories):
-        rng = _trajectory_rng(cfg.master_seed, index)
-        psi = MatrixProductState.new_product_state(eff.n_sites)
-        weight = 1.0
-        m: list = []
-        try:
-            for ev in eff.events():
-                if not _step(psi, ev, cfg.policy, rng, m):
-                    try:
-                        weight *= psi.project_onto(ev.i, target[ev.coord])
-                    except MpsError:
-                        weight = 0.0
-                        break
-        except MpsError:
-            n_failed += 1
-            continue
-        values.append(weight)
-    if not values:
-        raise SamplerError(f"all {cfg.n_trajectories} trajectories failed")
+    k = cfg.n_trajectories
+    weights = np.concatenate([
+        _block_weights(cfg, eff, target, range(start, min(start + LANE_BLOCK, k)))
+        for start in range(0, k, LANE_BLOCK)
+    ])
+    arr = weights[~np.isnan(weights)]
+    n_failed = k - len(arr)
+    if not len(arr):
+        raise SamplerError(f"all {k} trajectories failed")
     if n_failed:
         import warnings
 
         warnings.warn(f"{n_failed} trajectories failed and were excluded")
-    arr = np.array(values)
     se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return float(arr.mean()), se
 

@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sebd
-from sebd.cli import main
+from sebd.cli import ConfigError, ExperimentConfig, main
 from sebd.serialize import TELEMETRY_SCHEMA, parse_sample_record, read_csv
 
 
@@ -54,3 +56,15 @@ def test_sample_writes_one_record_per_trajectory(tmp_path):
         assert seed == k
         # one bit per site, grouped by lattice row
         assert [len(g) for g in groups] == [3] * 4
+
+
+def test_zero_bitstrings_rejected_before_any_output(tmp_path, capsys):
+    # n_bitstrings: 0 used to write an empty benchmark table, then crash on it
+    with pytest.raises(ConfigError, match="n_bitstrings"):
+        ExperimentConfig(n_bitstrings=0)
+    config = tmp_path / "config.yaml"
+    config.write_text("lx_list: [2]\nly: 2\nepsilons: [0.05]\nn_bitstrings: 0\n")
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 1
+    assert "n_bitstrings must be positive" in capsys.readouterr().err
+    assert not out.exists()

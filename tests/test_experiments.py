@@ -4,6 +4,8 @@ behavior of each experiment family at sizes small enough for CI."""
 import numpy as np
 import pytest
 
+import sebd.experiments
+import sebd.sampler
 from sebd.channels import NoiseModel
 from sebd.experiments import (
     benchmark_ratios,
@@ -17,7 +19,7 @@ from sebd.experiments import (
     tau_sweep,
     torus_trajectory_i3,
 )
-from sebd.lightcone import build_lattice, random_instance
+from sebd.lightcone import build_lattice, compile_sebd, random_instance
 
 LN2 = np.log(2.0)
 
@@ -169,6 +171,26 @@ class TestBenchmarkRatios:
         mpo_row = benchmark_ratios(c, ["110010"], 4, reference="mpo")[0]
         assert mpo_row["p_ref"] == pytest.approx(dense_row["p_ref"], rel=1e-8)
         assert mpo_row["p_hat"] == dense_row["p_hat"]
+
+    @pytest.mark.parametrize("reference, compiles", (("dense", 1), ("mpo", 2)))
+    def test_one_compile_per_instance(self, monkeypatch, reference, compiles):
+        # the sampler's compile serves all targets; the MPO oracle compiles
+        # the channel's own Kraus form once more
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("unraveling"))
+            return compile_sebd(*args, **kwargs)
+
+        monkeypatch.setattr(sebd.sampler, "compile_sebd", counted)
+        monkeypatch.setattr(sebd.experiments, "compile_sebd", counted)
+        rows = benchmark_ratios(
+            self.noisy_circuit(), ["000000", "010110", "111000"], 3,
+            form="weak-tetrahedron", reference=reference,
+        )
+        assert len(rows) == 3
+        assert len(calls) == compiles
+        assert calls.count("weak-tetrahedron") == 1
 
     def test_unknown_reference_rejected(self):
         with pytest.raises(ValueError, match="reference"):

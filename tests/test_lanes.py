@@ -1,0 +1,156 @@
+"""Lane states: estimate_probability's trajectories run as the lanes of one
+MPS give each trajectory the weight it gets when run alone."""
+
+import re
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sebd import sampler
+from sebd.channels import NoiseModel
+from sebd.lightcone import build_lattice, random_instance
+from sebd.mps import MatrixProductState, MpsError, TruncationPolicy
+from sebd.sampler import (
+    RunConfig,
+    _bits_by_coord,
+    _block_weights,
+    _step,
+    _trajectory_rng,
+    estimate_probability,
+)
+
+FAILED_RE = re.compile(r"(\d+) trajectories failed and were excluded")
+
+LATTICES = (
+    ("square", 2, 3), ("square", 2, 4), ("square", 3, 3), ("square", 3, 4), ("heavy-hex", 7, None),
+)
+NOISES = (
+    ("depolarizing", "weak-tetrahedron"),
+    ("dephasing", "projective"),  # projections often hit 0: lanes end mid-block
+    ("amplitude-damping", "canonical"),
+)
+# cutoffs of 1e-3 and 1e-2 truncate for real, so the lanes keep different ranks
+POLICIES = (
+    TruncationPolicy(chi_max=256, svd_cutoff=1e-12),
+    TruncationPolicy(chi_max=256, svd_cutoff=1e-3),
+    TruncationPolicy(chi_max=4, svd_cutoff=1e-2),
+    TruncationPolicy(chi_max=256, svd_cutoff=1e-2, hard_fail_chi=2),
+)
+
+
+def one_lane_weights(cfg: RunConfig, target: dict) -> np.ndarray:
+    """Each trajectory of cfg run alone in a one-lane state.
+
+    Its weight is the product of its projection probabilities, 0 once a
+    projection falls below the floor, NaN when it fails.
+    """
+    eff = cfg.effective()
+    out = []
+    for index in range(cfg.n_trajectories):
+        rng = _trajectory_rng(cfg.master_seed, index)
+        psi = MatrixProductState.new_product_state(eff.n_sites)
+        weight = 1.0
+        try:
+            for ev in eff.events():
+                if not _step(psi, ev, cfg.policy, rng, []):
+                    try:
+                        weight *= psi.project_onto(ev.i, target[ev.coord])
+                    except MpsError:
+                        weight = 0.0
+                        break
+        except MpsError:
+            weight = np.nan
+        out.append(weight)
+    return np.array(out)
+
+
+def config(lattice, noise, epsilon, policy, seed, k):
+    kind, form = noise
+    c = random_instance(build_lattice(*lattice), "ABCD", "fsim", NoiseModel(kind, epsilon), seed)
+    return RunConfig(c, unravel_form=form, policy=policy, n_trajectories=k, master_seed=seed + 1)
+
+
+@given(
+    lattice=st.sampled_from(LATTICES),
+    noise=st.sampled_from(NOISES),
+    epsilon=st.sampled_from((0.05, 0.2)),
+    policy=st.sampled_from(POLICIES),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_lane_weights_match_one_lane(lattice, noise, epsilon, policy, seed, data):
+    cfg = config(lattice, noise, epsilon, policy, seed, k=16)
+    eff = cfg.effective()
+    n = len(eff.coords())
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="target")
+    target = _bits_by_coord(eff, bits)
+    want = one_lane_weights(cfg, target)
+    got = _block_weights(cfg, eff, target, range(cfg.n_trajectories))
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_block_size_changes_nothing(monkeypatch):
+    cfg = config(("square", 3, 3), NOISES[0], 0.1, POLICIES[1], seed=5, k=7)
+    bits = [1, 0, 0, 1, 1, 0, 1, 0, 0]
+    whole = estimate_probability(cfg, bits)
+    monkeypatch.setattr(sampler, "LANE_BLOCK", 3)
+    blocks = estimate_probability(cfg, bits)
+    assert whole[0] > 0.0
+    np.testing.assert_allclose(blocks, whole, rtol=1e-12, atol=0.0)
+
+
+def test_failed_lanes_counted_like_one_lane():
+    # with hard_fail_chi=2 a few of the 40 trajectories need a bond of 3
+    policy = TruncationPolicy(chi_max=256, svd_cutoff=1e-2, hard_fail_chi=2)
+    cfg = config(("square", 3, 3), NOISES[0], 0.3, policy, seed=3, k=40)
+    bits = [0, 1, 1, 0, 1, 0, 0, 1, 0]
+    want = int(np.isnan(one_lane_weights(cfg, _bits_by_coord(cfg.effective(), bits))).sum())
+    assert 0 < want < cfg.n_trajectories
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estimate_probability(cfg, bits)
+    counts = [int(m.group(1)) for w in caught if (m := FAILED_RE.search(str(w.message)))]
+    assert counts == [want]
+
+
+def test_lane_state_reads_like_one_lane_state():
+    # what per-trajectory telemetry reads off a state: one float, int bonds
+    cfg = config(("square", 3, 3), NOISES[0], 0.1, TruncationPolicy(chi_max=1), seed=5, k=12)
+    eff = cfg.effective()
+    psi = MatrixProductState.new_product_state(eff.n_sites, lanes=12)
+    rng = sampler._LaneUniforms(np.full((12, eff.counts()["noise"]), 0.5))
+    for ev in eff.events():
+        if not _step(psi, ev, cfg.policy, rng, []):
+            break
+    assert type(psi.trunc_log) is float and psi.trunc_log > 0.0
+    dims = psi.bond_dims()
+    assert all(type(d) is int for d in dims)
+    assert psi.ranks.shape == (12, len(dims))
+    assert (psi.ranks <= np.array(dims)).all()
+
+
+
+def test_svd_fallback_retries_lane_by_lane(monkeypatch):
+    # a stacked SVD that fails to converge is redone one lane at a time
+    cfg = config(("square", 3, 3), NOISES[0], 0.1, POLICIES[1], seed=5, k=12)
+    eff = cfg.effective()
+    target = _bits_by_coord(eff, [1, 0, 0, 1, 1, 0, 1, 0, 0])
+    want = _block_weights(cfg, eff, target, range(12))
+    svd = np.linalg.svd
+    calls = {"stacked": 0}
+
+    def stacked_fails(a, *args, **kwargs):
+        if a.ndim > 2:
+            calls["stacked"] += 1
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", stacked_fails)
+    got = _block_weights(cfg, eff, target, range(12))
+    assert calls["stacked"] > 0
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
