@@ -1,5 +1,5 @@
-"""Post-processing: purification-time fits, tripartite mutual information,
-finite-size data collapse, and fidelity/noise-rate conversion."""
+"""Post-processing: purification-time fits, finite-size data collapse, and
+fidelity/noise-rate conversion."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ __all__ = [
     "PurificationFit",
     "CollapseFit",
     "fit_tau",
-    "tripartite_mi",
     "data_collapse",
     "pair_crossings",
     "crossing_estimate",
@@ -76,32 +75,6 @@ def fit_tau(series, l_x: int | None = None, window: tuple | None = None, times=N
         row_hi=hi,
         residual=resid,
         n_points=int(mask.sum()),
-    )
-
-
-def tripartite_mi(entropy, quarters, n: float = 1.0) -> float:
-    """Seven-term alternating entropy sum over three disjoint blocks.
-
-    `entropy` is any callable (sites, n) -> real, e.g. a bound
-    MatrixProductState.subsystem_renyi or Tableau entropy adapter.
-    """
-    blocks = [tuple(q) for q in quarters]
-    if len(blocks) != 3:
-        raise AnalysisError("need exactly three blocks")
-    seen: set = set()
-    for b in blocks:
-        if seen & set(b):
-            raise AnalysisError("blocks overlap")
-        seen |= set(b)
-    a, b, c = blocks
-    return float(
-        entropy(a, n)
-        + entropy(b, n)
-        + entropy(c, n)
-        - entropy(a + b, n)
-        - entropy(a + c, n)
-        - entropy(b + c, n)
-        + entropy(a + b + c, n)
     )
 
 

@@ -9,7 +9,6 @@ but differ in how much entanglement the trajectories carry. The scalar
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -142,18 +141,6 @@ class NoiseModel:
             return make_amplitude_damping(self.epsilon, form)
         n = 4 if form == "tetrahedron" else 6
         return make_unital(self.unital, n)
-
-
-@dataclass(frozen=True)
-class ReweightedKraus:
-    """An unraveling split into sampling weights mu_i and normalized operators.
-
-    mu_i = tr(M_i^dag M_i)/d, tilde M_i = M_i / sqrt(mu_i); the weights sum to
-    one and each tilde M_i satisfies tr(tilde M^dag tilde M) = d.
-    """
-
-    weights: np.ndarray
-    normed_ops: tuple
 
 
 def make_dephasing(epsilon: float, form: str = "weak-optimal") -> KrausSet:
@@ -311,24 +298,6 @@ def unraveling_cost_x(k: KrausSet) -> float:
     disentangling), 1 means rank-one (projective). Zero operators are skipped.
     """
     return _cost_from_stack(k.stacked, k.d)
-
-
-def reparametrize(k: KrausSet) -> ReweightedKraus:
-    """Split into sampling weights mu_i and trace-normalized operators.
-
-    Operators with tr(M^dag M) below the floor are dropped with a warning;
-    they arise only at parameter endpoints and carry no weight.
-    """
-    d = k.d
-    mus = np.array([np.trace(m.conj().T @ m).real / d for m in k.ops])
-    keep = mus > TRACE_FLOOR
-    if not np.all(keep):
-        warnings.warn(
-            f"dropping {int(np.sum(~keep))} zero-weight Kraus operator(s)",
-            stacklevel=2,
-        )
-    normed = tuple(m / np.sqrt(mu) for m, mu, k_ in zip(k.ops, mus, keep) if k_)
-    return ReweightedKraus(weights=mus[keep], normed_ops=normed)
 
 
 def _givens_unitary(n: int, params: np.ndarray) -> np.ndarray:

@@ -282,10 +282,6 @@ class MatrixProductState:
             self._apply_adjacent(k, None, policy)
         return picks
 
-    _SWAP = np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
-
     def _apply_adjacent(
         self, pos: int, g: np.ndarray | None, policy: TruncationPolicy,
         center_left: bool = False, kraus=None, rng=None, i_right: bool = False,
@@ -550,71 +546,6 @@ class MatrixProductState:
         lam2 = self.schmidt_values(cut) ** 2
         return _spectrum_entropy(lam2, n)
 
-    def subsystem_renyi(self, sites, n: float = 1.0) -> float:
-        """Renyi entropy of a subsystem made of at most two contiguous blocks.
-
-        Works on the reduced density matrix of the requested sites. When the
-        complement has fewer blocks or a smaller window it is used instead
-        (same entropy for a pure state). Two-block subsystems are made
-        contiguous by swap routing on a scratch copy.
-        """
-        if n <= 0:
-            raise MpsError("Renyi order must be positive")
-        sel = sorted(set(int(s) for s in sites))
-        if not sel:
-            raise MpsError("empty subsystem")
-        if sel[0] < 0 or sel[-1] >= self.n_sites:
-            raise MpsError("subsystem site out of range")
-        if len(sel) == self.n_sites:
-            return 0.0
-        comp = [s for s in range(self.n_sites) if s not in set(sel)]
-        blocks, cblocks = _as_blocks(sel), _as_blocks(comp)
-        if len(blocks) > 2 and len(cblocks) > 2:
-            raise MpsError("subsystem must be a union of at most 2 contiguous blocks")
-        use = blocks
-        if (len(cblocks), _span(cblocks), len(comp)) < (
-            len(blocks), _span(blocks), len(sel)
-        ):
-            use = cblocks
-        if len(use) == 1:
-            return self._window_entropy(use[0], n)
-        work = self.copy()
-        (a0, a1), (c0, c1) = use
-        gap = c0 - a1
-        for col in range(c0, c1):
-            for k in range(col, col - gap, -1):
-                work.apply_2q(k - 1, k, self._SWAP, EXACT_POLICY)
-        return work._window_entropy((a0, a1 + (c1 - c0)), n)
-
-    def _window_entropy(self, block: tuple[int, int], n: float) -> float:
-        a, b = block
-        ia, ib = self._int(a), self._int(b - 1) + 1
-        self._move_center(ia)
-        t = self.tensors[ia]
-        for k in range(ia + 1, ib):
-            t = np.tensordot(t, self.tensors[k], axes=(t.ndim - 1, 0))
-        # legs: left bond, one physical per internal site, right bond
-        phys = list(range(1, t.ndim - 1))
-        traced = [
-            phys[k - ia] for k in range(ia, ib)
-            if self._ref is not None and k == self._ref
-        ]
-        kept = [p for p in phys if p not in traced]
-        order = [0] + kept + traced + [t.ndim - 1]
-        t = np.transpose(t, order)
-        dk = 1 << len(kept)
-        dt = 1 << len(traced)
-        if t.shape[0] * dk * dt * t.shape[-1] > (1 << 27):
-            raise MpsError("subsystem window too large to contract")
-        t = t.reshape(t.shape[0], dk, dt, t.shape[-1])
-        rho = np.einsum("aktb,aqtb->kq", t, t.conj(), optimize=True)
-        evals = np.linalg.eigvalsh(rho)
-        evals = np.clip(evals.real, 0.0, None)
-        tot = evals.sum()
-        if tot <= 0.0:
-            raise MpsError("null reduced state")
-        return _spectrum_entropy(evals / tot, n)
-
     # -- reference qubit ---------------------------------------------------
 
     def attach_reference(self, site: int) -> int:
@@ -651,7 +582,7 @@ class MatrixProductState:
         tot = evals.sum()
         return _spectrum_entropy(evals / tot, 1.0)
 
-    # -- dense access and persistence -------------------------------------
+    # -- dense access ------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
         """Full amplitude tensor of shape (2,)*n over all chain sites.
@@ -683,28 +614,6 @@ class MatrixProductState:
         dup._ref = self._ref
         return dup
 
-    def save(self, path):
-        """Checkpoint to npz: one array per tensor plus scalar metadata."""
-        payload = {f"tensor_{i}": t for i, t in enumerate(self.tensors)}
-        payload["meta"] = np.array(
-            [len(self.tensors), self.center,
-             -1 if self._ref is None else self._ref],
-            dtype=np.int64,
-        )
-        payload["trunc"] = np.array([self.trunc_log])
-        np.savez_compressed(path, **payload)
-
-    @classmethod
-    def load(cls, path) -> "MatrixProductState":
-        with np.load(path) as data:
-            count, center, ref = (int(v) for v in data["meta"])
-            tensors = [data[f"tensor_{i}"] for i in range(count)]
-            out = cls(tensors, center=center)
-            out.trunc_log = float(data["trunc"][0])
-            out._ref = None if ref < 0 else ref
-        return out
-
-
 def _born_pick(probs: np.ndarray, u):
     """The first index at which the running sum of probs exceeds u, and its probability.
 
@@ -730,19 +639,3 @@ def _spectrum_entropy(p: np.ndarray, n: float) -> float:
     if abs(n - 1.0) < 1e-12:
         return float(max(-np.sum(p * np.log(p)), 0.0) + 0.0)
     return float(max(np.log(np.sum(p**n)) / (1.0 - n), 0.0) + 0.0)
-
-
-def _as_blocks(sel: list[int]) -> list[tuple[int, int]]:
-    blocks = []
-    start = prev = sel[0]
-    for s in sel[1:]:
-        if s != prev + 1:
-            blocks.append((start, prev + 1))
-            start = s
-        prev = s
-    blocks.append((start, prev + 1))
-    return blocks
-
-
-def _span(blocks: list[tuple[int, int]]) -> int:
-    return blocks[-1][1] - blocks[0][0]

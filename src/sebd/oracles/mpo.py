@@ -27,7 +27,6 @@ __all__ = [
     "MPODensity",
     "ORACLE_POLICY",
     "mpo_evolve",
-    "mpo_probability",
 ]
 
 PROB_TOL = 1e-10
@@ -329,8 +328,3 @@ def mpo_evolve(circuit, policy: TruncationPolicy = ORACLE_POLICY, z=None, form: 
             raise MpoError("1D streams carry their Kraus sets already")
         return _evolve_1d(circuit, policy, z)
     raise MpoError(f"cannot evolve {type(circuit).__name__}")
-
-
-def mpo_probability(rho: MPODensity, z) -> float:
-    """⟨z|rho|z⟩ for a final-state MPO over the lattice sites."""
-    return rho.probability(z)

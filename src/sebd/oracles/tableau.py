@@ -29,8 +29,6 @@ __all__ = [
     "TableauRun",
     "clifford_sequence",
     "tableau_evolve",
-    "tableau_entropy",
-    "tableau_i3",
 ]
 
 LN2 = log(2.0)
@@ -431,35 +429,3 @@ def tableau_evolve(circuit: Circuit2D, unraveling: str, seed: int) -> TableauRun
             for s in range(tab.n):
                 events += _noise_step(tab, s, unraveling, noise.epsilon, rng)
     return TableauRun(tab, rng, events)
-
-
-def tableau_entropy(run_or_tableau, subsystem) -> float:
-    tab = run_or_tableau.tableau if isinstance(run_or_tableau, TableauRun) else run_or_tableau
-    return tab.entropy(subsystem)
-
-
-def tableau_i3(run_or_tableau, quarters=None, n: float = 1.0) -> float:
-    """Tripartite mutual information of three blocks (fourth implicit).
-
-    ``quarters`` is either None (four contiguous equal blocks of an evenly
-    divisible chain) or an explicit (A, B, C) triple of site lists.  The
-    Renyi order argument is accepted for interface symmetry; stabilizer
-    spectra are flat so it has no effect.
-    """
-    tab = run_or_tableau.tableau if isinstance(run_or_tableau, TableauRun) else run_or_tableau
-    if quarters is None:
-        if tab.n % 4:
-            raise TableauError("default quartering needs n divisible by 4")
-        q = tab.n // 4
-        blocks = [list(range(i * q, (i + 1) * q)) for i in range(3)]
-    else:
-        blocks = [list(b) for b in quarters]
-        if len(blocks) != 3:
-            raise TableauError("quarters must give three blocks")
-    a, b, c = blocks
-    s = tab.entropy
-    return (
-        s(a) + s(b) + s(c)
-        - s(a + b) - s(a + c) - s(b + c)
-        + s(a + b + c)
-    )

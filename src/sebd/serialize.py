@@ -22,7 +22,6 @@ __all__ = [
     "TAU_SCHEMA",
     "COLLAPSE_SCHEMA",
     "COLLAPSE_GRID_SCHEMA",
-    "I3_SCHEMA",
     "UNRAVEL_SCHEMA",
     "write_csv",
     "read_csv",
@@ -38,7 +37,6 @@ BENCHMARK_SCHEMA = "sebd.benchmark.v1"
 TAU_SCHEMA = "sebd.tau.v1"
 COLLAPSE_SCHEMA = "sebd.collapse.v1"
 COLLAPSE_GRID_SCHEMA = "sebd.collapse-grid.v1"
-I3_SCHEMA = "sebd.i3.v1"
 UNRAVEL_SCHEMA = "sebd.unravel.v1"
 
 CIRCUIT_FORMAT = "sebd-circuit2d/1"

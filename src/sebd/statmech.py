@@ -28,14 +28,6 @@ class IsingCouplings:
     q: int
 
 
-def two_replica_weights(k: KrausSet) -> tuple[float, float]:
-    """Link weights (u, v) of the replicated dynamics; v/u equals the cost x."""
-    q = k.d
-    u = float(q * q)
-    v = q * q * unraveling_cost_x(k)
-    return u, v
-
-
 def couplings(x: float, q: int) -> IsingCouplings:
     """Ising couplings at cost x for local dimension q.
 

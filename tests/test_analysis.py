@@ -15,10 +15,7 @@ from sebd.analysis import (
     fit_tau,
     linear_epsilon_estimate,
     pair_crossings,
-    tripartite_mi,
 )
-from sebd.mps import MatrixProductState
-from sebd.oracles.tableau import Tableau
 
 
 class TestFitTau:
@@ -67,48 +64,6 @@ class TestFitTau:
         base = fit_tau(series, window=(0, 29))
         scaled = fit_tau(series, window=(0, 29), times=scale * t)
         assert scaled.tau == pytest.approx(scale * base.tau, rel=1e-9)
-
-
-def _tableau_entropy(tab):
-    return lambda sites, n: tab.entropy(sites)
-
-
-class TestTripartiteMi:
-    def test_product_state_zero_all_orders(self):
-        psi = MatrixProductState.new_product_state(12)
-        quarters = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
-        for n in (1.0, 2.0):
-            assert abs(tripartite_mi(psi.subsystem_renyi, quarters, n=n)) < 1e-12
-
-    def test_ghz_positive_log2(self):
-        tab = Tableau(8)
-        tab.h(0)
-        for i in range(1, 8):
-            tab.cnot(0, i)
-        quarters = ((0, 1), (2, 3), (4, 5))
-        i3 = tripartite_mi(_tableau_entropy(tab), quarters)
-        assert i3 == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_permutation_symmetry(self):
-        tab = Tableau(8)
-        rng = np.random.default_rng(3)
-        for _ in range(60):
-            a, b = rng.choice(8, size=2, replace=False)
-            tab.h(int(a))
-            tab.s(int(b))
-            tab.cnot(int(a), int(b))
-        ent = _tableau_entropy(tab)
-        q = ((0, 1), (2, 3), (4, 5))
-        ref = tripartite_mi(ent, q)
-        for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
-            assert tripartite_mi(ent, tuple(q[i] for i in perm)) == pytest.approx(ref, abs=1e-12)
-
-    def test_overlap_and_arity_errors(self):
-        ent = lambda sites, n: 0.0
-        with pytest.raises(AnalysisError, match="overlap"):
-            tripartite_mi(ent, ((0, 1), (1, 2), (3, 4)))
-        with pytest.raises(AnalysisError, match="three"):
-            tripartite_mi(ent, ((0, 1), (2, 3)))
 
 
 def planted_points(eps_c=0.05, nu=1.3, sizes=(8, 12, 16, 24)):

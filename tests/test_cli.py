@@ -1,4 +1,4 @@
-"""Command line: import cost and an end-to-end `sebd sample` run."""
+"""Command line: import cost and end-to-end `sebd sample` and `sebd phase-sweep` runs."""
 
 import os
 import subprocess
@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import sebd
-from sebd.cli import ConfigError, ExperimentConfig, main
-from sebd.serialize import TELEMETRY_SCHEMA, parse_sample_record, read_csv
+from sebd.cli import ConfigError, ExperimentConfig, load_config, main
+from sebd.experiments import purification_point
+from sebd.serialize import TAU_SCHEMA, TELEMETRY_SCHEMA, parse_sample_record, read_csv
 
 
 def test_import_loads_no_scipy():
@@ -68,3 +69,27 @@ def test_zero_bitstrings_rejected_before_any_output(tmp_path, capsys):
     assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 1
     assert "n_bitstrings must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_phase_sweep_table_matches_pointwise_for_any_worker_count(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text("epsilons: [0.25]\nlx_list: [4]\nseeds: [1, 2]\nn_trajectories: 2\n")
+    tables = []
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        argv = ["phase-sweep", "--config", str(config), "--out", str(out), "--workers", str(workers)]
+        assert main(argv) == 0
+        tables.append((out / "tau.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+    schema, header, rows = read_csv(tmp_path / "out1" / "tau.csv")
+    assert schema == TAU_SCHEMA
+    assert [row[header.index("seed")] for row in rows] == ["1", "2"]
+    policy = load_config(config).policy()
+    for row in rows:
+        seed = int(row[header.index("seed")])
+        point = purification_point(0.25, 4, seed, n_trajectories=2, policy=policy)
+        assert row[header.index("n_rows")] == str(point["n_rows"])
+        for key in ("s_final", "tau", "tau_over_lx", "residual"):
+            assert row[header.index(key)] == f"{point[key]:.8e}"
+        assert row[header.index("status")] == point["status"]

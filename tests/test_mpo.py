@@ -11,7 +11,7 @@ from sebd.gates import CZ, H, iswap
 from sebd.lightcone import LayerGates, Circuit2D, build_lattice, compile_sebd, random_instance
 from sebd.mps import TruncationOverflow, TruncationPolicy
 from sebd.oracles.dense import DenseDensity, dense_evolve
-from sebd.oracles.mpo import MPODensity, MpoError, mpo_evolve, mpo_probability
+from sebd.oracles.mpo import MPODensity, MpoError, mpo_evolve
 from sebd.oracles.tableau import tableau_evolve
 
 
@@ -77,7 +77,7 @@ class TestAgainstDense:
         assert abs(rho.trace() - 1.0) < 1e-10
         assert rho.hermiticity_defect() < 1e-8
         worst = max(
-            abs(mpo_probability(rho, bits) - ref.probability(bits))
+            abs(rho.probability(bits) - ref.probability(bits))
             for bits in product((0, 1), repeat=6)
         )
         assert worst < 1e-8
@@ -103,7 +103,7 @@ class TestEightQubits:
         for _ in range(12):
             bits = tuple(int(b) for b in rng.integers(0, 2, size=8))
             p_ref = ref.probability(bits)
-            assert abs(mpo_probability(rho, bits) - p_ref) < 1e-8
+            assert abs(rho.probability(bits) - p_ref) < 1e-8
             assert abs(mpo_evolve(eff, z=bits).trace() - p_ref) < 1e-8
 
 

@@ -268,34 +268,43 @@ class TestEntropy:
 
     def test_subsystem_full_is_zero(self):
         psi = random_state(6, 3)
-        assert psi.subsystem_renyi(range(6)) == pytest.approx(0.0, abs=1e-10)
+        dv = DenseVector(6)
+        dv.psi = psi.to_dense().copy()
+        assert dv.subsystem_renyi(range(6)) == pytest.approx(0.0, abs=1e-10)
+        product = MatrixProductState.new_product_state(6, bits=[1, 0, 1, 1, 0, 0])
+        for cut in range(1, 6):
+            assert product.renyi_entropy(cut) == pytest.approx(0.0, abs=1e-12)
 
     def test_complement_symmetry(self):
         psi = random_state(7, 19)
-        a = psi.subsystem_renyi([0, 1, 2])
-        b = psi.subsystem_renyi([3, 4, 5, 6])
+        dv = DenseVector(7)
+        dv.psi = psi.to_dense().copy()
+        a = dv.subsystem_renyi([0, 1, 2])
+        b = dv.subsystem_renyi([3, 4, 5, 6])
         assert a == pytest.approx(b, abs=1e-8)
+        assert psi.renyi_entropy(3) == pytest.approx(b, abs=1e-8)
 
     def test_ghz_two_blocks(self):
         psi = ghz(8)
-        assert psi.subsystem_renyi([1, 2, 5, 6]) == pytest.approx(LN2, abs=1e-10)
+        for cut in range(1, 8):
+            assert psi.renyi_entropy(cut) == pytest.approx(LN2, abs=1e-10)
+        dv = DenseVector(8)
+        dv.psi = psi.to_dense().copy()
+        assert dv.subsystem_renyi([1, 2, 5, 6]) == pytest.approx(LN2, abs=1e-10)
 
     def test_two_blocks_match_dense(self):
         psi = random_state(8, 31)
         dv = DenseVector(8)
         dv.psi = psi.to_dense().copy()
-        for sites in ([0, 1, 4, 5], [2, 3, 6, 7], [0, 5, 6], [1, 2, 3, 7]):
-            assert psi.subsystem_renyi(sites, 1.0) == pytest.approx(
-                dv.subsystem_renyi(sites, 1.0), abs=1e-6
-            )
-            assert psi.subsystem_renyi(sites, 2.0) == pytest.approx(
-                dv.subsystem_renyi(sites, 2.0), abs=1e-6
-            )
-
-    def test_three_blocks_without_small_complement_rejected(self):
-        psi = random_state(9, 5)
-        with pytest.raises(MpsError):
-            psi.subsystem_renyi([0, 2, 4, 6, 8])
+        for cut in range(1, 8):
+            left, right = list(range(cut)), list(range(cut, 8))
+            for n in (1.0, 2.0):
+                assert psi.renyi_entropy(cut, n) == pytest.approx(
+                    dv.subsystem_renyi(left, n), abs=1e-6
+                )
+                assert psi.renyi_entropy(cut, n) == pytest.approx(
+                    dv.subsystem_renyi(right, n), abs=1e-6
+                )
 
 
 class TestReference:
@@ -420,27 +429,6 @@ class TestOracleLockstep:
                 s = int(rng_ops.integers(n))
                 assert psi.measure_reset(s, r1) == dv.measure_reset(s, r2)
         np.testing.assert_allclose(psi.to_dense(), dv.to_dense(), atol=1e-8)
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        psi = random_state(6, 77)
-        psi.apply_kraus(2, make_dephasing(0.1, "projective"), FakeRng([0.9]))
-        path = tmp_path / "state.npz"
-        psi.save(path)
-        back = MatrixProductState.load(path)
-        np.testing.assert_allclose(back.to_dense(), psi.to_dense(), atol=1e-14)
-        assert back.trunc_log == psi.trunc_log
-        assert back.center == psi.center
-
-    def test_round_trip_with_reference(self, tmp_path):
-        psi = MatrixProductState.new_product_state(3)
-        h = psi.attach_reference(1)
-        path = tmp_path / "ref.npz"
-        psi.save(path)
-        back = MatrixProductState.load(path)
-        assert back.n_sites == 3
-        assert back.reference_entropy(h) == pytest.approx(LN2, abs=1e-12)
 
 
 @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=10))

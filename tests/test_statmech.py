@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from sebd.channels import KrausSet, make_dephasing, make_depolarizing
+from sebd.channels import KrausSet, make_dephasing
 from sebd.gates import I2
 from sebd.statmech import (
     IsingCouplings,
@@ -17,36 +17,10 @@ from sebd.statmech import (
     critical_x,
     duality_gap,
     predicted_phase,
-    two_replica_weights,
     x_from_couplings,
 )
 
 XC_Q2 = 5.0 / (3.0 + math.sqrt(34.0))
-
-
-def test_weights_projective():
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    assert two_replica_weights(KrausSet((p0, p1))) == pytest.approx((4.0, 4.0))
-
-
-def test_weights_unitary():
-    assert two_replica_weights(KrausSet((I2,))) == pytest.approx((4.0, 2.0))
-
-
-def test_weights_weak_dephasing():
-    u, v = two_replica_weights(make_dephasing(0.1, "weak-optimal"))
-    assert v / u == pytest.approx(0.5 + 2 * 0.1 * 0.9, abs=1e-12)
-
-
-@given(eps=st.floats(min_value=0.0, max_value=0.74))
-@settings(max_examples=50, deadline=None)
-def test_weight_identity_arbitrary(eps):
-    from sebd.channels import unraveling_cost_x
-
-    k = make_depolarizing(eps, "weak-tetrahedron")
-    u, v = two_replica_weights(k)
-    assert v / u == pytest.approx(unraveling_cost_x(k), abs=1e-12)
 
 
 def test_couplings_at_x_one():

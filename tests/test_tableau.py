@@ -12,9 +12,7 @@ from sebd.oracles.tableau import (
     Tableau,
     TableauError,
     clifford_sequence,
-    tableau_entropy,
     tableau_evolve,
-    tableau_i3,
 )
 
 LN2 = np.log(2.0)
@@ -33,6 +31,16 @@ def rebuild_from_sequence(seq, dim):
             op = CNOT if step[1:] == (0, 1) else cnot_ba
         m = op @ m
     return m
+
+
+def i3_from_entropies(t, a, b, c):
+    """Tripartite information of three disjoint site blocks from Tableau.entropy."""
+    s = t.entropy
+    return (
+        s(a) + s(b) + s(c)
+        - s(a + b) - s(a + c) - s(b + c)
+        + s(a + b + c)
+    )
 
 
 def assert_equal_up_to_phase(a, b):
@@ -78,7 +86,6 @@ class TestTableauStates:
         t = Tableau(8)
         for sub in ([0], [1, 4], [0, 2, 3], list(range(5))):
             assert t.entropy(sub) == 0.0
-        assert tableau_i3(t, quarters=None) == 0.0
 
     def test_bell_pair(self):
         t = self.bell()
@@ -89,17 +96,18 @@ class TestTableauStates:
     def test_ghz_half_cut(self):
         t = self.ghz(8)
         assert abs(t.entropy(range(4)) - LN2) < 1e-12
-        assert abs(tableau_entropy(t, range(4)) - LN2) < 1e-12
 
     def test_ghz_tripartite_information(self):
-        assert abs(tableau_i3(self.ghz(8)) - LN2) < 1e-12
+        # quarters A, B, C of an 8-site GHZ state: every nonempty proper
+        # union has entropy ln 2, so I3 = 3 ln2 - 3 ln2 + ln2
+        assert abs(i3_from_entropies(self.ghz(8), [0, 1], [2, 3], [4, 5]) - LN2) < 1e-12
 
     def test_explicit_quarters(self):
         t = self.ghz(8)
-        val = tableau_i3(t, quarters=([0, 1], [2, 3], [4, 5]))
+        val = i3_from_entropies(t, [0, 1, 2], [3], [5, 6])
         assert abs(val - LN2) < 1e-12
         with pytest.raises(TableauError):
-            tableau_i3(t, quarters=([0], [1]))
+            t.entropy([0, 8])
 
     def test_ghz_sampling(self):
         t = self.ghz(6)
