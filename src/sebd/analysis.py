@@ -1,5 +1,4 @@
-"""Post-processing: purification-time fits, finite-size data collapse, and
-fidelity/noise-rate conversion."""
+"""Post-processing: purification-time fits and finite-size data collapse."""
 
 from __future__ import annotations
 
@@ -13,11 +12,6 @@ __all__ = [
     "CollapseFit",
     "fit_tau",
     "data_collapse",
-    "pair_crossings",
-    "crossing_estimate",
-    "epsilon_to_fidelity",
-    "fidelity_to_epsilon",
-    "linear_epsilon_estimate",
 ]
 
 ENTROPY_FLOOR = 1e-12
@@ -174,73 +168,3 @@ def data_collapse(
         return fit, (eps_grid, nu_grid, r)
     return fit
 
-
-def pair_crossings(curves, tail_floor: float = 0.05) -> list:
-    """Interpolated crossing locations for every pair of size-labelled curves.
-
-    curves maps a size label to (x, y) arrays on a shared grid. For each
-    size pair the gap y_small - y_large is scanned for the first transition
-    between the two cleanly ordered regions, where "clean" means the gap
-    exceeds tail_floor times its own peak magnitude; the zero inside that
-    bracket is linearly interpolated. Sign wiggles in the flat tail past
-    the transition never reach the floor and are ignored.
-    """
-    labels = sorted(curves)
-    if len(labels) < 2:
-        raise AnalysisError("need at least two curves")
-    out = []
-    for ia in range(len(labels)):
-        for ib in range(ia + 1, len(labels)):
-            xa, ya = (np.asarray(v, dtype=float) for v in curves[labels[ia]])
-            xb, yb = (np.asarray(v, dtype=float) for v in curves[labels[ib]])
-            if len(xa) != len(xb) or not np.allclose(xa, xb):
-                raise AnalysisError("curves must share an x grid")
-            diff = ya - yb
-            floor = tail_floor * np.max(np.abs(diff))
-            live = np.nonzero(np.abs(diff) >= floor)[0]
-            if live.size == 0 or floor == 0.0:
-                continue
-            d = np.sign(diff[live[0]]) * diff
-            neg = np.nonzero(d <= -floor)[0]
-            if neg.size == 0:
-                continue
-            b = neg[0]
-            a = int(np.nonzero(d[:b] >= floor)[0][-1])
-            for k in range(a, b):
-                if d[k] > 0.0 >= d[k + 1]:
-                    frac = d[k] / (d[k] - d[k + 1])
-                    out.append(float(xa[k] + (xa[k + 1] - xa[k]) * frac))
-                    break
-    if not out:
-        raise AnalysisError("no curve crossings found")
-    return out
-
-
-def crossing_estimate(curves, tail_floor: float = 0.05) -> tuple:
-    """Mean pairwise crossing location and half the pairwise spread."""
-    xs = pair_crossings(curves, tail_floor=tail_floor)
-    return float(np.mean(xs)), float(0.5 * (max(xs) - min(xs)))
-
-
-def epsilon_to_fidelity(epsilon: float) -> float:
-    """Two-qubit cycle fidelity of a depolarizing rate (exact quadratic)."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise AnalysisError(f"epsilon {epsilon} outside [0, 1]")
-    return (1.0 - epsilon) ** 2 + epsilon * (2.0 - epsilon) / 5.0
-
-
-def fidelity_to_epsilon(f: float) -> float:
-    """Exact inverse of epsilon_to_fidelity (smaller quadratic root)."""
-    if not 0.0 < f <= 1.0:
-        raise AnalysisError(f"fidelity {f} outside (0, 1]")
-    disc = 1.0 - 1.25 * (1.0 - f)
-    if disc < 0.0:
-        raise AnalysisError(f"fidelity {f} below the invertible range (>= 0.2)")
-    return 1.0 - np.sqrt(disc)
-
-
-def linear_epsilon_estimate(f: float) -> float:
-    """First-order rule epsilon ~ (5/8)(1 - f)."""
-    if not 0.0 < f <= 1.0:
-        raise AnalysisError(f"fidelity {f} outside (0, 1]")
-    return 0.625 * (1.0 - f)

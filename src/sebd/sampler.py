@@ -117,6 +117,25 @@ def _trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.Philox(key=[master_seed, index]))
 
 
+def _uniform_tables(master_seed: int, indices, n: int) -> np.ndarray:
+    """Row r: _trajectory_rng(master_seed, indices[r]).random(n), bit for bit.
+
+    One Philox bit generator is reset to each lane's key (counter 0, empty
+    buffer), which costs a fraction of building a Generator per lane. Its
+    raw 64-bit words become doubles as Generator.random makes them, from
+    the top 53 bits. The keys are converted the way Philox(key=...) does.
+    """
+    keys = np.asarray([[master_seed, i] for i in indices]).astype(np.uint64)
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
+    raw = np.empty((len(keys), n), dtype=np.uint64)
+    for row, key in enumerate(keys):
+        state["state"]["key"] = key
+        bitgen.state = state
+        raw[row] = bitgen.random_raw(n)
+    return (raw >> np.uint64(11)) * 2.0**-53
+
+
 def _step(psi: MatrixProductState, ev, policy: TruncationPolicy, rng, m: list) -> bool:
     """Apply a gate or noise event, appending sampled Kraus indices to m.
 
@@ -237,9 +256,7 @@ def _block_weights(cfg: RunConfig, eff: EffectiveCircuit1D, target: dict, indice
     lane (an MpsError) has weight NaN.
     """
     n_draws = eff.counts()["noise"]  # one uniform per noise event, none per readout
-    rng = _LaneUniforms(
-        np.array([_trajectory_rng(cfg.master_seed, i).random(n_draws) for i in indices])
-    )
+    rng = _LaneUniforms(_uniform_tables(cfg.master_seed, indices, n_draws))
     psi = MatrixProductState.new_product_state(eff.n_sites, lanes=len(indices))
     weight = np.ones(len(indices))
     try:

@@ -17,7 +17,6 @@ from .lightcone import Circuit2D, circuit_from_dict, circuit_to_dict
 __all__ = [
     "SerializeError",
     "TELEMETRY_SCHEMA",
-    "PROBABILITY_SCHEMA",
     "BENCHMARK_SCHEMA",
     "TAU_SCHEMA",
     "COLLAPSE_SCHEMA",
@@ -32,7 +31,6 @@ __all__ = [
 ]
 
 TELEMETRY_SCHEMA = "sebd.telemetry.v1"
-PROBABILITY_SCHEMA = "sebd.probability.v1"
 BENCHMARK_SCHEMA = "sebd.benchmark.v1"
 TAU_SCHEMA = "sebd.tau.v1"
 COLLAPSE_SCHEMA = "sebd.collapse.v1"

@@ -8,13 +8,8 @@ from hypothesis import strategies as st
 from sebd.analysis import (
     AnalysisError,
     collapse_objective,
-    crossing_estimate,
     data_collapse,
-    epsilon_to_fidelity,
-    fidelity_to_epsilon,
     fit_tau,
-    linear_epsilon_estimate,
-    pair_crossings,
 )
 
 
@@ -127,74 +122,3 @@ class TestDataCollapse:
         assert r.min() >= 0.0
         assert fit.r_min <= r.min() + 1e-15
 
-
-class TestCrossings:
-    def test_planted_common_crossing(self):
-        eps = np.linspace(0.01, 0.09, 33)
-        curves = {ell: (eps, -np.tanh((0.05 - eps) * ell)) for ell in (8, 12, 16)}
-        xs = pair_crossings(curves)
-        assert len(xs) == 3
-        assert all(abs(x - 0.05) < 1e-9 for x in xs)
-        mean, half = crossing_estimate(curves)
-        assert mean == pytest.approx(0.05, abs=1e-9)
-        assert half < 1e-9
-
-    def test_tail_noise_ignored(self):
-        eps = np.linspace(0.0, 0.2, 41)
-        base = {ell: np.tanh((eps - 0.05) * ell) - 1.0 for ell in (8, 16)}
-        rng = np.random.default_rng(2)
-        curves = {}
-        for ell, y in base.items():
-            y = y.copy()
-            tail = eps > 0.15
-            y[tail] += rng.normal(0.0, 1e-4, size=tail.sum())
-            curves[ell] = (eps, y)
-        xs = pair_crossings(curves)
-        assert len(xs) == 1
-        assert abs(xs[0] - 0.05) < 5e-3
-
-    def test_errors(self):
-        eps = np.linspace(0.0, 0.1, 11)
-        with pytest.raises(AnalysisError, match="two curves"):
-            pair_crossings({8: (eps, np.tanh(eps))})
-        with pytest.raises(AnalysisError, match="grid"):
-            pair_crossings({8: (eps, eps), 16: (eps[:-1], eps[:-1])})
-        same = {8: (eps, eps + 1.0), 16: (eps, eps + 2.0)}
-        with pytest.raises(AnalysisError, match="no curve crossings"):
-            pair_crossings(same)
-
-
-class TestFidelityConversion:
-    def test_example_values(self):
-        assert epsilon_to_fidelity(0.025) == pytest.approx(0.9605, abs=1e-12)
-        assert linear_epsilon_estimate(0.96) == pytest.approx(0.025, abs=1e-12)
-        assert epsilon_to_fidelity(0.0) == 1.0
-
-    def test_round_trip(self):
-        for eps in np.linspace(0.0, 0.2, 41):
-            f = epsilon_to_fidelity(eps)
-            assert abs(fidelity_to_epsilon(f) - eps) < 1e-12
-
-    @given(eps=st.floats(min_value=0.0, max_value=0.5))
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip_property(self, eps):
-        assert fidelity_to_epsilon(epsilon_to_fidelity(eps)) == pytest.approx(eps, abs=1e-10)
-
-    def test_monotone_decreasing(self):
-        grid = np.linspace(0.0, 0.5, 100)
-        vals = [epsilon_to_fidelity(e) for e in grid]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_domain_errors(self):
-        with pytest.raises(AnalysisError):
-            epsilon_to_fidelity(-0.1)
-        with pytest.raises(AnalysisError):
-            epsilon_to_fidelity(1.5)
-        with pytest.raises(AnalysisError):
-            fidelity_to_epsilon(0.0)
-        with pytest.raises(AnalysisError):
-            fidelity_to_epsilon(1.0001)
-        with pytest.raises(AnalysisError, match="invertible"):
-            fidelity_to_epsilon(0.1)
-        with pytest.raises(AnalysisError):
-            linear_epsilon_estimate(0.0)

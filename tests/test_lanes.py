@@ -5,6 +5,8 @@ import re
 import warnings
 
 import numpy as np
+import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,7 @@ from sebd.sampler import (
     _block_weights,
     _step,
     _trajectory_rng,
+    _uniform_tables,
     estimate_probability,
 )
 
@@ -31,12 +34,15 @@ NOISES = (
     ("dephasing", "projective"),  # projections often hit 0: lanes end mid-block
     ("amplitude-damping", "canonical"),
 )
-# cutoffs of 1e-3 and 1e-2 truncate for real, so the lanes keep different ranks
+# cutoffs of 1e-3 and 1e-2 truncate for real, so the lanes keep different
+# ranks; cutoff 0 keeps zero singular values, so the columns the closed-form
+# SVD completes for rank-deficient blocks stay in the state
 POLICIES = (
     TruncationPolicy(chi_max=256, svd_cutoff=1e-12),
     TruncationPolicy(chi_max=256, svd_cutoff=1e-3),
     TruncationPolicy(chi_max=4, svd_cutoff=1e-2),
     TruncationPolicy(chi_max=256, svd_cutoff=1e-2, hard_fail_chi=2),
+    TruncationPolicy(chi_max=256, svd_cutoff=0.0),
 )
 
 
@@ -94,6 +100,17 @@ def test_lane_weights_match_one_lane(lattice, noise, epsilon, policy, seed, data
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3001, 2**32 + 7, 2**62 + 1, 2**63 + 5, -1])
+def test_uniform_tables_are_the_trajectory_streams(seed):
+    for indices in (range(1), range(5), range(128, 131), [0, 7, 2**40]):
+        for n in (0, 1, 3, 4, 5, 37):
+            got = _uniform_tables(seed, indices, n)
+            want = np.array([_trajectory_rng(seed, i).random(n) for i in indices])
+            want = want.reshape(len(indices), n)
+            assert got.shape == want.shape
+            assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+
 def test_block_size_changes_nothing(monkeypatch):
     cfg = config(("square", 3, 3), NOISES[0], 0.1, POLICIES[1], seed=5, k=7)
     bits = [1, 0, 0, 1, 1, 0, 1, 0, 0]
@@ -136,12 +153,14 @@ def test_lane_state_reads_like_one_lane_state():
 
 
 def test_svd_fallback_retries_lane_by_lane(monkeypatch):
-    # a stacked SVD that fails to converge is redone one lane at a time
+    # a stacked SVD that fails to converge is redone one lane at a time;
+    # scipy's gesvd fallback takes only single matrices before scipy 1.15
     cfg = config(("square", 3, 3), NOISES[0], 0.1, POLICIES[1], seed=5, k=12)
     eff = cfg.effective()
     target = _bits_by_coord(eff, [1, 0, 0, 1, 1, 0, 1, 0, 0])
     want = _block_weights(cfg, eff, target, range(12))
     svd = np.linalg.svd
+    gesvd = scipy.linalg.svd
     calls = {"stacked": 0}
 
     def stacked_fails(a, *args, **kwargs):
@@ -150,7 +169,13 @@ def test_svd_fallback_retries_lane_by_lane(monkeypatch):
             raise np.linalg.LinAlgError("SVD did not converge")
         return svd(a, *args, **kwargs)
 
+    def single_only(a, *args, **kwargs):
+        if a.ndim > 2:
+            raise ValueError("expected a 2-D array")
+        return gesvd(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", stacked_fails)
+    monkeypatch.setattr(scipy.linalg, "svd", single_only)
     got = _block_weights(cfg, eff, target, range(12))
     assert calls["stacked"] > 0
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

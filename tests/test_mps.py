@@ -40,6 +40,11 @@ class FakeRng:
         return self.vals.pop(0)
 
 
+def clone(psi):
+    """An independent copy of a one-lane state without a reference site."""
+    return MatrixProductState([t.copy() for t in psi.tensors], psi.center)
+
+
 def ghz(n):
     psi = MatrixProductState.new_product_state(n)
     psi.apply_1q(0, H)
@@ -185,7 +190,7 @@ class TestKraus:
         n_draws = 100_000
         hits = 0
         for _ in range(n_draws):
-            psi = base.copy()
+            psi = clone(base)
             hits += psi.apply_kraus(0, k, rng)
         sigma = np.sqrt(n_draws * 0.25)
         assert abs(hits - n_draws / 2) < 4 * sigma
@@ -532,7 +537,7 @@ def test_kraus_weights_are_branch_norms():
     weights = [float(np.vdot(b, b).real) for b in branches]
     assert 0.05 < weights[1] < 0.95
     for draw, want in ((weights[0] - 1e-9, 0), (weights[0] + 1e-9, 1)):
-        psi = base.copy()
+        psi = clone(base)
         rng = FakeRng([draw])
         assert psi.apply_kraus(2, k, rng) == want
         assert rng.vals == []

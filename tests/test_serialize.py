@@ -4,7 +4,7 @@ from sebd.channels import NoiseModel
 from sebd.lightcone import build_lattice, random_instance
 from sebd.sampler import RunConfig, run_trajectory
 from sebd.serialize import (
-    PROBABILITY_SCHEMA,
+    TAU_SCHEMA,
     SerializeError,
     format_sample_record,
     load_circuit,
@@ -25,9 +25,9 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "t.csv"
         rows = [[0.02, 8, "1.5"], [0.05, 12, "0.7"]]
-        write_csv(p, PROBABILITY_SCHEMA, ["epsilon", "L_x", "value"], rows)
-        schema, header, back = read_csv(p, expect_schema=PROBABILITY_SCHEMA)
-        assert schema == PROBABILITY_SCHEMA
+        write_csv(p, TAU_SCHEMA, ["epsilon", "L_x", "value"], rows)
+        schema, header, back = read_csv(p, expect_schema=TAU_SCHEMA)
+        assert schema == TAU_SCHEMA
         assert header == ["epsilon", "L_x", "value"]
         assert back == [["0.02", "8", "1.5"], ["0.05", "12", "0.7"]]
 
