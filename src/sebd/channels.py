@@ -369,23 +369,3 @@ def optimize_unraveling(
     u = _givens_unitary(n_out, best_params)
     ops = np.einsum("ji,iab->jab", u, base)
     return KrausSet(tuple(ops), label=k.label + " optimized"), float(best_val)
-
-
-def kraus_to_dict(k: KrausSet) -> dict:
-    """JSON-ready record: dimension, label, row-major (re, im) entry pairs."""
-    return {
-        "d": k.d,
-        "label": k.label,
-        "ops": [
-            [[float(z.real), float(z.imag)] for z in m.ravel()] for m in k.ops
-        ],
-    }
-
-
-def kraus_from_dict(rec: dict) -> KrausSet:
-    d = int(rec["d"])
-    ops = tuple(
-        np.array([complex(re, im) for re, im in flat]).reshape(d, d)
-        for flat in rec["ops"]
-    )
-    return KrausSet(ops, label=rec.get("label", ""))

@@ -36,12 +36,7 @@ import numpy as np
 import yaml
 
 from .analysis import data_collapse
-from .channels import (
-    NoiseModel,
-    kraus_from_dict,
-    optimize_unraveling,
-    unraveling_cost_x,
-)
+from .channels import NoiseModel, optimize_unraveling, unraveling_cost_x
 from .experiments import benchmark_ratios, purification_point, sweep_rng
 from .lightcone import (
     GATE_FAMILIES,
@@ -51,7 +46,7 @@ from .lightcone import (
     random_instance,
 )
 from .mps import TruncationPolicy
-from .sampler import RunConfig, sample
+from .sampler import SEED_LIMIT, RunConfig, sample
 from .statmech import critical_x, predicted_phase
 from .serialize import (
     BENCHMARK_SCHEMA,
@@ -61,6 +56,7 @@ from .serialize import (
     TELEMETRY_SCHEMA,
     UNRAVEL_SCHEMA,
     format_sample_record,
+    kraus_from_dict,
     read_csv,
     save_circuit,
     write_csv,
@@ -118,6 +114,8 @@ class ExperimentConfig:
         for name in ("epsilons", "lx_list", "seeds"):
             if not getattr(self, name):
                 raise ConfigError(f"sweep axis {name} must be non-empty")
+        if any(not 0 <= s < SEED_LIMIT for s in self.seeds):
+            raise ConfigError("seeds must lie in [0, 2**63)")
         if any(e < 0 for e in self.epsilons):
             raise ConfigError("epsilons must be non-negative")
         if any(l < 2 for l in self.lx_list):

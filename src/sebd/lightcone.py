@@ -33,10 +33,6 @@ __all__ = [
     "compile_sebd",
     "fsim",
     "iswap",
-    "circuit_to_dict",
-    "circuit_from_dict",
-    "effective_to_dict",
-    "effective_from_dict",
 ]
 
 FSIM_THETA = np.pi / 2
@@ -53,12 +49,14 @@ class CompileError(ValueError):
     pass
 
 
-def _check_unitary(m: np.ndarray, dim: int, what: str):
+def _check_unitary(m: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """m as a complex dim x dim array, if it is unitary to 1e-12."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (dim, dim):
         raise CompileError(f"{what} must be {dim}x{dim}")
     if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > 1e-12:
         raise CompileError(f"{what} is not unitary")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +81,6 @@ class Lattice2D:
     @property
     def n_sites(self) -> int:
         return len(self.sites)
-
-    def site_index(self) -> dict:
-        return {c: i for i, c in enumerate(self.sites)}
 
     def layer_bonds(self, label: str) -> list:
         return [(a, b) for a, b, l in self.bonds if l == label]
@@ -182,7 +177,9 @@ class LayerGates:
 @dataclass(frozen=True, eq=False)
 class Circuit2D:
     """One scheduled layer per character; noise acts on every qubit after
-    every layer (idle qubits included), or not at all when noise is None."""
+    every layer (idle qubits included), or not at all when noise is None.
+    Gates are checked here and stored as complex arrays: the MPS kernels
+    apply them unchecked."""
 
     lattice: Lattice2D
     schedule: str
@@ -192,13 +189,15 @@ class Circuit2D:
     def __post_init__(self):
         if len(self.schedule) != len(self.layers):
             raise CompileError("schedule length must match layer count")
+        layers = []
         for lg in self.layers:
             if len(lg.rotations) != self.lattice.n_sites:
                 raise CompileError("need one rotation per site per layer")
-            for g in lg.rotations:
-                _check_unitary(g, 2, "rotation")
-            for _, _, m in lg.gates:
-                _check_unitary(m, 4, "two-qubit gate")
+            layers.append(LayerGates(
+                tuple(_check_unitary(g, 2, "rotation") for g in lg.rotations),
+                tuple((a, b, _check_unitary(m, 4, "two-qubit gate")) for a, b, m in lg.gates),
+            ))
+        object.__setattr__(self, "layers", tuple(layers))
 
     @property
     def depth(self) -> int:
@@ -552,133 +551,4 @@ def compile_sebd(circuit: Circuit2D, unraveling=None) -> EffectiveCircuit1D:
         lattice_kind=lat.kind,
         lattice_shape=(lat.L_x, lat.L_y),
         strategy=strategy,
-    )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-# /2: a gate record carries the Kraus-table id of its noise (or null)
-EFFECTIVE_FORMAT = "sebd-effective1d/2"
-
-
-def _mat_to_list(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
-
-def _mat_from_list(rows) -> np.ndarray:
-    return np.array([[complex(a, b) for a, b in row] for row in rows])
-
-
-def _noise_to_dict(noise: NoiseModel | None):
-    if noise is None:
-        return None
-    rec = {"kind": noise.kind, "epsilon": noise.epsilon}
-    if noise.unital is not None:
-        rec["unital"] = list(noise.unital.as_array())
-    return rec
-
-
-def _noise_from_dict(rec) -> NoiseModel | None:
-    from .channels import UnitalParams
-
-    if rec is None:
-        return None
-    unital = UnitalParams(*rec["unital"]) if "unital" in rec else None
-    return NoiseModel(rec["kind"], rec["epsilon"], unital)
-
-
-def circuit_to_dict(c: Circuit2D) -> dict:
-    return {
-        "format": "sebd-circuit2d/1",
-        "lattice": {"kind": c.lattice.kind, "L_x": c.lattice.L_x, "L_y": c.lattice.L_y},
-        "schedule": c.schedule,
-        "noise": _noise_to_dict(c.noise),
-        "layers": [
-            {
-                "rotations": [_mat_to_list(g) for g in lg.rotations],
-                "gates": [[a, b, _mat_to_list(m)] for a, b, m in lg.gates],
-            }
-            for lg in c.layers
-        ],
-    }
-
-
-def circuit_from_dict(rec: dict) -> Circuit2D:
-    if rec.get("format") != "sebd-circuit2d/1":
-        raise CompileError("not a serialized 2D circuit")
-    lat = build_lattice(rec["lattice"]["kind"], rec["lattice"]["L_x"], rec["lattice"]["L_y"])
-    layers = tuple(
-        LayerGates(
-            tuple(_mat_from_list(g) for g in lg["rotations"]),
-            tuple((a, b, _mat_from_list(m)) for a, b, m in lg["gates"]),
-        )
-        for lg in rec["layers"]
-    )
-    return Circuit2D(lat, rec["schedule"], layers, _noise_from_dict(rec["noise"]))
-
-
-def effective_to_dict(e: EffectiveCircuit1D) -> dict:
-    from .channels import kraus_to_dict
-
-    kraus_tab = []
-    kraus_ids = {}
-
-    def kraus_id(k):
-        if k is None:
-            return None
-        if id(k) not in kraus_ids:
-            kraus_ids[id(k)] = len(kraus_tab)
-            kraus_tab.append(kraus_to_dict(k))
-        return kraus_ids[id(k)]
-
-    rows = []
-    for row in e.rows:
-        out = []
-        for ev in row:
-            if isinstance(ev, Gate):
-                out.append(["g", ev.i, ev.j, _mat_to_list(ev.matrix), kraus_id(ev.kraus)])
-            elif isinstance(ev, Noise):
-                out.append(["n", ev.i, kraus_id(ev.kraus)])
-            else:
-                out.append(["m", ev.i, ev.coord[0], ev.coord[1]])
-        rows.append(out)
-    return {
-        "format": EFFECTIVE_FORMAT,
-        "n_sites": e.n_sites,
-        "schedule": e.schedule,
-        "lattice_kind": e.lattice_kind,
-        "lattice_shape": list(e.lattice_shape),
-        "strategy": e.strategy,
-        "kraus": kraus_tab,
-        "rows": rows,
-    }
-
-
-def effective_from_dict(rec: dict) -> EffectiveCircuit1D:
-    from .channels import kraus_from_dict
-
-    if rec.get("format") != EFFECTIVE_FORMAT:
-        raise CompileError(f"not a serialized 1D circuit ({EFFECTIVE_FORMAT})")
-    kraus_tab = [kraus_from_dict(r) for r in rec["kraus"]]
-    rows = []
-    for row in rec["rows"]:
-        out = []
-        for ev in row:
-            if ev[0] == "g":
-                kraus = None if ev[4] is None else kraus_tab[ev[4]]
-                out.append(Gate(ev[1], ev[2], _mat_from_list(ev[3]), kraus))
-            elif ev[0] == "n":
-                out.append(Noise(ev[1], kraus_tab[ev[2]]))
-            else:
-                out.append(MeasureReset(ev[1], (ev[2], ev[3])))
-        rows.append(tuple(out))
-    return EffectiveCircuit1D(
-        n_sites=rec["n_sites"],
-        rows=tuple(rows),
-        schedule=rec["schedule"],
-        lattice_kind=rec["lattice_kind"],
-        lattice_shape=tuple(rec["lattice_shape"]),
-        strategy=rec["strategy"],
     )

@@ -4,7 +4,10 @@ Holds the 1D state of an effective circuit as a chain of rank-3 tensors
 (left bond, physical qubit, right bond) with a tracked orthogonality center.
 Supports unitary gates (with swap routing for non-adjacent pairs), Born-rule
 Kraus sampling, measurement with reset, projection, and entanglement
-telemetry. All entropies are in natural-log units.
+telemetry. All entropies are in natural-log units. The kernels trust
+their gates to be complex unitaries of the right shape: Circuit2D checks
+every gate once where a circuit enters (lightcone), and compile_sebd is
+the only source of effective circuits, so no check runs per call.
 
 Centre convention: every tensor left of ``center`` is a left isometry
 (A.reshape(l*2, r) has orthonormal columns) and every tensor right of it a
@@ -90,7 +93,6 @@ class TruncationPolicy:
 
 
 DEFAULT_POLICY = TruncationPolicy()
-EXACT_POLICY = TruncationPolicy(chi_max=2**30, svd_cutoff=0.0)
 
 
 def _robust_svd(mat: np.ndarray):
@@ -213,24 +215,6 @@ def _unit_orthogonal(u1: np.ndarray) -> np.ndarray:
     return e / np.sqrt(_sq_norm(e))
 
 
-_UNITARY_SEEN: set = set()
-
-
-def _check_unitary(g: np.ndarray, dim: int):
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (dim, dim):
-        raise MpsError(f"gate shape {g.shape}, expected {(dim, dim)}")
-    # memoized by content: trajectory loops re-apply the same few matrices
-    key = g.tobytes()
-    if key not in _UNITARY_SEEN:
-        if not np.allclose(g @ g.conj().T, np.eye(dim), atol=1e-12):
-            raise MpsError("gate is not unitary within 1e-12")
-        if len(_UNITARY_SEEN) > 4096:
-            _UNITARY_SEEN.clear()
-        _UNITARY_SEEN.add(key)
-    return g
-
-
 class MatrixProductState:
     """Open-boundary MPS over qubits with an optional attached reference site.
 
@@ -351,17 +335,10 @@ class MatrixProductState:
             env = np.einsum("ab,aso,bsp->op", env, t, t.conj(), optimize=True)
         return float(np.sqrt(max(env[0, 0].real, 0.0)))
 
-    def normalize(self):
-        q = self.norm()
-        if q < PROB_FLOOR:
-            raise MpsError("cannot normalize a numerically null state")
-        self.tensors[self.center] = self.tensors[self.center] / q
-
     # -- gates -------------------------------------------------------------
 
     def apply_1q(self, site: int, g: np.ndarray):
         """Single-qubit unitary; preserves canonical form, no center move."""
-        g = _check_unitary(g, 2)
         i = self._int(site)
         t = self.tensors[i]
         if self.lanes is None:
@@ -383,7 +360,6 @@ class MatrixProductState:
         the gate's two-site block before it is split; the pair of sampled
         indices is returned, otherwise None.
         """
-        g = _check_unitary(g, 4)
         if i == j:
             raise MpsError("two-qubit gate needs distinct sites")
         i_right = j < i

@@ -5,14 +5,26 @@ unitarily, noise events Born-sample one Kraus branch each, readout events
 measure and reset their slot. Each trajectory's (z, m) pair is a valid
 joint sample, so the z marginal samples the noisy output distribution.
 
+Two loops interpret the event stream. run_trajectory runs one trajectory
+and reads each slot out by measurement and reset; sample returns its
+records and purification_run averages their reference-qubit series.
+_block_weights runs a block of LANE_BLOCK trajectory indices as the lanes
+of one state and projects each readout onto a target bit, for
+estimate_probability.
+
+One failure rule: an MpsError ends its trajectory and never leaves an
+entry point. sample keeps the failed record with its error text; the
+reductions (estimate_probability, purification_run) exclude it with a
+warning that counts the failures, and raise SamplerError if all failed.
+
 Per-trajectory randomness comes from a counter-based Philox stream keyed by
 (master_seed, trajectory index), so results do not depend on scheduling or
-worker count. estimate_probability runs its trajectories as the lanes of
-one state, in fixed blocks of LANE_BLOCK trajectory indices.
+worker count.
 """
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -25,6 +37,7 @@ __all__ = [
     "SamplerError",
     "TrajectoryRecord",
     "RunConfig",
+    "SEED_LIMIT",
     "run_trajectory",
     "sample",
     "failure_counts",
@@ -32,6 +45,8 @@ __all__ = [
     "purification_run",
 ]
 
+
+SEED_LIMIT = 2**63  # Philox keys are int64: a larger seed would lose bits
 
 # trajectories per lane block of estimate_probability
 LANE_BLOCK = 128
@@ -94,6 +109,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n_trajectories < 1:
             raise SamplerError("need at least one trajectory")
+        if not 0 <= self.master_seed < SEED_LIMIT:
+            raise SamplerError(f"master_seed {self.master_seed} outside [0, 2**63)")
         if isinstance(self.circuit, EffectiveCircuit1D):
             if self.unravel_form is not None:
                 raise SamplerError(
@@ -224,6 +241,17 @@ def failure_counts(records) -> dict:
     return counts
 
 
+def _drop_failed(values, failed) -> list:
+    """The values of the trajectories that did not fail, in index order;
+    warns with the number that did, SamplerError if all did."""
+    kept = [v for v, bad in zip(values, failed) if not bad]
+    if not kept:
+        raise SamplerError(f"all {len(values)} trajectories failed")
+    if len(kept) < len(values):
+        warnings.warn(f"{len(values) - len(kept)} trajectories failed and were excluded")
+    return kept
+
+
 def _bits_by_coord(eff: EffectiveCircuit1D, z_target) -> dict:
     coords = eff.coords()
     if isinstance(z_target, dict):
@@ -296,37 +324,23 @@ def estimate_probability(cfg: RunConfig, z_target) -> tuple:
         _block_weights(cfg, eff, target, range(start, min(start + LANE_BLOCK, k)))
         for start in range(0, k, LANE_BLOCK)
     ])
-    arr = weights[~np.isnan(weights)]
-    n_failed = k - len(arr)
-    if not len(arr):
-        raise SamplerError(f"all {k} trajectories failed")
-    if n_failed:
-        import warnings
-
-        warnings.warn(f"{n_failed} trajectories failed and were excluded")
+    arr = np.array(_drop_failed(weights, np.isnan(weights)))
     se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return float(arr.mean()), se
 
 
-def purification_run(cfg: RunConfig, max_rows: int | None = None) -> np.ndarray:
+def purification_run(cfg: RunConfig) -> np.ndarray:
     """Mean reference-qubit entropy after each row-step.
 
     The Bell-pair reference attaches to cfg.reference_site before the first
-    row; the returned series is averaged over cfg.n_trajectories.
+    row; the returned series is the mean of run_trajectory's ref_entropies
+    over the trajectories that did not fail, summed in index order.
     """
     if cfg.reference_site is None:
         raise SamplerError("purification needs a reference site")
-    eff = cfg.effective()
-    n_rows = len(eff.rows) if max_rows is None else min(max_rows, len(eff.rows))
-    acc = np.zeros(n_rows)
-    for index in range(cfg.n_trajectories):
-        rng = _trajectory_rng(cfg.master_seed, index)
-        psi = MatrixProductState.new_product_state(eff.n_sites)
-        handle = psi.attach_reference(cfg.reference_site)
-        m: list = []
-        for r in range(n_rows):
-            for ev in eff.rows[r]:
-                if not _step(psi, ev, cfg.policy, rng, m):
-                    psi.measure_reset(ev.i, rng)
-            acc[r] += psi.reference_entropy(handle)
-    return acc / cfg.n_trajectories
+    recs = [run_trajectory(cfg, i) for i in range(cfg.n_trajectories)]
+    series = _drop_failed([r.ref_entropies for r in recs], [not r.ok for r in recs])
+    acc = np.zeros(len(series[0]))
+    for s in series:
+        acc += s
+    return acc / len(series)

@@ -1,9 +1,12 @@
-"""On-disk formats: versioned CSV tables, sample-record lines, circuit JSON.
+"""On-disk formats: versioned CSV tables, sample-record lines, circuit and
+Kraus-set JSON. Every format the package reads or writes lives here.
 
 Every CSV starts with a schema comment line ``# schema=<name>`` followed by a
 standard header row. Sample records are one line per trajectory: seed, output
 bits grouped by lattice row (ASCII 0/1, scan order within a row), the
-accumulated truncation log, and the peak bond dimension.
+accumulated truncation log, and the peak bond dimension. Circuits
+(tagged CIRCUIT_FORMAT) and Kraus sets are JSON, complex entries as
+[re, im] pairs.
 """
 
 from __future__ import annotations
@@ -12,7 +15,10 @@ import csv
 import json
 from pathlib import Path
 
-from .lightcone import Circuit2D, circuit_from_dict, circuit_to_dict
+import numpy as np
+
+from .channels import KrausSet, NoiseModel, UnitalParams
+from .lightcone import Circuit2D, LayerGates, build_lattice
 
 __all__ = [
     "SerializeError",
@@ -26,8 +32,12 @@ __all__ = [
     "read_csv",
     "format_sample_record",
     "parse_sample_record",
+    "circuit_to_dict",
+    "circuit_from_dict",
     "save_circuit",
     "load_circuit",
+    "kraus_to_dict",
+    "kraus_from_dict",
 ]
 
 TELEMETRY_SCHEMA = "sebd.telemetry.v1"
@@ -103,12 +113,84 @@ def parse_sample_record(line: str):
     return seed, groups, trunc, chi
 
 
+def _mat_to_list(m: np.ndarray) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+def _mat_from_list(rows) -> np.ndarray:
+    return np.array([[complex(a, b) for a, b in row] for row in rows])
+
+
+def _noise_to_dict(noise: NoiseModel | None):
+    if noise is None:
+        return None
+    rec = {"kind": noise.kind, "epsilon": noise.epsilon}
+    if noise.unital is not None:
+        rec["unital"] = list(noise.unital.as_array())
+    return rec
+
+
+def _noise_from_dict(rec) -> NoiseModel | None:
+    if rec is None:
+        return None
+    unital = UnitalParams(*rec["unital"]) if "unital" in rec else None
+    return NoiseModel(rec["kind"], rec["epsilon"], unital)
+
+
+def circuit_to_dict(c: Circuit2D) -> dict:
+    return {
+        "format": CIRCUIT_FORMAT,
+        "lattice": {"kind": c.lattice.kind, "L_x": c.lattice.L_x, "L_y": c.lattice.L_y},
+        "schedule": c.schedule,
+        "noise": _noise_to_dict(c.noise),
+        "layers": [
+            {
+                "rotations": [_mat_to_list(g) for g in lg.rotations],
+                "gates": [[a, b, _mat_to_list(m)] for a, b, m in lg.gates],
+            }
+            for lg in c.layers
+        ],
+    }
+
+
+def circuit_from_dict(rec: dict) -> Circuit2D:
+    """Inverse of circuit_to_dict; Circuit2D checks the gates (CompileError)."""
+    if rec.get("format") != CIRCUIT_FORMAT:
+        raise SerializeError(f"not a {CIRCUIT_FORMAT} record")
+    lat = build_lattice(rec["lattice"]["kind"], rec["lattice"]["L_x"], rec["lattice"]["L_y"])
+    layers = tuple(
+        LayerGates(
+            tuple(_mat_from_list(g) for g in lg["rotations"]),
+            tuple((a, b, _mat_from_list(m)) for a, b, m in lg["gates"]),
+        )
+        for lg in rec["layers"]
+    )
+    return Circuit2D(lat, rec["schedule"], layers, _noise_from_dict(rec["noise"]))
+
+
 def save_circuit(path, circuit: Circuit2D):
     Path(path).write_text(json.dumps(circuit_to_dict(circuit), indent=1, sort_keys=True))
 
 
 def load_circuit(path) -> Circuit2D:
-    rec = json.loads(Path(path).read_text())
-    if rec.get("format") != CIRCUIT_FORMAT:
-        raise SerializeError(f"{path}: not a {CIRCUIT_FORMAT} file")
-    return circuit_from_dict(rec)
+    return circuit_from_dict(json.loads(Path(path).read_text()))
+
+
+def kraus_to_dict(k: KrausSet) -> dict:
+    """JSON-ready record: dimension, label, row-major (re, im) entry pairs."""
+    return {
+        "d": k.d,
+        "label": k.label,
+        "ops": [
+            [[float(z.real), float(z.imag)] for z in m.ravel()] for m in k.ops
+        ],
+    }
+
+
+def kraus_from_dict(rec: dict) -> KrausSet:
+    d = int(rec["d"])
+    ops = tuple(
+        np.array([complex(re, im) for re, im in flat]).reshape(d, d)
+        for flat in rec["ops"]
+    )
+    return KrausSet(ops, label=rec.get("label", ""))

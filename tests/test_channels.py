@@ -18,8 +18,6 @@ from sebd.channels import (
     UnitalParams,
     choi_matrix,
     gauge_transform,
-    kraus_from_dict,
-    kraus_to_dict,
     make_amplitude_damping,
     make_dephasing,
     make_depolarizing,
@@ -28,6 +26,7 @@ from sebd.channels import (
     unraveling_cost_x,
 )
 from sebd.gates import I2, X, Y, Z
+from sebd.serialize import kraus_from_dict, kraus_to_dict
 
 EPS_GRID = (0.02, 0.05, 0.1)
 

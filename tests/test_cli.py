@@ -71,6 +71,28 @@ def test_zero_bitstrings_rejected_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", (-1, 2**63, 2**64 - 1))
+def test_seeds_outside_philox_key_range_rejected(tmp_path, capsys, seed):
+    with pytest.raises(ConfigError, match="seeds"):
+        ExperimentConfig(seeds=(seed,))
+    config = tmp_path / "config.yaml"
+    config.write_text(f"lx_list: [2]\nly: 2\nseeds: [{seed}]\n")
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: seeds must lie in")
+    assert not out.exists()
+
+
+def test_seed_override_outside_philox_key_range_rejected(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text("lx_list: [2]\nly: 2\nseeds: [3]\n")
+    out = tmp_path / "out"
+    argv = ["sample", "--config", str(config), "--out", str(out)]
+    assert main([*argv, "--seed-override", "9223372036854775808"]) == 1
+    assert capsys.readouterr().err.startswith("error: seeds must lie in")
+    assert not out.exists()
+
+
 def test_phase_sweep_table_matches_pointwise_for_any_worker_count(tmp_path):
     config = tmp_path / "config.yaml"
     config.write_text("epsilons: [0.25]\nlx_list: [4]\nseeds: [1, 2]\nn_trajectories: 2\n")

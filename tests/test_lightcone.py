@@ -10,17 +10,15 @@ from sebd.channels import NoiseModel, make_depolarizing
 from sebd.gates import I2, SWAP, X, Z
 from sebd.lightcone import (
     GATE_FAMILIES,
+    Circuit2D,
     CompileError,
     Gate,
     LatticeError,
+    LayerGates,
     MeasureReset,
     Noise,
     build_lattice,
-    circuit_from_dict,
-    circuit_to_dict,
     compile_sebd,
-    effective_from_dict,
-    effective_to_dict,
     fsim,
     iswap,
     random_instance,
@@ -28,6 +26,13 @@ from sebd.lightcone import (
 from sebd.lightcone import _abstract_stream
 from sebd.mps import MatrixProductState, TruncationPolicy
 from sebd.sampler import RunConfig, sample
+from sebd.serialize import (
+    SerializeError,
+    circuit_from_dict,
+    circuit_to_dict,
+    load_circuit,
+    save_circuit,
+)
 
 RNG = np.random.default_rng
 
@@ -172,6 +177,27 @@ class TestRandomInstance:
                 for p in gens:
                     img = m @ p @ m.conj().T
                     assert any(np.allclose(img, t, atol=1e-9) for t in targets)
+
+    def test_gates_checked_where_the_circuit_enters(self):
+        lat = build_lattice("square", 2, 2)
+        good = random_instance(lat, "A", "fsim", None, seed=0).layers[0]
+        rotations, gates = list(good.rotations), list(good.gates)
+
+        def circuit(rotations, gates):
+            return Circuit2D(lat, "A", (LayerGates(tuple(rotations), tuple(gates)),), None)
+
+        a, b, m = gates[0]
+        for r, g, what in (
+            ([np.diag([1.0, 0.5])] + rotations[1:], gates, "rotation is not unitary"),
+            (rotations, [(a, b, 0.9 * m)] + gates[1:], "two-qubit gate is not unitary"),
+            (rotations, [(a, b, np.eye(3))] + gates[1:], "two-qubit gate must be 4x4"),
+        ):
+            with pytest.raises(CompileError, match=what):
+                circuit(r, g)
+        # accepted gates reach the kernels as complex arrays
+        real = circuit([np.eye(2)] * lat.n_sites, [(a, b, np.eye(4))])
+        assert all(g.dtype == complex for g in real.layers[0].rotations)
+        assert real.layers[0].gates[0][2].dtype == complex
 
     def test_rejects_unknown_family_and_schedule(self):
         lat = build_lattice("square", 3, 3)
@@ -475,35 +501,25 @@ class TestSerialization:
         circ = random_instance(lat, "ABCD", "fsim", NoiseModel("depolarizing", 0.07), seed=8)
         rec = json.loads(json.dumps(circuit_to_dict(circ)))
         back = circuit_from_dict(rec)
-        assert effective_to_dict(compile_sebd(back)) == effective_to_dict(compile_sebd(circ))
-
-    def test_effective_round_trip(self):
-        lat = build_lattice("square", 4, 4)
-        circ = random_instance(lat, "ABC", "fsim", NoiseModel("dephasing", 0.05), seed=8)
-        eff = compile_sebd(circ, unraveling="projective")
-        rec = json.loads(json.dumps(effective_to_dict(eff)))
-        back = effective_from_dict(rec)
-        assert effective_to_dict(back) == effective_to_dict(eff)
-        assert back.n_sites == eff.n_sites
-        assert back.max_gate_range() == eff.max_gate_range()
-        # gate noise survives: same noise count, same samples for one seed
-        assert back.counts() == eff.counts()
+        assert compile_sebd(back).counts() == compile_sebd(circ).counts()
+        # same gates, noise and slots: the same samples for one seed
         assert sample(RunConfig(circuit=back, n_trajectories=3, master_seed=4)) == sample(
-            RunConfig(circuit=eff, n_trajectories=3, master_seed=4)
+            RunConfig(circuit=circ, n_trajectories=3, master_seed=4)
         )
 
-    def test_serialized_bytes_are_stable(self):
+    def test_serialized_bytes_are_stable(self, tmp_path):
+        # what save_circuit writes is fixed by the instance and survives a load
         lat = build_lattice("square", 3, 4)
-        circ = random_instance(lat, "AB", "fsim", NoiseModel("dephasing", 0.05), seed=8)
-        blob1 = json.dumps(effective_to_dict(compile_sebd(circ)), sort_keys=True)
-        blob2 = json.dumps(effective_to_dict(compile_sebd(circ)), sort_keys=True)
-        assert blob1 == blob2
+        noise = NoiseModel("depolarizing", 0.05)
+        paths = [tmp_path / f"{k}.json" for k in range(3)]
+        save_circuit(paths[0], random_instance(lat, "AB", "fsim", noise, seed=8))
+        save_circuit(paths[1], random_instance(lat, "AB", "fsim", noise, seed=8))
+        save_circuit(paths[2], load_circuit(paths[0]))
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
     def test_rejects_wrong_format_tag(self):
-        with pytest.raises(CompileError):
+        with pytest.raises(SerializeError, match="sebd-circuit2d/1"):
             circuit_from_dict({"format": "something-else"})
-        with pytest.raises(CompileError):
-            effective_from_dict({"format": "something-else"})
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,7 +1,9 @@
 """Trajectory sampler: determinism, record invariants, oracle agreement,
 probability estimation, purification telemetry, unraveling invariance."""
 
+import importlib
 import json
+import pkgutil
 import warnings
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import sebd
 from sebd.channels import NoiseModel
 from sebd.gates import fsim
 from sebd.lightcone import (
@@ -68,6 +71,16 @@ class TestRunConfig:
     def test_precompiled_circuit_passthrough(self):
         eff = compile_sebd(small_noisy_circuit())
         assert RunConfig(circuit=eff).effective() is eff
+
+    @pytest.mark.parametrize("seed", (-1, 2**63, 2**64 - 1))
+    def test_master_seed_outside_philox_key_range_rejected(self, seed):
+        # Philox keys are int64: 2**63 and 2**63 + 5 would share one stream
+        with pytest.raises(SamplerError, match="master_seed"):
+            RunConfig(circuit=small_noisy_circuit(), master_seed=seed)
+
+    def test_master_seed_range_ends_accepted(self):
+        for seed in (0, 2**63 - 1):
+            assert run_trajectory(RunConfig(small_noisy_circuit(), master_seed=seed), 0).ok
 
 
 class TestRunTrajectory:
@@ -335,6 +348,35 @@ class TestPurification:
         with pytest.raises(SamplerError):
             purification_run(cfg)
 
+    def partly_failing(self, hard_fail_chi):
+        # projective dephasing on 3x4 needs bond 4 in some trajectories only
+        lat = build_lattice("square", 3, 4)
+        c = random_instance(lat, "ABCD", "fsim", NoiseModel(kind="dephasing", epsilon=0.15), seed=4)
+        policy = TruncationPolicy(chi_max=64, svd_cutoff=1e-12, hard_fail_chi=hard_fail_chi)
+        return RunConfig(
+            c, unravel_form="projective", policy=policy, n_trajectories=8, master_seed=1,
+            reference_site=1,
+        )
+
+    def test_failed_trajectories_excluded_and_counted(self):
+        cfg = self.partly_failing(hard_fail_chi=2)
+        ok = [rec for rec in sample(cfg) if rec.ok]
+        n_failed = cfg.n_trajectories - len(ok)
+        assert 0 < n_failed < cfg.n_trajectories
+        with pytest.warns(UserWarning) as caught:
+            series = purification_run(cfg)
+        assert [str(w.message) for w in caught] == [
+            f"{n_failed} trajectories failed and were excluded"
+        ]
+        acc = np.zeros(len(ok[0].ref_entropies))
+        for rec in ok:  # index order
+            acc += rec.ref_entropies
+        np.testing.assert_array_equal(series, acc / len(ok))
+
+    def test_all_failed_raises(self):
+        with pytest.raises(SamplerError, match="all 8 trajectories failed"):
+            purification_run(self.partly_failing(hard_fail_chi=1))
+
 
 class TestUnravelingInvariance:
     def two_sample_chi2(self, counts_a, counts_b):
@@ -383,3 +425,36 @@ class TestUnravelingInvariance:
             )
             means[form] = np.mean([s for rec in recs for row in rec.entropies for s in row])
         assert means["weak-optimal"] <= means["projective"]
+
+
+def _module_state() -> dict:
+    """Every module-level dict, list and set of sebd.*, as its entries."""
+    state = {}
+    for info in pkgutil.walk_packages(sebd.__path__, "sebd."):
+        for name, value in vars(importlib.import_module(info.name)).items():
+            if name.startswith("__"):
+                continue
+            if isinstance(value, dict):
+                state[info.name, name] = {k: id(v) for k, v in value.items()}
+            elif isinstance(value, list):
+                state[info.name, name] = [id(v) for v in value]
+            elif isinstance(value, set):
+                state[info.name, name] = set(value)
+    return state
+
+
+def test_runs_leave_module_state_unchanged():
+    # a Haar-random gate no other test applies: a per-gate cache would grow
+    lat = build_lattice("square", 2, 2)
+    haar = scipy.stats.unitary_group.rvs(4, random_state=np.random.default_rng(20261018))
+    base = random_instance(lat, "AB", "fsim", NoiseModel(kind="dephasing", epsilon=0.1), seed=3)
+    layers = tuple(
+        LayerGates(lg.rotations, tuple((a, b, haar) for a, b, _ in lg.gates)) for lg in base.layers
+    )
+    c = Circuit2D(lattice=lat, schedule="AB", layers=layers, noise=base.noise)
+    cfg = RunConfig(circuit=c, n_trajectories=3, master_seed=5, reference_site=1)
+    before = _module_state()
+    assert all(rec.ok for rec in sample(cfg))
+    estimate_probability(cfg, (0,) * lat.n_sites)
+    purification_run(cfg)
+    assert _module_state() == before

@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from sebd.channels import NoiseModel
-from sebd.lightcone import build_lattice, random_instance
+from sebd.lightcone import CompileError, build_lattice, random_instance
 from sebd.sampler import RunConfig, run_trajectory
 from sebd.serialize import (
     TAU_SCHEMA,
@@ -93,6 +95,15 @@ class TestCircuitFiles:
         p = tmp_path / "x.json"
         p.write_text("{}")
         with pytest.raises(SerializeError, match="sebd-circuit2d"):
+            load_circuit(p)
+
+    def test_non_unitary_gate_rejected_on_load(self, tmp_path):
+        p = tmp_path / "inst.json"
+        save_circuit(p, small_circuit(seed=5))
+        rec = json.loads(p.read_text())
+        rec["layers"][0]["gates"][0][2][0][0] = [2.0, 0.0]
+        p.write_text(json.dumps(rec))
+        with pytest.raises(CompileError, match="two-qubit gate is not unitary"):
             load_circuit(p)
 
     def test_deterministic_bytes(self, tmp_path):
