@@ -16,6 +16,12 @@ __all__ = [
 
 ENTROPY_FLOOR = 1e-12
 
+# data_collapse's search grid: eps_c steps over the swept epsilon range,
+# nu over NU_RANGE
+EPS_RES = 1e-3
+NU_RANGE = (0.7, 2.0)
+NU_RES = 1e-2
+
 
 class AnalysisError(ValueError):
     pass
@@ -32,24 +38,16 @@ class PurificationFit:
     n_points: int
 
 
-def fit_tau(series, l_x: int | None = None, window: tuple | None = None, times=None) -> PurificationFit:
-    """Least-squares fit of log S_R against time.
+def fit_tau(series, l_x: int) -> PurificationFit:
+    """Least-squares fit of log S_R against row index on rows [l_x, 2*l_x].
 
-    The window defaults to rows [l_x, 2*l_x] (inclusive), dropping the
-    early-time transient; an explicit (lo, hi) window overrides it and
-    omitting both fits the whole series. Entries at or below the positivity
-    floor are excluded; a non-decaying series raises (tau unbounded).
+    The window (inclusive) drops the early-time transient. Entries at or
+    below the positivity floor are excluded; a non-decaying series raises
+    (tau unbounded).
     """
     series = np.asarray(series, dtype=float)
-    t = np.arange(len(series)) if times is None else np.asarray(times, dtype=float)
-    if len(t) != len(series):
-        raise AnalysisError("times and series lengths differ")
-    if window is not None:
-        lo, hi = int(window[0]), int(window[1])
-    elif l_x is not None:
-        lo, hi = int(l_x), int(2 * l_x)
-    else:
-        lo, hi = 0, len(series) - 1
+    t = np.arange(len(series))
+    lo, hi = int(l_x), int(2 * l_x)
     if not 0 <= lo <= hi < len(series):
         raise AnalysisError(f"window [{lo}, {hi}] outside series of length {len(series)}")
     mask = np.zeros(len(series), dtype=bool)
@@ -115,24 +113,18 @@ def _as_point_arrays(points) -> tuple:
     return eps, ell, y
 
 
-def data_collapse(
-    points,
-    eps_res: float = 1e-3,
-    nu_range: tuple = (0.7, 2.0),
-    nu_res: float = 1e-2,
-    return_grid: bool = False,
-):
+def data_collapse(points, return_grid: bool = False):
     """Grid minimization of the collapse objective, then local refinement.
 
-    The eps_c grid spans the swept epsilon range at eps_res; nu runs over
-    nu_range at nu_res. The error box is the bounding rectangle of grid
+    The eps_c grid spans the swept epsilon range at EPS_RES; nu runs over
+    NU_RANGE at NU_RES. The error box is the bounding rectangle of grid
     cells with R <= 1.3 R_min (using the refined minimum), widened to
     contain the refined optimum.
     """
     arrs = _as_point_arrays(points)
     eps = arrs[0]
-    eps_grid = np.arange(eps.min(), eps.max() + eps_res / 2, eps_res)
-    nu_grid = np.arange(nu_range[0], nu_range[1] + nu_res / 2, nu_res)
+    eps_grid = np.arange(eps.min(), eps.max() + EPS_RES / 2, EPS_RES)
+    nu_grid = np.arange(NU_RANGE[0], NU_RANGE[1] + NU_RES / 2, NU_RES)
     r = np.empty((len(eps_grid), len(nu_grid)))
     for i, ec in enumerate(eps_grid):
         for j, nu in enumerate(nu_grid):
@@ -147,7 +139,7 @@ def data_collapse(
         lambda p: collapse_objective(arrs, p[0], p[1]),
         x0=[eps_grid[i0], nu_grid[j0]],
         method="Nelder-Mead",
-        bounds=[(eps_grid[0], eps_grid[-1]), (nu_range[0], nu_range[1])],
+        bounds=[(eps_grid[0], eps_grid[-1]), NU_RANGE],
     )
     eps_c, nu = float(best.x[0]), float(best.x[1])
     r_min = float(best.fun)

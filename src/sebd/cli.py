@@ -2,14 +2,18 @@
 
 Subcommands
     sample            draw trajectories and write bitstring + telemetry files
+                      (telemetry: [entropy] adds s_mid_max, the largest
+                      mid-strip entanglement entropy over the row-steps)
     phase-sweep       purification-time table over (epsilon, L_x, seed)
     benchmark         sampler estimates against a dense or MPO reference
     collapse          scaling collapse of an existing tau table
     unravel-optimize  unraveling cost report for channels or a Kraus file
 
-Every command reads one YAML config file (--config) holding a flat,
-documented key set; unknown keys are hard errors so a typo cannot silently
-corrupt a sweep. All randomness flows from the config seeds, so reruns with
+sample, phase-sweep and benchmark compile each 2D instance with
+compile_sebd before any trajectory runs; the sampler takes only compiled
+circuits. Every command reads one YAML config file (--config) holding a
+flat, documented key set; unknown keys are hard errors so a typo cannot
+silently corrupt a sweep. All randomness flows from the config seeds, so reruns with
 the same config produce byte-identical outputs. --workers parallelizes over
 trajectories (sample) or sweep cells (phase-sweep); results are reduced in
 deterministic order either way.
@@ -264,12 +268,13 @@ def cmd_sample(args) -> int:
                     fh.write(format_sample_record(rec) + "\n")
         header = ["trajectory", "seed", "ok", "chi_max", "trunc_total"]
         if "entropy" in cfg.telemetry:
-            header.append("s_mid_final")
+            header.append("s_mid_max")
         rows = []
         for i, rec in enumerate(records):
             row = [i, rec.seed, int(rec.ok), rec.chi_max_seen, f"{rec.trunc_total:.8e}"]
             if "entropy" in cfg.telemetry:
-                s = rec.entropies[-1][0] if rec.entropies else float("nan")
+                # the last row-step reads out every slot, so the state ends a product
+                s = max(row[0] for row in rec.entropies) if rec.entropies else float("nan")
                 row.append(f"{s:.8e}")
             rows.append(row)
         telemetry_path = out / f"telemetry_eps{tag}.csv"

@@ -57,8 +57,8 @@ def purification_point(
 ) -> dict:
     """One (epsilon, L_x, seed) cell: run purification and fit tau.
 
-    The strip is l_x wide and aspect*l_x rows long so the default fit
-    window [l_x, 2*l_x] is fully inside the sweep. A non-decaying series
+    The strip is l_x wide and aspect*l_x rows long so the fit window
+    [l_x, 2*l_x] is fully inside the sweep. A non-decaying series
     (volume-law phase at this size) is reported with tau = inf rather than
     raising, so sweep tables stay rectangular.
     """
@@ -83,7 +83,7 @@ def purification_point(
         "s_final": float(series[-1]),
     }
     try:
-        fit = fit_tau(series, l_x=l_x)
+        fit = fit_tau(series, l_x)
         row.update(tau=fit.tau, tau_over_lx=fit.tau / l_x, residual=fit.residual, status="ok")
     except AnalysisError as exc:
         row.update(tau=float("inf"), tau_over_lx=float("inf"), residual=float("nan"), status=str(exc))
@@ -121,10 +121,8 @@ def benchmark_ratios(
             return mpo_evolve(plain, policy=ORACLE_POLICY, z=list(bits)).trace()
     else:
         raise ValueError(f"unknown reference method {reference!r}")
-    # compiled once, on the first estimate, for every target
     cfg = RunConfig(
-        circuit,
-        unravel_form=form,
+        compile_sebd(circuit, form),
         policy=policy,
         n_trajectories=n_trajectories,
         master_seed=master_seed,

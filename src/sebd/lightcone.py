@@ -178,8 +178,9 @@ class LayerGates:
 class Circuit2D:
     """One scheduled layer per character; noise acts on every qubit after
     every layer (idle qubits included), or not at all when noise is None.
-    Gates are checked here and stored as complex arrays: the MPS kernels
-    apply them unchecked."""
+    The schedule and gates are checked here, where every circuit enters,
+    and gates are stored as complex arrays: the MPS kernels apply them
+    unchecked."""
 
     lattice: Lattice2D
     schedule: str
@@ -187,6 +188,11 @@ class Circuit2D:
     noise: NoiseModel | None
 
     def __post_init__(self):
+        if not self.schedule:
+            raise CompileError("schedule must not be empty")
+        bad = set(self.schedule) - set(LAYER_LABELS)
+        if bad:
+            raise CompileError(f"schedule labels {sorted(bad)} not in {LAYER_LABELS}")
         if len(self.schedule) != len(self.layers):
             raise CompileError("schedule length must match layer count")
         layers = []
@@ -204,14 +210,6 @@ class Circuit2D:
         return len(self.schedule)
 
 
-def _validate_schedule(lattice: Lattice2D, schedule: str):
-    if not schedule:
-        raise CompileError("schedule must not be empty")
-    bad = set(schedule) - set(LAYER_LABELS)
-    if bad:
-        raise CompileError(f"schedule labels {sorted(bad)} not in {LAYER_LABELS}")
-
-
 def random_instance(
     lattice: Lattice2D,
     schedule: str,
@@ -226,7 +224,6 @@ def random_instance(
     'clifford-iswap-swap' uses iSWAP (90%) / SWAP (10%) with uniform
     single-qubit Cliffords.
     """
-    _validate_schedule(lattice, schedule)
     if gate_family not in GATE_FAMILIES:
         raise CompileError(f"unknown gate family {gate_family!r}")
     rng = np.random.default_rng(seed)
@@ -289,9 +286,6 @@ class MeasureReset:
 class EffectiveCircuit1D:
     n_sites: int
     rows: tuple
-    schedule: str
-    lattice_kind: str
-    lattice_shape: tuple
     strategy: str
 
     def events(self):
@@ -336,8 +330,8 @@ def _abstract_stream(circuit: Circuit2D, with_noise: bool):
     at once) is what lets a slot freed early in a row be recycled while the
     row is still being read out, keeping the strip at its minimal width.
 
-    Returns (rows_abstract, rows_y) where each abstract event is one of
-    ('r', t, site, matrix), ('g', t, a, b, matrix), ('n', t, site),
+    Returns one list per output row, in row order; each abstract event is
+    one of ('r', t, site, matrix), ('g', t, a, b, matrix), ('n', t, site),
     ('m', site).
     """
     lat = circuit.lattice
@@ -391,7 +385,7 @@ def _abstract_stream(circuit: Circuit2D, with_noise: bool):
         rows_abstract.append(batch)
     if not all(done):
         raise CompileError("event stream failed to cover the circuit")
-    return rows_abstract, rows_y
+    return rows_abstract
 
 
 def _event_sites(ev) -> tuple:
@@ -506,7 +500,6 @@ def compile_sebd(circuit: Circuit2D, unraveling=None) -> EffectiveCircuit1D:
     and its noise, so this is the same channel. Slots are assigned on the
     stream with all noise events separate, which is at least as tight.
     """
-    _validate_schedule(circuit.lattice, circuit.schedule)
     lat = circuit.lattice
     kraus = None
     if circuit.noise is not None:
@@ -519,7 +512,7 @@ def compile_sebd(circuit: Circuit2D, unraveling=None) -> EffectiveCircuit1D:
     elif unraveling is not None:
         raise CompileError("unraveling given but the circuit is noiseless")
 
-    rows_abstract, _ = _abstract_stream(circuit, with_noise=kraus is not None)
+    rows_abstract = _abstract_stream(circuit, with_noise=kraus is not None)
     first, last, partners = _site_intervals(rows_abstract, lat.n_sites)
     chosen = _periodic_slots(lat, rows_abstract, first, last)
     if chosen is None:
@@ -544,11 +537,4 @@ def compile_sebd(circuit: Circuit2D, unraveling=None) -> EffectiveCircuit1D:
             else:
                 out.append(MeasureReset(assign[ev[1]], lat.sites[ev[1]]))
         rows.append(tuple(out))
-    return EffectiveCircuit1D(
-        n_sites=n_used,
-        rows=tuple(rows),
-        schedule=circuit.schedule,
-        lattice_kind=lat.kind,
-        lattice_shape=(lat.L_x, lat.L_y),
-        strategy=strategy,
-    )
+    return EffectiveCircuit1D(n_sites=n_used, rows=tuple(rows), strategy=strategy)

@@ -574,8 +574,6 @@ class MatrixProductState:
         A lane state returns one probability per lane left; lanes whose
         probability falls below the floor have left it first.
         """
-        if bit not in (0, 1):
-            raise MpsError("bit must be 0 or 1")
         i = self._int(site)
         self._move_center(i)
         a = self.tensors[i][..., bit, :]
@@ -628,8 +626,8 @@ class MatrixProductState:
 
     # -- entanglement telemetry -------------------------------------------
 
-    def schmidt_values(self, cut: int) -> np.ndarray:
-        """Schmidt spectrum across the bond left of system site `cut`."""
+    def entropy(self, cut: int) -> float:
+        """Von Neumann entropy across the bond left of system site `cut`."""
         ic = self._int_cut(cut)
         self._move_center(ic - 1)
         a = self.tensors[ic - 1]
@@ -638,19 +636,12 @@ class MatrixProductState:
         total = np.sum(sv**2)
         if total <= 0.0:
             raise MpsError("null state has no Schmidt spectrum")
-        return sv / np.sqrt(total)
-
-    def renyi_entropy(self, cut: int, n: float = 1.0) -> float:
-        """Renyi entropy of order n across a cut; n=1 is von Neumann."""
-        if n <= 0:
-            raise MpsError("Renyi order must be positive")
-        lam2 = self.schmidt_values(cut) ** 2
-        return _spectrum_entropy(lam2, n)
+        return _spectrum_entropy((sv / np.sqrt(total)) ** 2)
 
     # -- reference qubit ---------------------------------------------------
 
-    def attach_reference(self, site: int) -> int:
-        """Bell-pair a fresh reference site with `site`, returning a handle.
+    def attach_reference(self, site: int) -> None:
+        """Bell-pair a fresh reference site with `site`.
 
         The partner must currently be an unentangled |0> site; its state is
         replaced by the pair (|00> + |11>)/sqrt(2). The reference is invisible
@@ -670,9 +661,8 @@ class MatrixProductState:
         self.tensors[i] = left
         self.tensors.insert(i + 1, right)
         self._ref = i + 1
-        return 0
 
-    def reference_entropy(self, handle: int = 0) -> float:
+    def reference_entropy(self) -> float:
         """Von Neumann entropy of the reference's one-site reduced state."""
         if self._ref is None:
             raise MpsError("no reference attached")
@@ -681,7 +671,7 @@ class MatrixProductState:
         rho = np.einsum("lsr,ltr->st", a, a.conj())
         evals = np.clip(np.linalg.eigvalsh(rho).real, 0.0, None)
         tot = evals.sum()
-        return _spectrum_entropy(evals / tot, 1.0)
+        return _spectrum_entropy(evals / tot)
 
     # -- dense access ------------------------------------------------------
 
@@ -729,8 +719,7 @@ def _born_pick(probs: np.ndarray, u):
     return pick, probs[np.arange(len(pick)), pick]
 
 
-def _spectrum_entropy(p: np.ndarray, n: float) -> float:
+def _spectrum_entropy(p: np.ndarray) -> float:
+    """Von Neumann entropy of a probability spectrum."""
     p = p[p > 1e-300]
-    if abs(n - 1.0) < 1e-12:
-        return float(max(-np.sum(p * np.log(p)), 0.0) + 0.0)
-    return float(max(np.log(np.sum(p**n)) / (1.0 - n), 0.0) + 0.0)
+    return float(max(-np.sum(p * np.log(p)), 0.0) + 0.0)

@@ -1,6 +1,8 @@
 """Trajectory driver for compiled effective 1D circuits.
 
-Runs matrix-product-state trajectories of a compiled strip: gates apply
+The input is the event stream compile_sebd made from a 2D circuit, with
+its noise unraveling fixed there; the sampler never compiles. It runs
+matrix-product-state trajectories of that strip: gates apply
 unitarily, noise events Born-sample one Kraus branch each, readout events
 measure and reset their slot. Each trajectory's (z, m) pair is a valid
 joint sample, so the z marginal samples the noisy output distribution.
@@ -26,11 +28,11 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lightcone import Circuit2D, EffectiveCircuit1D, Gate, MeasureReset, Noise, compile_sebd
+from .lightcone import EffectiveCircuit1D, Gate, MeasureReset, Noise
 from .mps import DEFAULT_POLICY, MatrixProductState, MpsError, TruncationPolicy
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "SEED_LIMIT",
     "run_trajectory",
     "sample",
-    "failure_counts",
     "estimate_probability",
     "purification_run",
 ]
@@ -89,45 +90,30 @@ class TrajectoryRecord:
 class RunConfig:
     """Shared immutable configuration for a batch of trajectories.
 
-    circuit may be a 2D circuit (compiled on first use, with unravel_form
-    picking the noise Kraus representation) or an already-compiled effective
-    1D circuit (whose unraveling is baked in; unravel_form must then be
-    None). entropy_cuts selects bond cuts recorded after every row-step;
-    reference_site attaches a Bell-pair probe to that chain site before the
-    first row.
+    circuit is the effective 1D circuit from compile_sebd, whose noise
+    unraveling was chosen when it was compiled. entropy_cuts selects bond
+    cuts recorded after every row-step; reference_site attaches a
+    Bell-pair probe to that chain site before the first row.
     """
 
-    circuit: object
-    unravel_form: str | None = None
+    circuit: EffectiveCircuit1D
     policy: TruncationPolicy = DEFAULT_POLICY
     n_trajectories: int = 1
     master_seed: int = 0
     entropy_cuts: tuple | None = None
     reference_site: int | None = None
-    _effective: EffectiveCircuit1D | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n_trajectories < 1:
             raise SamplerError("need at least one trajectory")
         if not 0 <= self.master_seed < SEED_LIMIT:
             raise SamplerError(f"master_seed {self.master_seed} outside [0, 2**63)")
-        if isinstance(self.circuit, EffectiveCircuit1D):
-            if self.unravel_form is not None:
-                raise SamplerError(
-                    "a compiled circuit carries its unraveling already; "
-                    "pass the 2D circuit to select a form"
-                )
-        elif not isinstance(self.circuit, Circuit2D):
-            raise SamplerError(f"cannot run {type(self.circuit).__name__}")
+        if not isinstance(self.circuit, EffectiveCircuit1D):
+            raise SamplerError(
+                f"cannot run {type(self.circuit).__name__}; compile it with compile_sebd"
+            )
         if self.entropy_cuts is not None:
             self.entropy_cuts = tuple(int(c) for c in self.entropy_cuts)
-
-    def effective(self) -> EffectiveCircuit1D:
-        if isinstance(self.circuit, EffectiveCircuit1D):
-            return self.circuit
-        if self._effective is None:
-            self._effective = compile_sebd(self.circuit, unraveling=self.unravel_form)
-        return self._effective
 
 
 def _trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -177,12 +163,11 @@ def _step(psi: MatrixProductState, ev, policy: TruncationPolicy, rng, m: list) -
 
 def run_trajectory(cfg: RunConfig, index: int) -> TrajectoryRecord:
     """Execute one trajectory; deterministic for fixed (master_seed, index)."""
-    eff = cfg.effective()
+    eff = cfg.circuit
     rng = _trajectory_rng(cfg.master_seed, index)
     psi = MatrixProductState.new_product_state(eff.n_sites)
-    handle = None
     if cfg.reference_site is not None:
-        handle = psi.attach_reference(cfg.reference_site)
+        psi.attach_reference(cfg.reference_site)
     z: dict = {}
     m: list = []
     entropies: list = []
@@ -198,11 +183,9 @@ def run_trajectory(cfg: RunConfig, index: int) -> TrajectoryRecord:
                     chi_max = max(chi_max, psi.max_bond())
             chi_max = max(chi_max, psi.max_bond())
             if cfg.entropy_cuts is not None:
-                entropies.append(
-                    tuple(psi.renyi_entropy(c, n=1.0) for c in cfg.entropy_cuts)
-                )
-            if handle is not None:
-                refs.append(psi.reference_entropy(handle))
+                entropies.append(tuple(psi.entropy(c) for c in cfg.entropy_cuts))
+            if cfg.reference_site is not None:
+                refs.append(psi.reference_entropy())
     except MpsError as exc:
         failed = f"{type(exc).__name__}: {exc}"
     return TrajectoryRecord(
@@ -227,18 +210,9 @@ def sample(cfg: RunConfig, workers: int = 1) -> list:
     indices = range(cfg.n_trajectories)
     if workers <= 1:
         return [run_trajectory(cfg, i) for i in indices]
-    cfg.effective()  # compile once before forking
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, cfg.n_trajectories // (8 * workers))
         return list(pool.map(_run_one, [(cfg, i) for i in indices], chunksize=chunk))
-
-
-def failure_counts(records) -> dict:
-    counts: dict = {}
-    for rec in records:
-        if not rec.ok:
-            counts[rec.failed] = counts.get(rec.failed, 0) + 1
-    return counts
 
 
 def _drop_failed(values, failed) -> list:
@@ -253,15 +227,20 @@ def _drop_failed(values, failed) -> list:
 
 
 def _bits_by_coord(eff: EffectiveCircuit1D, z_target) -> dict:
+    """The target as {coordinate: bit}, checked here so the kernels need not."""
     coords = eff.coords()
     if isinstance(z_target, dict):
         missing = [c for c in coords if c not in z_target]
         if missing:
             raise SamplerError(f"target missing coordinates {missing[:4]}")
-        return {c: int(z_target[c]) for c in coords}
-    bits = [int(b) for b in z_target]
-    if len(bits) != len(coords):
-        raise SamplerError(f"target needs {len(coords)} bits, got {len(bits)}")
+        bits = [int(z_target[c]) for c in coords]
+    else:
+        bits = [int(b) for b in z_target]
+        if len(bits) != len(coords):
+            raise SamplerError(f"target needs {len(coords)} bits, got {len(bits)}")
+    for c, b in zip(coords, bits):
+        if b not in (0, 1):
+            raise SamplerError(f"target bit {b} at coordinate {c} is not 0 or 1")
     return dict(zip(coords, bits))
 
 
@@ -317,7 +296,7 @@ def estimate_probability(cfg: RunConfig, z_target) -> tuple:
     and memory (about LANE_BLOCK * sum(chi^2) * 32 bytes for the bond
     dimensions chi along the chain), and the results at roundoff level.
     """
-    eff = cfg.effective()
+    eff = cfg.circuit
     target = _bits_by_coord(eff, z_target)
     k = cfg.n_trajectories
     weights = np.concatenate([

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sebd.analysis import (
     AnalysisError,
@@ -16,19 +14,19 @@ from sebd.analysis import (
 class TestFitTau:
     def test_clean_exponential(self):
         t = np.arange(40)
-        fit = fit_tau(np.exp(-t / 5.0), window=(5, 30))
+        fit = fit_tau(np.exp(-t / 5.0), l_x=10)
         assert abs(fit.tau - 5.0) < 1e-6
         assert fit.residual < 1e-10
-        assert fit.n_points == 26
+        assert fit.n_points == 11
 
     def test_noisy_exponential(self):
         rng = np.random.default_rng(11)
         t = np.arange(60)
         series = 0.9 * np.exp(-t / 3.0) + rng.normal(0.0, 1e-4, size=60)
-        fit = fit_tau(series, window=(0, 15))
+        fit = fit_tau(series, l_x=4)
         assert abs(fit.tau - 3.0) / 3.0 < 0.02
 
-    def test_default_window_from_strip_length(self):
+    def test_window_is_lx_to_2lx(self):
         t = np.arange(30)
         fit = fit_tau(np.exp(-t / 4.0), l_x=8)
         assert (fit.row_lo, fit.row_hi) == (8, 16)
@@ -36,29 +34,17 @@ class TestFitTau:
 
     def test_constant_series_rejected(self):
         with pytest.raises(AnalysisError, match="unbounded"):
-            fit_tau(np.full(20, 0.3), window=(2, 18))
+            fit_tau(np.full(20, 0.3), l_x=6)
 
     def test_floor_filtering_and_empty_window(self):
         series = np.concatenate([np.exp(-np.arange(10) / 2.0), np.zeros(10)])
-        fit = fit_tau(series, window=(0, 19))
+        fit = fit_tau(series, l_x=5)
         assert abs(fit.tau - 2.0) < 1e-6
+        assert fit.n_points == 5
         with pytest.raises(AnalysisError, match="empty"):
-            fit_tau(np.zeros(20), window=(0, 19))
+            fit_tau(np.zeros(20), l_x=5)
         with pytest.raises(AnalysisError, match="outside"):
-            fit_tau(np.exp(-np.arange(10) / 2.0), window=(5, 30))
-
-    def test_times_length_mismatch(self):
-        with pytest.raises(AnalysisError, match="lengths"):
-            fit_tau(np.exp(-np.arange(10) / 2.0), window=(0, 9), times=np.arange(9))
-
-    @given(scale=st.floats(min_value=0.1, max_value=10.0))
-    @settings(max_examples=25, deadline=None)
-    def test_time_scale_equivariance(self, scale):
-        t = np.arange(30, dtype=float)
-        series = np.exp(-t / 6.0)
-        base = fit_tau(series, window=(0, 29))
-        scaled = fit_tau(series, window=(0, 29), times=scale * t)
-        assert scaled.tau == pytest.approx(scale * base.tau, rel=1e-9)
+            fit_tau(np.exp(-np.arange(10) / 2.0), l_x=5)
 
 
 def planted_points(eps_c=0.05, nu=1.3, sizes=(8, 12, 16, 24)):

@@ -1,5 +1,7 @@
-"""Command line: import cost and end-to-end `sebd sample` and `sebd phase-sweep` runs."""
+"""Command line: import cost and end-to-end runs of every subcommand."""
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -8,9 +10,20 @@ from pathlib import Path
 import pytest
 
 import sebd
-from sebd.cli import ConfigError, ExperimentConfig, load_config, main
+from sebd.channels import NoiseModel, unraveling_cost_x
+from sebd.cli import _TAU_HEADER, ConfigError, ExperimentConfig, load_config, main
 from sebd.experiments import purification_point
-from sebd.serialize import TAU_SCHEMA, TELEMETRY_SCHEMA, parse_sample_record, read_csv
+from sebd.serialize import (
+    COLLAPSE_GRID_SCHEMA,
+    COLLAPSE_SCHEMA,
+    TAU_SCHEMA,
+    TELEMETRY_SCHEMA,
+    UNRAVEL_SCHEMA,
+    kraus_to_dict,
+    parse_sample_record,
+    read_csv,
+    write_csv,
+)
 
 
 def test_import_loads_no_scipy():
@@ -57,6 +70,94 @@ def test_sample_writes_one_record_per_trajectory(tmp_path):
         assert seed == k
         # one bit per site, grouped by lattice row
         assert [len(g) for g in groups] == [3] * 4
+
+
+def test_sample_entropy_telemetry_reads_the_peak(tmp_path):
+    # the last row-step reads out every slot, so the final mid-cut entropy
+    # is 0 on every trajectory; the peak over the row-steps is not
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "lx_list: [3]\n"
+        "ly: 4\n"
+        "epsilons: [0.02]\n"
+        "unravel_form: weak-tetrahedron\n"
+        "seeds: [5]\n"
+        "n_trajectories: 4\n"
+        "telemetry: [entropy]\n"
+    )
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(config), "--out", str(out)]) == 0
+    schema, header, rows = read_csv(out / "telemetry_eps0.02.csv")
+    assert schema == TELEMETRY_SCHEMA
+    assert header[-1] == "s_mid_max"
+    assert len(rows) == 4
+    chi = header.index("chi_max")
+    assert all(0.0 < float(row[-1]) <= math.log(int(row[chi])) + 1e-9 for row in rows)
+
+
+def test_collapse_of_a_written_tau_table(tmp_path):
+    # tau/L_x = tanh((eps - 0.05) * L_x^(1/1.3)) collapses at eps_c = 0.05
+    rows = []
+    for l_x in (8, 16):
+        for k in range(9):
+            eps = 0.01 + 0.01 * k
+            y = math.tanh((eps - 0.05) * l_x ** (1 / 1.3)) + 2.0
+            rows.append([f"{eps:g}", l_x, 1, 8, 3 * l_x, "0", y * l_x, y, "0", "ok"])
+    table = tmp_path / "tau.csv"
+    write_csv(table, TAU_SCHEMA, _TAU_HEADER, rows)
+    out = tmp_path / "out"
+    assert main(["collapse", str(table), "--out", str(out), "--grid"]) == 0
+
+    schema, header, fit = read_csv(out / "collapse.csv")
+    assert schema == COLLAPSE_SCHEMA
+    assert header == ["eps_c", "nu", "r_min", "eps_lo", "eps_hi", "nu_lo", "nu_hi", "identifiable"]
+    assert len(fit) == 1
+    row = dict(zip(header, fit[0]))
+    assert abs(float(row["eps_c"]) - 0.05) < 0.005
+    assert float(row["eps_lo"]) <= float(row["eps_c"]) <= float(row["eps_hi"])
+    assert row["identifiable"] == "1"
+    schema, header, grid = read_csv(out / "collapse_grid.csv")
+    assert schema == COLLAPSE_GRID_SCHEMA
+    assert header == ["eps_c", "nu", "r"]
+    assert len(grid) > 1 and min(float(r[2]) for r in grid) >= 0.0
+
+
+_UNRAVEL_HEADER = ["channel", "epsilon", "form", "method", "x_cost", "x_crit", "phase_mf"]
+
+
+def test_unravel_optimize_config_channels(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text("noise_kind: dephasing\nepsilons: [0.05, 0.1]\n")
+    out = tmp_path / "out"
+    assert main(["unravel-optimize", "--config", str(config), "--out", str(out)]) == 0
+    schema, header, rows = read_csv(out / "unravel.csv")
+    assert schema == UNRAVEL_SCHEMA
+    assert header == _UNRAVEL_HEADER
+    form = NoiseModel("dephasing", 0.05).forms()[0]
+    assert [r[:4] for r in rows] == [
+        ["dephasing", "0.05", form, "analytic"],
+        ["dephasing", "0.1", form, "analytic"],
+    ]
+    for r, eps in zip(rows, (0.05, 0.1)):
+        want = unraveling_cost_x(NoiseModel("dephasing", eps).kraus(form))
+        assert float(r[4]) == pytest.approx(want, abs=1e-12)
+        assert r[6] in ("ordered", "disordered")
+
+
+def test_unravel_optimize_kraus_file(tmp_path):
+    kraus = NoiseModel("dephasing", 0.1).kraus("projective")
+    path = tmp_path / "kraus.json"
+    path.write_text(json.dumps(kraus_to_dict(kraus)))
+    out = tmp_path / "out"
+    assert main(["unravel-optimize", str(path), "--out", str(out)]) == 0
+    schema, header, rows = read_csv(out / "unravel.csv")
+    assert schema == UNRAVEL_SCHEMA
+    assert header == _UNRAVEL_HEADER
+    assert len(rows) == 1
+    label, eps, form, method, x_cost = rows[0][:5]
+    assert (label, eps, form, method) == (kraus.label or path.name, "", "file", "numeric")
+    # the gauge search starts from the file's own unraveling and only improves on it
+    assert float(x_cost) >= unraveling_cost_x(kraus) - 1e-12
 
 
 def test_zero_bitstrings_rejected_before_any_output(tmp_path, capsys):

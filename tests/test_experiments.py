@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import sebd.experiments
-import sebd.sampler
 from sebd.channels import NoiseModel
 from sebd.experiments import benchmark_ratios, purification_point, sweep_rng
 from sebd.lightcone import build_lattice, compile_sebd, random_instance
@@ -80,11 +79,10 @@ class TestBenchmarkRatios:
         # the channel's own Kraus form once more
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("unraveling"))
-            return compile_sebd(*args, **kwargs)
+        def counted(circuit, unraveling=None):
+            calls.append(unraveling)
+            return compile_sebd(circuit, unraveling)
 
-        monkeypatch.setattr(sebd.sampler, "compile_sebd", counted)
         monkeypatch.setattr(sebd.experiments, "compile_sebd", counted)
         rows = benchmark_ratios(
             self.noisy_circuit(), ["000000", "010110", "111000"], 3,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sebd import sampler
 from sebd.channels import NoiseModel
-from sebd.lightcone import build_lattice, random_instance
+from sebd.lightcone import build_lattice, compile_sebd, random_instance
 from sebd.mps import MatrixProductState, MpsError, TruncationPolicy
 from sebd.sampler import (
     RunConfig,
@@ -52,7 +52,7 @@ def one_lane_weights(cfg: RunConfig, target: dict) -> np.ndarray:
     Its weight is the product of its projection probabilities, 0 once a
     projection falls below the floor, NaN when it fails.
     """
-    eff = cfg.effective()
+    eff = cfg.circuit
     out = []
     for index in range(cfg.n_trajectories):
         rng = _trajectory_rng(cfg.master_seed, index)
@@ -75,7 +75,8 @@ def one_lane_weights(cfg: RunConfig, target: dict) -> np.ndarray:
 def config(lattice, noise, epsilon, policy, seed, k):
     kind, form = noise
     c = random_instance(build_lattice(*lattice), "ABCD", "fsim", NoiseModel(kind, epsilon), seed)
-    return RunConfig(c, unravel_form=form, policy=policy, n_trajectories=k, master_seed=seed + 1)
+    eff = compile_sebd(c, form)
+    return RunConfig(eff, policy=policy, n_trajectories=k, master_seed=seed + 1)
 
 
 @given(
@@ -89,7 +90,7 @@ def config(lattice, noise, epsilon, policy, seed, k):
 @settings(max_examples=30, deadline=None)
 def test_lane_weights_match_one_lane(lattice, noise, epsilon, policy, seed, data):
     cfg = config(lattice, noise, epsilon, policy, seed, k=16)
-    eff = cfg.effective()
+    eff = cfg.circuit
     n = len(eff.coords())
     bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="target")
     target = _bits_by_coord(eff, bits)
@@ -126,7 +127,7 @@ def test_failed_lanes_counted_like_one_lane():
     policy = TruncationPolicy(chi_max=256, svd_cutoff=1e-2, hard_fail_chi=2)
     cfg = config(("square", 3, 3), NOISES[0], 0.3, policy, seed=3, k=40)
     bits = [0, 1, 1, 0, 1, 0, 0, 1, 0]
-    want = int(np.isnan(one_lane_weights(cfg, _bits_by_coord(cfg.effective(), bits))).sum())
+    want = int(np.isnan(one_lane_weights(cfg, _bits_by_coord(cfg.circuit, bits))).sum())
     assert 0 < want < cfg.n_trajectories
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -138,7 +139,7 @@ def test_failed_lanes_counted_like_one_lane():
 def test_lane_state_reads_like_one_lane_state():
     # what per-trajectory telemetry reads off a state: one float, int bonds
     cfg = config(("square", 3, 3), NOISES[0], 0.1, TruncationPolicy(chi_max=1), seed=5, k=12)
-    eff = cfg.effective()
+    eff = cfg.circuit
     psi = MatrixProductState.new_product_state(eff.n_sites, lanes=12)
     rng = sampler._LaneUniforms(np.full((12, eff.counts()["noise"]), 0.5))
     for ev in eff.events():
@@ -156,7 +157,7 @@ def test_svd_fallback_retries_lane_by_lane(monkeypatch):
     # a stacked SVD that fails to converge is redone one lane at a time;
     # scipy's gesvd fallback takes only single matrices before scipy 1.15
     cfg = config(("square", 3, 3), NOISES[0], 0.1, POLICIES[1], seed=5, k=12)
-    eff = cfg.effective()
+    eff = cfg.circuit
     target = _bits_by_coord(eff, [1, 0, 0, 1, 1, 0, 1, 0, 0])
     want = _block_weights(cfg, eff, target, range(12))
     svd = np.linalg.svd

@@ -379,7 +379,7 @@ def _fixture_rows(L, schedule, with_noise):
 
 
 def _strip_compiled(circuit):
-    rows_abstract, _ = _abstract_stream(circuit, with_noise=circuit.noise is not None)
+    rows_abstract = _abstract_stream(circuit, with_noise=circuit.noise is not None)
     coord = circuit.lattice.sites
     rows = []
     for batch in rows_abstract:
@@ -503,8 +503,8 @@ class TestSerialization:
         back = circuit_from_dict(rec)
         assert compile_sebd(back).counts() == compile_sebd(circ).counts()
         # same gates, noise and slots: the same samples for one seed
-        assert sample(RunConfig(circuit=back, n_trajectories=3, master_seed=4)) == sample(
-            RunConfig(circuit=circ, n_trajectories=3, master_seed=4)
+        assert sample(RunConfig(compile_sebd(back), n_trajectories=3, master_seed=4)) == sample(
+            RunConfig(compile_sebd(circ), n_trajectories=3, master_seed=4)
         )
 
     def test_serialized_bytes_are_stable(self, tmp_path):

@@ -15,7 +15,7 @@ from sebd.channels import (
     make_depolarizing,
 )
 from sebd.gates import CNOT, CZ, H, W, X, fsim, pauli_half_power
-from sebd.lightcone import build_lattice, random_instance
+from sebd.lightcone import build_lattice, compile_sebd, random_instance
 from sebd.mps import (
     MatrixProductState,
     MpsError,
@@ -77,7 +77,7 @@ class TestConstruction:
     def test_all_cuts_unentangled(self):
         psi = MatrixProductState.new_product_state(6, "010011")
         for cut in range(1, 6):
-            assert psi.renyi_entropy(cut) == pytest.approx(0.0, abs=1e-12)
+            assert psi.entropy(cut) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(MpsError):
@@ -124,7 +124,7 @@ class TestGates:
             dv.apply_1q(s, H)
         psi.apply_2q(0, 1, CZ, BIG)
         dv.apply_2q(0, 1, CZ)
-        assert psi.renyi_entropy(1) == pytest.approx(dv.renyi_entropy(1), abs=1e-10)
+        assert psi.entropy(1) == pytest.approx(dv.renyi_entropy(1), abs=1e-10)
 
     def test_long_range_matches_dense(self):
         g = unitary_group.rvs(4, random_state=np.random.default_rng(3))
@@ -238,19 +238,14 @@ class TestMeasureProject:
 
 
 class TestEntropy:
-    def test_bell_all_orders(self):
-        psi = ghz(2)
-        for n in (0.5, 1.0, 2.0, 3.0):
-            assert psi.renyi_entropy(1, n) == pytest.approx(LN2, abs=1e-12)
+    def test_bell_pair_is_ln2(self):
+        assert ghz(2).entropy(1) == pytest.approx(LN2, abs=1e-12)
 
     def test_random_mid_cut_matches_dense(self):
         psi = random_state(8, 23)
         dv = DenseVector(8)
         dv.psi = psi.to_dense().copy()
-        for n in (1.0, 2.0):
-            assert psi.renyi_entropy(4, n) == pytest.approx(
-                dv.renyi_entropy(4, n), abs=1e-8
-            )
+        assert psi.entropy(4) == pytest.approx(dv.renyi_entropy(4, 1.0), abs=1e-8)
 
     def test_entropy_bounded_by_bond(self):
         policy = TruncationPolicy(chi_max=4, svd_cutoff=0.0)
@@ -261,7 +256,7 @@ class TestEntropy:
             psi.apply_2q(i, i + 1, unitary_group.rvs(4, random_state=rng), policy)
         for cut in range(1, 8):
             chi = psi.bond_dims()[psi._int_cut(cut)]
-            assert psi.renyi_entropy(cut) <= np.log(chi) + 1e-9
+            assert psi.entropy(cut) <= np.log(chi) + 1e-9
 
     def test_subsystem_full_is_zero(self):
         psi = random_state(6, 3)
@@ -270,7 +265,7 @@ class TestEntropy:
         assert dv.subsystem_renyi(range(6)) == pytest.approx(0.0, abs=1e-10)
         product = MatrixProductState.new_product_state(6, bits=[1, 0, 1, 1, 0, 0])
         for cut in range(1, 6):
-            assert product.renyi_entropy(cut) == pytest.approx(0.0, abs=1e-12)
+            assert product.entropy(cut) == pytest.approx(0.0, abs=1e-12)
 
     def test_complement_symmetry(self):
         psi = random_state(7, 19)
@@ -279,12 +274,12 @@ class TestEntropy:
         a = dv.subsystem_renyi([0, 1, 2])
         b = dv.subsystem_renyi([3, 4, 5, 6])
         assert a == pytest.approx(b, abs=1e-8)
-        assert psi.renyi_entropy(3) == pytest.approx(b, abs=1e-8)
+        assert psi.entropy(3) == pytest.approx(b, abs=1e-8)
 
     def test_ghz_two_blocks(self):
         psi = ghz(8)
         for cut in range(1, 8):
-            assert psi.renyi_entropy(cut) == pytest.approx(LN2, abs=1e-10)
+            assert psi.entropy(cut) == pytest.approx(LN2, abs=1e-10)
         dv = DenseVector(8)
         dv.psi = psi.to_dense().copy()
         assert dv.subsystem_renyi([1, 2, 5, 6]) == pytest.approx(LN2, abs=1e-10)
@@ -295,34 +290,30 @@ class TestEntropy:
         dv.psi = psi.to_dense().copy()
         for cut in range(1, 8):
             left, right = list(range(cut)), list(range(cut, 8))
-            for n in (1.0, 2.0):
-                assert psi.renyi_entropy(cut, n) == pytest.approx(
-                    dv.subsystem_renyi(left, n), abs=1e-6
-                )
-                assert psi.renyi_entropy(cut, n) == pytest.approx(
-                    dv.subsystem_renyi(right, n), abs=1e-6
-                )
+            s = psi.entropy(cut)
+            assert s == pytest.approx(dv.subsystem_renyi(left, 1.0), abs=1e-6)
+            assert s == pytest.approx(dv.subsystem_renyi(right, 1.0), abs=1e-6)
 
 
 class TestReference:
     def test_attach_gives_ln2(self):
         psi = MatrixProductState.new_product_state(4)
-        h = psi.attach_reference(1)
-        assert psi.reference_entropy(h) == pytest.approx(LN2, abs=1e-12)
+        psi.attach_reference(1)
+        assert psi.reference_entropy() == pytest.approx(LN2, abs=1e-12)
 
     def test_partner_measure_kills_it(self):
         psi = MatrixProductState.new_product_state(4)
-        h = psi.attach_reference(0)
+        psi.attach_reference(0)
         psi.measure_reset(0, FakeRng([0.4]))
-        assert psi.reference_entropy(h) == pytest.approx(0.0, abs=1e-12)
+        assert psi.reference_entropy() == pytest.approx(0.0, abs=1e-12)
 
     def test_remote_unitaries_preserve_it(self):
         psi = MatrixProductState.new_product_state(5)
-        h = psi.attach_reference(2)
+        psi.attach_reference(2)
         g = unitary_group.rvs(4, random_state=np.random.default_rng(6))
         psi.apply_2q(0, 4, g, BIG)
         psi.apply_1q(3, H)
-        assert psi.reference_entropy(h) == pytest.approx(LN2, abs=1e-10)
+        assert psi.reference_entropy() == pytest.approx(LN2, abs=1e-10)
 
     def test_double_attach_rejected(self):
         psi = MatrixProductState.new_product_state(3)
@@ -562,8 +553,7 @@ def test_qr_calls_per_trajectory(monkeypatch, lattice, qr, svd):
     # for the noise that follows a gate, which is sampled on its block
     noise = NoiseModel(kind="depolarizing", epsilon=0.05)
     c = random_instance(build_lattice(*lattice), "ABCD", "fsim", noise, seed=3)
-    cfg = RunConfig(circuit=c, unravel_form="weak-tetrahedron", master_seed=1)
-    cfg.effective()
+    cfg = RunConfig(circuit=compile_sebd(c, "weak-tetrahedron"), master_seed=1)
     calls = _count_linalg(monkeypatch)
     assert run_trajectory(cfg, 0).ok
     assert calls == {"qr": qr, "svd": svd}

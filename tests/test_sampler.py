@@ -4,6 +4,7 @@ probability estimation, purification telemetry, unraveling invariance."""
 import importlib
 import json
 import pkgutil
+import re
 import warnings
 from pathlib import Path
 
@@ -30,7 +31,6 @@ from sebd.sampler import (
     RunConfig,
     SamplerError,
     estimate_probability,
-    failure_counts,
     purification_run,
     run_trajectory,
     sample,
@@ -52,41 +52,32 @@ def records_to_counts(records, n_bits):
 
 class TestRunConfig:
     def test_validation(self):
-        c = small_noisy_circuit()
+        eff = compile_sebd(small_noisy_circuit())
         with pytest.raises(SamplerError):
-            RunConfig(circuit=c, n_trajectories=0)
-        with pytest.raises(SamplerError):
-            RunConfig(circuit=compile_sebd(c), unravel_form="projective")
+            RunConfig(circuit=eff, n_trajectories=0)
         with pytest.raises(SamplerError):
             RunConfig(circuit="nope")
 
-    def test_effective_is_cached_and_form_selected(self):
-        c = small_noisy_circuit()
-        cfg = RunConfig(circuit=c, unravel_form="projective")
-        eff = cfg.effective()
-        assert cfg.effective() is eff
-        noise_ops = [ev for ev in eff.events() if type(ev).__name__ == "Noise"]
-        assert len(noise_ops[0].kraus) == 3  # projective dephasing has 3 branches
-
-    def test_precompiled_circuit_passthrough(self):
-        eff = compile_sebd(small_noisy_circuit())
-        assert RunConfig(circuit=eff).effective() is eff
+    def test_uncompiled_circuit_rejected(self):
+        with pytest.raises(SamplerError, match="compile_sebd"):
+            RunConfig(circuit=small_noisy_circuit())
 
     @pytest.mark.parametrize("seed", (-1, 2**63, 2**64 - 1))
     def test_master_seed_outside_philox_key_range_rejected(self, seed):
         # Philox keys are int64: 2**63 and 2**63 + 5 would share one stream
         with pytest.raises(SamplerError, match="master_seed"):
-            RunConfig(circuit=small_noisy_circuit(), master_seed=seed)
+            RunConfig(circuit=compile_sebd(small_noisy_circuit()), master_seed=seed)
 
     def test_master_seed_range_ends_accepted(self):
         for seed in (0, 2**63 - 1):
-            assert run_trajectory(RunConfig(small_noisy_circuit(), master_seed=seed), 0).ok
+            cfg = RunConfig(compile_sebd(small_noisy_circuit()), master_seed=seed)
+            assert run_trajectory(cfg, 0).ok
 
 
 class TestRunTrajectory:
     def test_determinism_and_stream_independence(self):
         c = small_noisy_circuit()
-        cfg = RunConfig(circuit=c, master_seed=9, entropy_cuts=(2,))
+        cfg = RunConfig(circuit=compile_sebd(c), master_seed=9, entropy_cuts=(2,))
         a = run_trajectory(cfg, 3)
         b = run_trajectory(cfg, 3)
         assert a == b
@@ -94,14 +85,14 @@ class TestRunTrajectory:
 
     def test_record_invariants(self):
         c = small_noisy_circuit()
-        cfg = RunConfig(circuit=c, master_seed=0, entropy_cuts=(1, 2, 3))
+        cfg = RunConfig(circuit=compile_sebd(c), master_seed=0, entropy_cuts=(1, 2, 3))
         rec = run_trajectory(cfg, 0)
         assert rec.ok
         assert set(rec.z) == set(c.lattice.sites)
         assert len(rec.z) == c.lattice.n_sites
-        assert len(rec.m) == cfg.effective().counts()["noise"]
+        assert len(rec.m) == cfg.circuit.counts()["noise"]
         assert rec.trunc_total >= 0.0
-        assert len(rec.entropies) == len(cfg.effective().rows)
+        assert len(rec.entropies) == len(cfg.circuit.rows)
         assert all(len(row) == 3 for row in rec.entropies)
         assert rec.chi_max_seen >= 1
 
@@ -124,12 +115,13 @@ class TestRunTrajectory:
         def exact(z):
             return pair_probs[0][2 * z[0] + z[2]] * pair_probs[1][2 * z[1] + z[3]]
 
-        cfg = RunConfig(circuit=c, n_trajectories=1)
+        eff = compile_sebd(c)
+        cfg = RunConfig(circuit=eff, n_trajectories=1)
         zs = [(i >> 3 & 1, i >> 2 & 1, i >> 1 & 1, i & 1) for i in range(16)]
         tv = 0.5 * sum(abs(estimate_probability(cfg, z)[0] - exact(z)) for z in zs)
         assert tv < 1e-6
 
-        emp = records_to_counts(sample(RunConfig(circuit=c, n_trajectories=8000)), 4)
+        emp = records_to_counts(sample(RunConfig(circuit=eff, n_trajectories=8000)), 4)
         tv_emp = 0.5 * sum(abs(emp[i] / 8000 - exact(z)) for i, z in enumerate(zs))
         assert tv_emp < 0.04
 
@@ -138,7 +130,7 @@ class TestRunTrajectory:
         noise = NoiseModel(kind="depolarizing", epsilon=0.75)
         c = random_instance(lat, "A", "fsim", noise, seed=1)
         k = 2500
-        recs = sample(RunConfig(circuit=c, n_trajectories=k, master_seed=5))
+        recs = sample(RunConfig(circuit=compile_sebd(c), n_trajectories=k, master_seed=5))
         bits = np.array([rec.bits_scan_order() for rec in recs])
         freqs = bits.mean(axis=0)
         band = 4 * 0.5 / np.sqrt(k)
@@ -152,7 +144,7 @@ class TestRunTrajectory:
         noise = NoiseModel(kind="depolarizing", epsilon=0.02)
         c = random_instance(lat, "ABC", "clifford-iswap-swap", noise, seed=12)
         k_mps = 1500
-        recs = sample(RunConfig(circuit=c, n_trajectories=k_mps, master_seed=2))
+        recs = sample(RunConfig(circuit=compile_sebd(c), n_trajectories=k_mps, master_seed=2))
         f_mps = np.array([rec.bits_scan_order() for rec in recs]).mean(axis=0)
         n_real = 1500
         per_seed = np.array(
@@ -170,26 +162,23 @@ class TestRunTrajectory:
 
 class TestSample:
     def test_singleton_and_repeatability(self):
-        c = small_noisy_circuit()
-        cfg = RunConfig(circuit=c, n_trajectories=1, master_seed=7)
+        eff = compile_sebd(small_noisy_circuit())
+        cfg = RunConfig(circuit=eff, n_trajectories=1, master_seed=7)
         assert sample(cfg) == [run_trajectory(cfg, 0)]
-        cfg5 = RunConfig(circuit=c, n_trajectories=5, master_seed=7)
+        cfg5 = RunConfig(circuit=eff, n_trajectories=5, master_seed=7)
         assert sample(cfg5) == sample(cfg5)
 
     def test_worker_invariance(self):
-        c = small_noisy_circuit()
-        serial = sample(RunConfig(circuit=c, n_trajectories=6, master_seed=1))
-        parallel = sample(RunConfig(circuit=c, n_trajectories=6, master_seed=1), workers=2)
-        assert serial == parallel
+        eff = compile_sebd(small_noisy_circuit())
+        cfg = RunConfig(circuit=eff, n_trajectories=6, master_seed=1)
+        assert sample(cfg) == sample(cfg, workers=2)
 
     def test_failures_marked_not_dropped(self):
         c = small_noisy_circuit()
         strict = TruncationPolicy(chi_max=64, svd_cutoff=0.0, hard_fail_chi=1)
-        recs = sample(RunConfig(circuit=c, n_trajectories=4, policy=strict))
+        recs = sample(RunConfig(circuit=compile_sebd(c), n_trajectories=4, policy=strict))
         assert len(recs) == 4
-        assert all(not r.ok for r in recs)
-        counts = failure_counts(recs)
-        assert sum(counts.values()) == 4 and "TruncationOverflow" in str(counts)
+        assert all(not r.ok and "TruncationOverflow" in r.failed for r in recs)
 
     def test_marginals_match_mpo_oracle_3x3(self):
         lat = build_lattice("square", 3, 3)
@@ -198,7 +187,7 @@ class TestSample:
         rho = mpo_evolve(c)
         ref = marginal_ones(rho)
         k = 1200
-        recs = sample(RunConfig(circuit=c, n_trajectories=k, master_seed=3))
+        recs = sample(RunConfig(circuit=compile_sebd(c), n_trajectories=k, master_seed=3))
         freqs = np.array([rec.bits_scan_order() for rec in recs]).mean(axis=0)
         sigma = np.sqrt(np.clip(ref * (1 - ref), 1e-6, None) / k)
         assert np.all(np.abs(freqs - ref) < 4 * sigma)
@@ -210,7 +199,7 @@ class TestSample:
         c = random_instance(lat, "ABC", "fsim", noise, seed=6)
         ref = marginal_ones(mpo_evolve(c))
         k = 10**4
-        recs = sample(RunConfig(circuit=c, n_trajectories=k, master_seed=3))
+        recs = sample(RunConfig(circuit=compile_sebd(c), n_trajectories=k, master_seed=3))
         freqs = np.array([rec.bits_scan_order() for rec in recs]).mean(axis=0)
         sigma = np.sqrt(np.clip(ref * (1 - ref), 1e-6, None) / k)
         assert np.all(np.abs(freqs - ref) < 4 * sigma)
@@ -236,8 +225,7 @@ class TestGoldenSeed:
         noise = NoiseModel(kind="depolarizing", epsilon=0.05)
         c = random_instance(build_lattice(kind, lx, ly), "ABCD", "fsim", noise, seed=11)
         cfg = RunConfig(
-            circuit=c,
-            unravel_form="weak-tetrahedron",
+            circuit=compile_sebd(c, "weak-tetrahedron"),
             policy=TruncationPolicy(chi_max=256, svd_cutoff=1e-12),
             n_trajectories=len(golden),
             master_seed=2306,
@@ -269,7 +257,7 @@ class TestEstimateProbability:
         eye = np.eye(2, dtype=complex)
         layers = (LayerGates(rotations=(eye,) * 4, gates=()),)
         c = Circuit2D(lattice=lat, schedule="A", layers=layers, noise=None)
-        cfg = RunConfig(circuit=c, n_trajectories=3)
+        cfg = RunConfig(circuit=compile_sebd(c), n_trajectories=3)
         p, se = estimate_probability(cfg, (0, 0, 0, 0))
         assert p == 1.0 and se == 0.0
         p, se = estimate_probability(cfg, (1, 0, 0, 0))
@@ -287,26 +275,32 @@ class TestEstimateProbability:
         c = Circuit2D(lattice=lat, schedule="A", layers=layers, noise=noise)
 
         ref = dense_evolve(c)
-        cfg = RunConfig(circuit=c, n_trajectories=10**4, master_seed=11)
+        cfg = RunConfig(circuit=compile_sebd(c), n_trajectories=10**4, master_seed=11)
         for bits in ((0, 0), (0, 1), (1, 1)):
             p, se = estimate_probability(cfg, bits)
             assert abs(p - ref.probability(bits)) < 3 * max(se, 1e-12)
 
     def test_bits_by_coordinate_and_validation(self):
         c = small_noisy_circuit()
-        cfg = RunConfig(circuit=c, n_trajectories=50, master_seed=1)
+        cfg = RunConfig(circuit=compile_sebd(c), n_trajectories=50, master_seed=1)
         flat = (0, 1, 1, 0, 0, 1)
-        zmap = {coord: b for coord, b in zip(cfg.effective().coords(), flat)}
+        zmap = {coord: b for coord, b in zip(cfg.circuit.coords(), flat)}
         assert estimate_probability(cfg, flat) == estimate_probability(cfg, zmap)
         with pytest.raises(SamplerError):
             estimate_probability(cfg, flat[:-1])
         with pytest.raises(SamplerError):
             estimate_probability(cfg, {(0, 0): 1})
+        # a bit outside {0, 1} is named by its coordinate before any trajectory runs
+        first = cfg.circuit.coords()[0]
+        with pytest.raises(SamplerError, match=re.escape(f"bit 2 at coordinate {first}")):
+            estimate_probability(cfg, (2,) + flat[1:])
+        with pytest.raises(SamplerError, match=re.escape(f"bit -1 at coordinate {first}")):
+            estimate_probability(cfg, {**zmap, first: -1})
 
     def test_all_failed_raises(self):
         c = small_noisy_circuit()
         strict = TruncationPolicy(chi_max=64, svd_cutoff=0.0, hard_fail_chi=1)
-        cfg = RunConfig(circuit=c, n_trajectories=3, policy=strict)
+        cfg = RunConfig(circuit=compile_sebd(c), n_trajectories=3, policy=strict)
         with pytest.raises(SamplerError):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -319,7 +313,7 @@ class TestPurification:
         # vanish once that dimer's sites are measured out
         lat = build_lattice("square", 2, 2)
         c = random_instance(lat, "A", "fsim", None, seed=2)
-        cfg = RunConfig(circuit=c, n_trajectories=4, master_seed=0, reference_site=0)
+        cfg = RunConfig(circuit=compile_sebd(c), n_trajectories=4, master_seed=0, reference_site=0)
         series = purification_run(cfg)
         assert series[0] > 0.0 or series[-1] == 0.0
         assert series[-1] < 1e-10
@@ -332,10 +326,10 @@ class TestPurification:
         clean = random_instance(lat, "ABCD", "fsim", None, seed=5)
         k = 12
         s_noisy = purification_run(
-            RunConfig(circuit=noisy, n_trajectories=k, master_seed=1, reference_site=2)
+            RunConfig(circuit=compile_sebd(noisy), n_trajectories=k, master_seed=1, reference_site=2)
         )
         s_clean = purification_run(
-            RunConfig(circuit=clean, n_trajectories=k, master_seed=1, reference_site=2)
+            RunConfig(circuit=compile_sebd(clean), n_trajectories=k, master_seed=1, reference_site=2)
         )
         # after the last row every system qubit is measured, so both
         # entropies vanish; the row before it is where noise must show
@@ -344,7 +338,7 @@ class TestPurification:
         assert s_noisy[-1] < 1e-10 and s_clean[-1] < 1e-10
 
     def test_requires_reference(self):
-        cfg = RunConfig(circuit=small_noisy_circuit(), n_trajectories=1)
+        cfg = RunConfig(circuit=compile_sebd(small_noisy_circuit()), n_trajectories=1)
         with pytest.raises(SamplerError):
             purification_run(cfg)
 
@@ -354,7 +348,7 @@ class TestPurification:
         c = random_instance(lat, "ABCD", "fsim", NoiseModel(kind="dephasing", epsilon=0.15), seed=4)
         policy = TruncationPolicy(chi_max=64, svd_cutoff=1e-12, hard_fail_chi=hard_fail_chi)
         return RunConfig(
-            c, unravel_form="projective", policy=policy, n_trajectories=8, master_seed=1,
+            compile_sebd(c, "projective"), policy=policy, n_trajectories=8, master_seed=1,
             reference_site=1,
         )
 
@@ -403,7 +397,7 @@ class TestUnravelingInvariance:
         counts = {}
         for form in ("weak-optimal", "projective"):
             recs = sample(
-                RunConfig(circuit=c, unravel_form=form, n_trajectories=k, master_seed=4)
+                RunConfig(circuit=compile_sebd(c, form), n_trajectories=k, master_seed=4)
             )
             counts[form] = records_to_counts(recs, 6)
         p = self.two_sample_chi2(counts["weak-optimal"], counts["projective"])
@@ -416,8 +410,7 @@ class TestUnravelingInvariance:
         for form in ("weak-optimal", "projective"):
             recs = sample(
                 RunConfig(
-                    circuit=c,
-                    unravel_form=form,
+                    circuit=compile_sebd(c, form),
                     n_trajectories=k,
                     master_seed=4,
                     entropy_cuts=(2,),
@@ -452,7 +445,7 @@ def test_runs_leave_module_state_unchanged():
         LayerGates(lg.rotations, tuple((a, b, haar) for a, b, _ in lg.gates)) for lg in base.layers
     )
     c = Circuit2D(lattice=lat, schedule="AB", layers=layers, noise=base.noise)
-    cfg = RunConfig(circuit=c, n_trajectories=3, master_seed=5, reference_site=1)
+    cfg = RunConfig(circuit=compile_sebd(c), n_trajectories=3, master_seed=5, reference_site=1)
     before = _module_state()
     assert all(rec.ok for rec in sample(cfg))
     estimate_probability(cfg, (0,) * lat.n_sites)

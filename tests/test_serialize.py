@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sebd.channels import NoiseModel
-from sebd.lightcone import CompileError, build_lattice, random_instance
+from sebd.lightcone import CompileError, build_lattice, compile_sebd, random_instance
 from sebd.sampler import RunConfig, run_trajectory
 from sebd.serialize import (
     TAU_SCHEMA,
@@ -51,7 +51,7 @@ class TestCsv:
 
 class TestSampleRecords:
     def test_round_trip_real_trajectory(self):
-        cfg = RunConfig(small_circuit(), unravel_form="weak-optimal", master_seed=9)
+        cfg = RunConfig(compile_sebd(small_circuit(), "weak-optimal"), master_seed=9)
         rec = run_trajectory(cfg, 3)
         line = format_sample_record(rec)
         seed, groups, trunc, chi = parse_sample_record(line)
@@ -62,7 +62,7 @@ class TestSampleRecords:
         assert chi == rec.chi_max_seen
 
     def test_failed_record_rejected(self):
-        cfg = RunConfig(small_circuit(), unravel_form="weak-optimal")
+        cfg = RunConfig(compile_sebd(small_circuit(), "weak-optimal"))
         rec = run_trajectory(cfg, 0)
         broken = type(rec)(
             seed=rec.seed, z=rec.z, m=rec.m, failed="truncation overflow"
@@ -104,6 +104,15 @@ class TestCircuitFiles:
         rec["layers"][0]["gates"][0][2][0][0] = [2.0, 0.0]
         p.write_text(json.dumps(rec))
         with pytest.raises(CompileError, match="two-qubit gate is not unitary"):
+            load_circuit(p)
+
+    def test_bad_schedule_label_rejected_on_load(self, tmp_path):
+        p = tmp_path / "inst.json"
+        save_circuit(p, small_circuit(seed=5))
+        rec = json.loads(p.read_text())
+        rec["schedule"] = "ABX"
+        p.write_text(json.dumps(rec))
+        with pytest.raises(CompileError, match=r"schedule labels \['X'\]"):
             load_circuit(p)
 
     def test_deterministic_bytes(self, tmp_path):
