@@ -26,7 +26,7 @@ class TestFitTau:
         fit = fit_tau(series, l_x=4)
         assert abs(fit.tau - 3.0) / 3.0 < 0.02
 
-    def test_window_is_lx_to_2lx(self):
+    def test_default_window_from_strip_length(self):
         t = np.arange(30)
         fit = fit_tau(np.exp(-t / 4.0), l_x=8)
         assert (fit.row_lo, fit.row_hi) == (8, 16)

@@ -238,8 +238,13 @@ class TestMeasureProject:
 
 
 class TestEntropy:
-    def test_bell_pair_is_ln2(self):
-        assert ghz(2).entropy(1) == pytest.approx(LN2, abs=1e-12)
+    def test_bell_all_orders(self):
+        psi = ghz(2)
+        assert psi.entropy(1) == pytest.approx(LN2, abs=1e-12)
+        dv = DenseVector(2)
+        dv.psi = psi.to_dense().copy()
+        for n in (0.5, 1.0, 2.0, 3.0):
+            assert dv.renyi_entropy(1, n) == pytest.approx(LN2, abs=1e-12)
 
     def test_random_mid_cut_matches_dense(self):
         psi = random_state(8, 23)

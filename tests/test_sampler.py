@@ -58,6 +58,10 @@ class TestRunConfig:
         with pytest.raises(SamplerError):
             RunConfig(circuit="nope")
 
+    def test_precompiled_circuit_passthrough(self):
+        eff = compile_sebd(small_noisy_circuit())
+        assert RunConfig(circuit=eff).circuit is eff
+
     def test_uncompiled_circuit_rejected(self):
         with pytest.raises(SamplerError, match="compile_sebd"):
             RunConfig(circuit=small_noisy_circuit())
