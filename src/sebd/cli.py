@@ -9,22 +9,28 @@ Subcommands
     collapse          scaling collapse of an existing tau table
     unravel-optimize  unraveling cost report for channels or a Kraus file
 
-sample, phase-sweep and benchmark compile each 2D instance with
-compile_sebd before any trajectory runs; the sampler takes only compiled
-circuits. Every command reads one YAML config file (--config) holding a
-flat, documented key set; unknown keys are hard errors so a typo cannot
-silently corrupt a sweep. All randomness flows from the config seeds, so reruns with
-the same config produce byte-identical outputs. --workers parallelizes over
-trajectories (sample) or sweep cells (phase-sweep); results are reduced in
-deterministic order either way.
+Every command reads one YAML config file (--config) holding a flat,
+documented key set into an ExperimentConfig (sebd.experiments), the one
+description of a run that the sweep drivers read too; unknown keys are
+hard errors so a typo cannot silently corrupt a sweep. sample, phase-sweep
+and benchmark compile each 2D instance with compile_sebd before any
+trajectory runs; the sampler takes only compiled circuits. All randomness
+flows from the config seeds, so reruns with the same config produce
+byte-identical outputs. --workers parallelizes over trajectories (sample)
+or sweep cells (phase-sweep); results are reduced in deterministic order
+either way. phase-sweep runs on the square lattice only, whose strips of
+aspect*L_x rows (aspect >= 3) hold tau's fit window of rows [L_x, 2*L_x].
 
 Config keys (defaults in parentheses):
     lattice (square), ly (optional), schedule (ABCD), gate_family (fsim),
     noise_kind (depolarizing), unravel_form (family default),
     epsilons ([0.0]), lx_list ([4]), seeds ([0]), n_trajectories (100),
     aspect (3), chi_max (256), svd_cutoff (1e-12), n_bitstrings (10),
-    reference (auto), collapse (false), collapse_grid (false),
-    telemetry ([]), output_dir (out)
+    reference (auto), telemetry ([]), output_dir (out)
+
+The scaling collapse is its own command, run on a written tau table
+(sebd collapse TABLE [--grid]). collapse and collapse_grid are not config
+keys: a file that sets them fails as unknown config keys.
 """
 
 from __future__ import annotations
@@ -33,24 +39,23 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .analysis import data_collapse
 from .channels import NoiseModel, optimize_unraveling, unraveling_cost_x
-from .experiments import benchmark_ratios, purification_point, sweep_rng
-from .lightcone import (
-    GATE_FAMILIES,
-    LAYER_LABELS,
-    build_lattice,
-    compile_sebd,
-    random_instance,
+from .experiments import (
+    ConfigError,
+    ExperimentConfig,
+    benchmark_ratios,
+    load_config,
+    purification_point,
+    sweep_rng,
 )
-from .mps import TruncationPolicy
-from .sampler import SEED_LIMIT, RunConfig, sample
+from .lightcone import compile_sebd
+from .sampler import RunConfig, sample
 from .statmech import critical_x, predicted_phase
 from .serialize import (
     BENCHMARK_SCHEMA,
@@ -68,156 +73,15 @@ from .serialize import (
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
 
-LATTICE_KINDS = ("square", "heavy-hex")
-NOISE_KINDS = ("dephasing", "depolarizing", "amplitude-damping")
-REFERENCES = ("auto", "dense", "mpo")
-TELEMETRY_FIELDS = ("entropy",)
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent experiment configuration."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    lattice: str = "square"
-    ly: int | None = None
-    schedule: str = "ABCD"
-    gate_family: str = "fsim"
-    noise_kind: str = "depolarizing"
-    unravel_form: str | None = None
-    epsilons: tuple = (0.0,)
-    lx_list: tuple = (4,)
-    seeds: tuple = (0,)
-    n_trajectories: int = 100
-    aspect: int = 3
-    chi_max: int = 256
-    svd_cutoff: float = 1e-12
-    n_bitstrings: int = 10
-    reference: str = "auto"
-    collapse: bool = False
-    collapse_grid: bool = False
-    telemetry: tuple = ()
-    output_dir: str = "out"
-
-    def __post_init__(self):
-        if self.lattice not in LATTICE_KINDS:
-            raise ConfigError(f"lattice must be one of {LATTICE_KINDS}")
-        if self.gate_family not in GATE_FAMILIES:
-            raise ConfigError(f"gate_family must be one of {GATE_FAMILIES}")
-        if self.noise_kind not in NOISE_KINDS:
-            raise ConfigError(f"noise_kind must be one of {NOISE_KINDS}")
-        model = NoiseModel(self.noise_kind, 0.0)
-        if self.unravel_form is not None and self.unravel_form not in model.forms():
-            raise ConfigError(
-                f"unravel_form {self.unravel_form!r} not valid for "
-                f"{self.noise_kind}; choose from {model.forms()}"
-            )
-        if not self.schedule or set(self.schedule) - set(LAYER_LABELS):
-            raise ConfigError(f"schedule must be a non-empty string over {LAYER_LABELS!r}")
-        for name in ("epsilons", "lx_list", "seeds"):
-            if not getattr(self, name):
-                raise ConfigError(f"sweep axis {name} must be non-empty")
-        if any(not 0 <= s < SEED_LIMIT for s in self.seeds):
-            raise ConfigError("seeds must lie in [0, 2**63)")
-        if any(e < 0 for e in self.epsilons):
-            raise ConfigError("epsilons must be non-negative")
-        if any(l < 2 for l in self.lx_list):
-            raise ConfigError("lx_list entries must be at least 2")
-        if self.n_trajectories < 1:
-            raise ConfigError("n_trajectories must be positive")
-        if self.aspect < 1:
-            raise ConfigError("aspect must be positive")
-        if self.chi_max < 1 or self.svd_cutoff < 0:
-            raise ConfigError("invalid truncation policy")
-        if self.n_bitstrings < 1:
-            raise ConfigError("n_bitstrings must be positive")
-        if self.reference not in REFERENCES:
-            raise ConfigError(f"reference must be one of {REFERENCES}")
-        bad = set(self.telemetry) - set(TELEMETRY_FIELDS)
-        if bad:
-            raise ConfigError(f"unknown telemetry fields {sorted(bad)}")
-
-    def policy(self) -> TruncationPolicy:
-        return TruncationPolicy(chi_max=self.chi_max, svd_cutoff=self.svd_cutoff)
-
-    def noise(self, epsilon: float) -> NoiseModel | None:
-        return NoiseModel(self.noise_kind, epsilon) if epsilon > 0 else None
-
-    def form(self, epsilon: float) -> str | None:
-        if epsilon <= 0:
-            return None
-        return self.unravel_form or NoiseModel(self.noise_kind, epsilon).forms()[0]
-
-
-_COERCE = {
-    "n_trajectories": int,
-    "aspect": int,
-    "chi_max": int,
-    "svd_cutoff": float,
-    "n_bitstrings": int,
-}
-_TUPLES = {
-    "epsilons": float,
-    "lx_list": int,
-    "seeds": int,
-    "telemetry": str,
-}
-_BOOLS = ("collapse", "collapse_grid")
-
-
-def config_from_mapping(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a key: value mapping")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _TUPLES:
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{key} must be a list")
-            kwargs[key] = tuple(_TUPLES[key](v) for v in value)
-        elif key == "ly":
-            kwargs[key] = None if value is None else int(value)
-        elif key in _BOOLS:
-            if not isinstance(value, bool):
-                raise ConfigError(f"{key} must be true or false")
-            kwargs[key] = value
-        elif key in _COERCE:
-            kwargs[key] = _COERCE[key](value)
-        else:
-            kwargs[key] = value
-    try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        raw = yaml.safe_load(Path(path).read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return config_from_mapping(raw or {})
-
 
 def _resolved_config(args) -> ExperimentConfig:
     if args.config is None:
         raise ConfigError("this command requires --config")
     cfg = load_config(args.config)
-    updates = {}
     if args.seed_override is not None:
-        updates["seeds"] = (int(args.seed_override),)
+        cfg = replace(cfg, seeds=(int(args.seed_override),))
     if args.out is not None:
-        updates["output_dir"] = str(args.out)
-    if updates:
-        raw = {f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)}
-        raw.update(updates)
-        cfg = ExperimentConfig(**raw)
+        cfg = replace(cfg, output_dir=str(args.out))
     return cfg
 
 
@@ -231,15 +95,6 @@ def _eps_tag(epsilon: float) -> str:
     return f"{epsilon:g}"
 
 
-def _build_instance(cfg: ExperimentConfig, epsilon: float):
-    l_x = cfg.lx_list[0]
-    if cfg.lattice == "square":
-        lat = build_lattice("square", l_x, cfg.ly if cfg.ly is not None else l_x)
-    else:
-        lat = build_lattice("heavy-hex", l_x, cfg.ly)
-    return random_instance(lat, cfg.schedule, cfg.gate_family, cfg.noise(epsilon), cfg.seeds[0])
-
-
 # ---------------------------------------------------------------------------
 # sample
 
@@ -248,16 +103,15 @@ def cmd_sample(args) -> int:
     cfg = _resolved_config(args)
     out = _outdir(cfg)
     policy = cfg.policy()
+    entropy = "entropy" in cfg.telemetry
     for eps in cfg.epsilons:
-        circuit = _build_instance(cfg, eps)
-        eff = compile_sebd(circuit, cfg.form(eps))
-        cuts = (eff.n_sites // 2,) if "entropy" in cfg.telemetry else None
+        circuit = cfg.instance(eps, cfg.lx_list[0], cfg.ly, cfg.seeds[0])
         run = RunConfig(
-            eff,
+            compile_sebd(circuit, cfg.form(eps)),
             policy=policy,
             n_trajectories=cfg.n_trajectories,
             master_seed=cfg.seeds[0],
-            entropy_cuts=cuts,
+            mid_entropy=entropy,
         )
         records = sample(run, workers=args.workers)
         tag = _eps_tag(eps)
@@ -267,14 +121,14 @@ def cmd_sample(args) -> int:
                 if rec.ok:
                     fh.write(format_sample_record(rec) + "\n")
         header = ["trajectory", "seed", "ok", "chi_max", "trunc_total"]
-        if "entropy" in cfg.telemetry:
+        if entropy:
             header.append("s_mid_max")
         rows = []
         for i, rec in enumerate(records):
             row = [i, rec.seed, int(rec.ok), rec.chi_max_seen, f"{rec.trunc_total:.8e}"]
-            if "entropy" in cfg.telemetry:
+            if entropy:
                 # the last row-step reads out every slot, so the state ends a product
-                s = max(row[0] for row in rec.entropies) if rec.entropies else float("nan")
+                s = max(rec.entropies) if rec.entropies else float("nan")
                 row.append(f"{s:.8e}")
             rows.append(row)
         telemetry_path = out / f"telemetry_eps{tag}.csv"
@@ -295,8 +149,7 @@ _TAU_HEADER = [
 
 
 def _sweep_cell(job):
-    cfg_kwargs, eps, l_x, seed = job
-    return purification_point(eps, l_x, seed, **cfg_kwargs)
+    return purification_point(*job)
 
 
 def _tau_row(point: dict) -> list:
@@ -309,54 +162,16 @@ def _tau_row(point: dict) -> list:
     ]
 
 
-def _collapse_points(rows) -> list:
-    by_cell: dict = {}
-    for r in rows:
-        if np.isfinite(r["tau_over_lx"]):
-            by_cell.setdefault((r["epsilon"], r["L_x"]), []).append(r["tau_over_lx"])
-    return [
-        (eps, l_x, float(np.mean(vals))) for (eps, l_x), vals in sorted(by_cell.items())
-    ]
-
-
-def _write_collapse(out: Path, fit, grid=None) -> None:
-    write_csv(
-        out / "collapse.csv",
-        COLLAPSE_SCHEMA,
-        ["eps_c", "nu", "r_min", "eps_lo", "eps_hi", "nu_lo", "nu_hi", "identifiable"],
-        [[
-            f"{fit.eps_c:.6f}", f"{fit.nu:.4f}", f"{fit.r_min:.8e}",
-            f"{fit.box[0]:.6f}", f"{fit.box[1]:.6f}",
-            f"{fit.box[2]:.4f}", f"{fit.box[3]:.4f}",
-            int(fit.identifiable),
-        ]],
-    )
-    if grid is not None:
-        eps_grid, nu_grid, r = grid
-        rows = [
-            [f"{e:.6f}", f"{n:.4f}", f"{r[i, j]:.8e}"]
-            for i, e in enumerate(eps_grid)
-            for j, n in enumerate(nu_grid)
-        ]
-        write_csv(out / "collapse_grid.csv", COLLAPSE_GRID_SCHEMA,
-                  ["eps_c", "nu", "r"], rows)
-
-
 def cmd_phase_sweep(args) -> int:
     cfg = _resolved_config(args)
+    if cfg.lattice != "square":
+        raise ConfigError(
+            f"phase-sweep needs lattice square: a {cfg.lattice} strip of width L_x "
+            "has L_x - 2 rows, too few for the fit window [L_x, 2*L_x]"
+        )
     out = _outdir(cfg)
-    cell_kwargs = dict(
-        schedule=cfg.schedule,
-        gate_family=cfg.gate_family,
-        noise_kind=cfg.noise_kind,
-        form=cfg.unravel_form or NoiseModel(cfg.noise_kind, 0.0).forms()[0],
-        aspect=cfg.aspect,
-        n_trajectories=cfg.n_trajectories,
-        policy=cfg.policy(),
-        lattice_kind=cfg.lattice,
-    )
     jobs = [
-        (cell_kwargs, eps, l_x, seed)
+        (cfg, eps, l_x, seed)
         for eps in cfg.epsilons
         for l_x in cfg.lx_list
         for seed in cfg.seeds
@@ -369,12 +184,6 @@ def cmd_phase_sweep(args) -> int:
     tau_path = out / "tau.csv"
     write_csv(tau_path, TAU_SCHEMA, _TAU_HEADER, [_tau_row(p) for p in points])
     print(f"{len(points)} sweep cells -> {tau_path}")
-    if cfg.collapse:
-        pts = _collapse_points(points)
-        result = data_collapse(pts, return_grid=cfg.collapse_grid)
-        fit, grid = result if cfg.collapse_grid else (result, None)
-        _write_collapse(out, fit, grid)
-        print(f"collapse: eps_c={fit.eps_c:.4f} nu={fit.nu:.3f} -> {out / 'collapse.csv'}")
     return 0
 
 
@@ -389,7 +198,7 @@ def cmd_benchmark(args) -> int:
     cfg = _resolved_config(args)
     out = _outdir(cfg)
     for eps in cfg.epsilons:
-        circuit = _build_instance(cfg, eps)
+        circuit = cfg.instance(eps, cfg.lx_list[0], cfg.ly, cfg.seeds[0])
         tag = _eps_tag(eps)
         save_circuit(out / f"instance_eps{tag}.json", circuit)
         rng = sweep_rng(cfg.seeds[0], 1)
@@ -397,15 +206,7 @@ def cmd_benchmark(args) -> int:
             "".join(str(b) for b in rng.integers(0, 2, circuit.lattice.n_sites))
             for _ in range(cfg.n_bitstrings)
         ]
-        rows = benchmark_ratios(
-            circuit,
-            z_list,
-            cfg.n_trajectories,
-            master_seed=cfg.seeds[0],
-            form=cfg.form(eps),
-            policy=cfg.policy(),
-            reference=cfg.reference,
-        )
+        rows = benchmark_ratios(cfg, eps, circuit, z_list)
         table = [
             [
                 r["z"], r["K"], f"{r['p_hat']:.10e}", f"{r['se_hat']:.4e}",
@@ -428,21 +229,34 @@ def cmd_collapse(args) -> int:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, header, raw_rows = read_csv(args.table, expect_schema=TAU_SCHEMA)
-    idx = {name: header.index(name) for name in ("epsilon", "L_x", "tau_over_lx")}
-    rows = [
-        {
-            "epsilon": float(r[idx["epsilon"]]),
-            "L_x": int(r[idx["L_x"]]),
-            "tau_over_lx": float(r[idx["tau_over_lx"]]),
-        }
-        for r in raw_rows
-    ]
-    pts = _collapse_points(rows)
-    want_grid = cfg.collapse_grid or args.grid
-    result = data_collapse(pts, return_grid=want_grid)
-    fit, grid = result if want_grid else (result, None)
-    _write_collapse(out, fit, grid)
+    _, header, rows = read_csv(args.table, expect_schema=TAU_SCHEMA)
+    i_eps, i_lx, i_y = (header.index(name) for name in ("epsilon", "L_x", "tau_over_lx"))
+    by_cell: dict = {}
+    for r in rows:
+        if np.isfinite(float(r[i_y])):
+            by_cell.setdefault((float(r[i_eps]), int(r[i_lx])), []).append(float(r[i_y]))
+    pts = [(eps, l_x, float(np.mean(ys))) for (eps, l_x), ys in sorted(by_cell.items())]
+    result = data_collapse(pts, return_grid=args.grid)
+    fit, grid = result if args.grid else (result, None)
+    write_csv(
+        out / "collapse.csv",
+        COLLAPSE_SCHEMA,
+        ["eps_c", "nu", "r_min", "eps_lo", "eps_hi", "nu_lo", "nu_hi", "identifiable"],
+        [[
+            f"{fit.eps_c:.6f}", f"{fit.nu:.4f}", f"{fit.r_min:.8e}",
+            f"{fit.box[0]:.6f}", f"{fit.box[1]:.6f}",
+            f"{fit.box[2]:.4f}", f"{fit.box[3]:.4f}",
+            int(fit.identifiable),
+        ]],
+    )
+    if grid is not None:
+        eps_grid, nu_grid, r = grid
+        rows = [
+            [f"{e:.6f}", f"{n:.4f}", f"{r[i, j]:.8e}"]
+            for i, e in enumerate(eps_grid)
+            for j, n in enumerate(nu_grid)
+        ]
+        write_csv(out / "collapse_grid.csv", COLLAPSE_GRID_SCHEMA, ["eps_c", "nu", "r"], rows)
     print(
         f"eps_c={fit.eps_c:.4f} nu={fit.nu:.3f} r_min={fit.r_min:.3e} "
         f"identifiable={fit.identifiable} -> {out / 'collapse.csv'}"
@@ -516,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("phase-sweep", help="purification tau table, optional collapse")
+    p = sub.add_parser("phase-sweep", help="purification tau table over (epsilon, L_x, seed)")
     common(p)
     p.set_defaults(func=cmd_phase_sweep)
 

@@ -1,6 +1,7 @@
-"""Sweep drivers behind the CLI's phase-sweep and benchmark subcommands.
+"""The experiment config and the sweep drivers behind phase-sweep and benchmark.
 
-Two kinds of cells:
+ExperimentConfig is the one description of a run, from the YAML file down
+to the drivers. Two kinds of cells:
 
 * purification points: reference-qubit entropy decay along the sweep
   direction, fitted to tau per (epsilon, L_x, seed),
@@ -13,21 +14,176 @@ sweep results are independent of evaluation order and worker scheduling.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
+from pathlib import Path
+
 import numpy as np
+import yaml
 
 from .analysis import AnalysisError, fit_tau
 from .channels import NoiseModel
-from .lightcone import Circuit2D, build_lattice, compile_sebd, random_instance
-from .mps import DEFAULT_POLICY, TruncationPolicy
+from .lightcone import (
+    GATE_FAMILIES,
+    LAYER_LABELS,
+    Circuit2D,
+    build_lattice,
+    compile_sebd,
+    random_instance,
+)
+from .mps import TruncationPolicy
 from .oracles.dense import dense_evolve
 from .oracles.mpo import ORACLE_POLICY, mpo_evolve
-from .sampler import RunConfig, estimate_probability, purification_run
+from .sampler import SEED_LIMIT, RunConfig, estimate_probability, purification_run
 
 __all__ = [
+    "ConfigError",
+    "ExperimentConfig",
+    "config_from_mapping",
+    "load_config",
     "sweep_rng",
     "purification_point",
     "benchmark_ratios",
 ]
+
+LATTICE_KINDS = ("square", "heavy-hex")
+NOISE_KINDS = ("dephasing", "depolarizing", "amplitude-damping")
+REFERENCES = ("auto", "dense", "mpo")
+TELEMETRY_FIELDS = ("entropy",)
+
+
+class ConfigError(ValueError):
+    """Malformed or inconsistent experiment configuration."""
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    lattice: str = "square"
+    ly: int | None = None
+    schedule: str = "ABCD"
+    gate_family: str = "fsim"
+    noise_kind: str = "depolarizing"
+    unravel_form: str | None = None
+    epsilons: tuple = (0.0,)
+    lx_list: tuple = (4,)
+    seeds: tuple = (0,)
+    n_trajectories: int = 100
+    aspect: int = 3
+    chi_max: int = 256
+    svd_cutoff: float = 1e-12
+    n_bitstrings: int = 10
+    reference: str = "auto"
+    telemetry: tuple = ()
+    output_dir: str = "out"
+
+    def __post_init__(self):
+        if self.lattice not in LATTICE_KINDS:
+            raise ConfigError(f"lattice must be one of {LATTICE_KINDS}")
+        if self.gate_family not in GATE_FAMILIES:
+            raise ConfigError(f"gate_family must be one of {GATE_FAMILIES}")
+        if self.noise_kind not in NOISE_KINDS:
+            raise ConfigError(f"noise_kind must be one of {NOISE_KINDS}")
+        model = NoiseModel(self.noise_kind, 0.0)
+        if self.unravel_form is not None and self.unravel_form not in model.forms():
+            raise ConfigError(
+                f"unravel_form {self.unravel_form!r} not valid for "
+                f"{self.noise_kind}; choose from {model.forms()}"
+            )
+        if not self.schedule or set(self.schedule) - set(LAYER_LABELS):
+            raise ConfigError(f"schedule must be a non-empty string over {LAYER_LABELS!r}")
+        for name in ("epsilons", "lx_list", "seeds"):
+            if not getattr(self, name):
+                raise ConfigError(f"sweep axis {name} must be non-empty")
+        if any(not 0 <= s < SEED_LIMIT for s in self.seeds):
+            raise ConfigError("seeds must lie in [0, 2**63)")
+        if any(e < 0 for e in self.epsilons):
+            raise ConfigError("epsilons must be non-negative")
+        if any(l < 2 for l in self.lx_list):
+            raise ConfigError("lx_list entries must be at least 2")
+        if self.n_trajectories < 1:
+            raise ConfigError("n_trajectories must be positive")
+        if self.aspect < 3:
+            # fit_tau fits rows [L_x, 2*L_x], so a strip needs more than 2*L_x rows
+            raise ConfigError("aspect must be at least 3 to hold the fit window [L_x, 2*L_x]")
+        if self.chi_max < 1 or self.svd_cutoff < 0:
+            raise ConfigError("invalid truncation policy")
+        if self.n_bitstrings < 1:
+            raise ConfigError("n_bitstrings must be positive")
+        if self.reference not in REFERENCES:
+            raise ConfigError(f"reference must be one of {REFERENCES}")
+        bad = set(self.telemetry) - set(TELEMETRY_FIELDS)
+        if bad:
+            raise ConfigError(f"unknown telemetry fields {sorted(bad)}")
+
+    def policy(self) -> TruncationPolicy:
+        return TruncationPolicy(chi_max=self.chi_max, svd_cutoff=self.svd_cutoff)
+
+    def noise(self, epsilon: float) -> NoiseModel | None:
+        return NoiseModel(self.noise_kind, epsilon) if epsilon > 0 else None
+
+    def form(self, epsilon: float) -> str | None:
+        if epsilon <= 0:
+            return None
+        return self.unravel_form or NoiseModel(self.noise_kind, epsilon).forms()[0]
+
+    def instance(self, epsilon: float, l_x: int, l_y: int | None, seed: int) -> Circuit2D:
+        """Random circuit on an l_x-wide lattice of this config's kind.
+
+        A square lattice without l_y is l_x by l_x; heavy-hex derives its rows.
+        """
+        if l_y is None and self.lattice == "square":
+            l_y = l_x
+        lat = build_lattice(self.lattice, l_x, l_y)
+        return random_instance(lat, self.schedule, self.gate_family, self.noise(epsilon), seed)
+
+
+_COERCE = {
+    "n_trajectories": int,
+    "aspect": int,
+    "chi_max": int,
+    "svd_cutoff": float,
+    "n_bitstrings": int,
+}
+_TUPLES = {
+    "epsilons": float,
+    "lx_list": int,
+    "seeds": int,
+    "telemetry": str,
+}
+
+
+def config_from_mapping(raw: dict) -> ExperimentConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a key: value mapping")
+    known = {f.name for f in fields(ExperimentConfig)}
+    unknown = set(raw) - known
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    kwargs = {}
+    for key, value in raw.items():
+        if key in _TUPLES:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{key} must be a list")
+            kwargs[key] = tuple(_TUPLES[key](v) for v in value)
+        elif key == "ly":
+            kwargs[key] = None if value is None else int(value)
+        elif key in _COERCE:
+            kwargs[key] = _COERCE[key](value)
+        else:
+            kwargs[key] = value
+    try:
+        return ExperimentConfig(**kwargs)
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(str(exc)) from exc
+
+
+def load_config(path) -> ExperimentConfig:
+    try:
+        raw = yaml.safe_load(Path(path).read_text())
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return config_from_mapping(raw or {})
 
 
 def sweep_rng(master_seed: int, *path) -> np.random.Generator:
@@ -41,44 +197,28 @@ def sweep_rng(master_seed: int, *path) -> np.random.Generator:
 # Purification sweeps
 
 
-def purification_point(
-    epsilon: float,
-    l_x: int,
-    seed: int,
-    *,
-    schedule: str = "ABCD",
-    gate_family: str = "fsim",
-    noise_kind: str = "depolarizing",
-    form: str = "weak-tetrahedron",
-    aspect: int = 3,
-    n_trajectories: int = 20,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    lattice_kind: str = "square",
-) -> dict:
+def purification_point(cfg: ExperimentConfig, epsilon: float, l_x: int, seed: int) -> dict:
     """One (epsilon, L_x, seed) cell: run purification and fit tau.
 
-    The strip is l_x wide and aspect*l_x rows long so the fit window
+    The strip is l_x wide and cfg.aspect*l_x rows long, so the fit window
     [l_x, 2*l_x] is fully inside the sweep. A non-decaying series
     (volume-law phase at this size) is reported with tau = inf rather than
     raising, so sweep tables stay rectangular.
     """
-    lat = build_lattice(lattice_kind, l_x, aspect * l_x)
-    noise = NoiseModel(noise_kind, epsilon) if epsilon > 0 else None
-    circuit = random_instance(lat, schedule, gate_family, noise, seed)
-    eff = compile_sebd(circuit, form if noise is not None else None)
-    cfg = RunConfig(
+    eff = compile_sebd(cfg.instance(epsilon, l_x, cfg.aspect * l_x, seed), cfg.form(epsilon))
+    run = RunConfig(
         eff,
-        policy=policy,
-        n_trajectories=n_trajectories,
+        policy=cfg.policy(),
+        n_trajectories=cfg.n_trajectories,
         master_seed=seed,
         reference_site=eff.n_sites // 2,
     )
-    series = purification_run(cfg)
+    series = purification_run(run)
     row = {
         "epsilon": epsilon,
         "L_x": l_x,
         "seed": seed,
-        "n_trajectories": n_trajectories,
+        "n_trajectories": cfg.n_trajectories,
         "n_rows": len(series),
         "s_final": float(series[-1]),
     }
@@ -94,48 +234,40 @@ def purification_point(
 # Benchmark ratio tables
 
 
-def benchmark_ratios(
-    circuit: Circuit2D,
-    z_list,
-    n_trajectories: int,
-    master_seed: int = 0,
-    *,
-    form: str | None = None,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    reference: str = "auto",
-) -> list:
+def benchmark_ratios(cfg: ExperimentConfig, epsilon: float, circuit: Circuit2D, z_list) -> list:
     """Sampler estimate vs reference probability for each target bitstring.
 
-    reference 'auto' picks the dense oracle up to 8 qubits and the MPO
-    oracle beyond; rows carry the ratio p_hat/p_ref with its standard
-    error scaled by the same reference.
+    The sampler runs cfg.n_trajectories trajectories from cfg.seeds[0]
+    with cfg.form(epsilon). Reference 'auto' picks the dense oracle up to
+    8 qubits and the MPO oracle beyond; rows carry the ratio p_hat/p_ref
+    with its standard error scaled by the same reference.
     """
+    reference = cfg.reference
     if reference == "auto":
         reference = "dense" if circuit.lattice.n_sites <= 8 else "mpo"
     if reference == "dense":
         p_of = dense_evolve(circuit).probability
-    elif reference == "mpo":
+    else:
         plain = compile_sebd(circuit)  # the oracle takes the channel's own Kraus form
 
         def p_of(bits):
             return mpo_evolve(plain, policy=ORACLE_POLICY, z=list(bits)).trace()
-    else:
-        raise ValueError(f"unknown reference method {reference!r}")
-    cfg = RunConfig(
-        compile_sebd(circuit, form),
-        policy=policy,
-        n_trajectories=n_trajectories,
-        master_seed=master_seed,
+
+    run = RunConfig(
+        compile_sebd(circuit, cfg.form(epsilon)),
+        policy=cfg.policy(),
+        n_trajectories=cfg.n_trajectories,
+        master_seed=cfg.seeds[0],
     )
     rows = []
     for z in z_list:
         bits = [int(b) for b in z]
-        p_hat, se = estimate_probability(cfg, bits)
+        p_hat, se = estimate_probability(run, bits)
         p_ref = p_of(bits)
         rows.append(
             {
                 "z": "".join(str(b) for b in bits),
-                "K": n_trajectories,
+                "K": cfg.n_trajectories,
                 "p_hat": p_hat,
                 "se_hat": se,
                 "p_ref": p_ref,

@@ -286,7 +286,6 @@ class MeasureReset:
 class EffectiveCircuit1D:
     n_sites: int
     rows: tuple
-    strategy: str
 
     def events(self):
         for row in self.rows:
@@ -449,16 +448,16 @@ def _periodic_slots(lat: Lattice2D, rows_abstract, first, last):
     best = None
     for W in (2, 3, 4):
         for r in range(W):
-            for name, fn in (
-                (f"periodic-col-{W}-{r}", lambda x, y: W * x + (y + r) % W),
-                (f"periodic-row-{W}-{r}", lambda x, y: ((y + r) % W) * lat.L_x + x),
+            for fn in (
+                lambda x, y: W * x + (y + r) % W,  # W slots per column
+                lambda x, y: ((y + r) % W) * lat.L_x + x,  # L_x slots per row
             ):
                 assign = [fn(x, y) for x, y in lat.sites]
                 if not _map_ok(assign, first, last):
                     continue
                 assign, score = _map_score(assign, rows_abstract)
-                if best is None or score < best[2]:
-                    best = (name, assign, score)
+                if best is None or score < best[1]:
+                    best = (assign, score)
     return best
 
 
@@ -485,8 +484,7 @@ def _dynamic_slots(lat: Lattice2D, rows_abstract, first, last, partners):
             release.append(-1)
         assign[s] = k
         release[k] = last[s]
-    assign, score = _map_score(assign, rows_abstract)
-    return "dynamic", assign, score
+    return _map_score(assign, rows_abstract)
 
 
 def compile_sebd(circuit: Circuit2D, unraveling=None) -> EffectiveCircuit1D:
@@ -517,7 +515,7 @@ def compile_sebd(circuit: Circuit2D, unraveling=None) -> EffectiveCircuit1D:
     chosen = _periodic_slots(lat, rows_abstract, first, last)
     if chosen is None:
         chosen = _dynamic_slots(lat, rows_abstract, first, last, partners)
-    strategy, assign, (n_used, _) = chosen
+    assign, (n_used, _) = chosen
 
     # (layer, site) pairs whose noise rides on that layer's gate
     gated = {
@@ -537,4 +535,4 @@ def compile_sebd(circuit: Circuit2D, unraveling=None) -> EffectiveCircuit1D:
             else:
                 out.append(MeasureReset(assign[ev[1]], lat.sites[ev[1]]))
         rows.append(tuple(out))
-    return EffectiveCircuit1D(n_sites=n_used, rows=tuple(rows), strategy=strategy)
+    return EffectiveCircuit1D(n_sites=n_used, rows=tuple(rows))

@@ -219,7 +219,7 @@ class MatrixProductState:
     """Open-boundary MPS over qubits with an optional attached reference site.
 
     Public site indices always refer to system qubits; the reference (if
-    attached) is addressed only through its handle and never takes part in
+    attached) is read only by reference_entropy and never takes part in
     gates, noise, or measurements. ``lanes`` is None for a one-lane state;
     in a lane state it lists the ids of the live lanes in tensor order.
     """

@@ -132,7 +132,7 @@ class DenseVector:
         evals = np.clip(np.linalg.eigvalsh(rho).real, 0.0, None)
         return _spectrum_entropy(evals / evals.sum(), n)
 
-    def attach_reference(self, site: int) -> int:
+    def attach_reference(self, site: int) -> None:
         """Mirror of the MPS Bell-pair attach: insert |0>, then H and CNOT."""
         if self._ref is not None:
             raise ValueError("reference already attached")
@@ -142,9 +142,8 @@ class DenseVector:
         # partner index unchanged: it sits left of the new axis
         self._apply_axis(_H, (ax,))
         self._apply_axis(_CNOT, (ax, ax + 1))
-        return 0
 
-    def reference_entropy(self, handle: int = 0) -> float:
+    def reference_entropy(self) -> float:
         if self._ref is None:
             raise ValueError("no reference attached")
         ax = self._ref

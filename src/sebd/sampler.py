@@ -63,10 +63,11 @@ class TrajectoryRecord:
 
     z maps each readout's 2D coordinate to its bit (one entry per lattice
     site). m lists the sampled Kraus index of every noise event in stream
-    order. entropies holds one tuple per row-step with the von Neumann
-    entropy at each configured bond cut; ref_entropies likewise tracks the
-    attached reference qubit. A failed trajectory carries the error text in
-    `failed` and partial telemetry; it is never silently dropped.
+    order. entropies holds the von Neumann entropy at the mid-chain cut
+    after every row-step, when the run asks for it; ref_entropies likewise
+    tracks the attached reference qubit. A failed trajectory carries the
+    error text in `failed` and partial telemetry; it is never silently
+    dropped.
     """
 
     seed: int
@@ -91,16 +92,17 @@ class RunConfig:
     """Shared immutable configuration for a batch of trajectories.
 
     circuit is the effective 1D circuit from compile_sebd, whose noise
-    unraveling was chosen when it was compiled. entropy_cuts selects bond
-    cuts recorded after every row-step; reference_site attaches a
-    Bell-pair probe to that chain site before the first row.
+    unraveling was chosen when it was compiled. mid_entropy records the
+    entropy at the mid-chain cut (n_sites // 2) after every row-step;
+    reference_site attaches a Bell-pair probe to that chain site before
+    the first row.
     """
 
     circuit: EffectiveCircuit1D
     policy: TruncationPolicy = DEFAULT_POLICY
     n_trajectories: int = 1
     master_seed: int = 0
-    entropy_cuts: tuple | None = None
+    mid_entropy: bool = False
     reference_site: int | None = None
 
     def __post_init__(self):
@@ -112,8 +114,6 @@ class RunConfig:
             raise SamplerError(
                 f"cannot run {type(self.circuit).__name__}; compile it with compile_sebd"
             )
-        if self.entropy_cuts is not None:
-            self.entropy_cuts = tuple(int(c) for c in self.entropy_cuts)
 
 
 def _trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -182,8 +182,8 @@ def run_trajectory(cfg: RunConfig, index: int) -> TrajectoryRecord:
                 elif isinstance(ev, Gate) and ev.j is not None:
                     chi_max = max(chi_max, psi.max_bond())
             chi_max = max(chi_max, psi.max_bond())
-            if cfg.entropy_cuts is not None:
-                entropies.append(tuple(psi.entropy(c) for c in cfg.entropy_cuts))
+            if cfg.mid_entropy:
+                entropies.append(psi.entropy(eff.n_sites // 2))
             if cfg.reference_site is not None:
                 refs.append(psi.reference_entropy())
     except MpsError as exc:

@@ -208,11 +208,28 @@ def test_phase_sweep_table_matches_pointwise_for_any_worker_count(tmp_path):
     schema, header, rows = read_csv(tmp_path / "out1" / "tau.csv")
     assert schema == TAU_SCHEMA
     assert [row[header.index("seed")] for row in rows] == ["1", "2"]
-    policy = load_config(config).policy()
     for row in rows:
         seed = int(row[header.index("seed")])
-        point = purification_point(0.25, 4, seed, n_trajectories=2, policy=policy)
+        point = purification_point(load_config(config), 0.25, 4, seed)
         assert row[header.index("n_rows")] == str(point["n_rows"])
         for key in ("s_final", "tau", "tau_over_lx", "residual"):
             assert row[header.index(key)] == f"{point[key]:.8e}"
         assert row[header.index("status")] == point["status"]
+
+
+@pytest.mark.parametrize(
+    "strip, why",
+    (
+        # a heavy-hex strip of width L_x has L_x - 2 rows
+        ("lattice: heavy-hex\nlx_list: [7]\n", "phase-sweep needs lattice square"),
+        # 2*L_x rows end where the fit window [L_x, 2*L_x] does
+        ("lx_list: [3]\naspect: 2\n", "aspect must be at least 3"),
+    ),
+)
+def test_phase_sweep_refuses_strips_without_the_fit_window(tmp_path, capsys, strip, why):
+    config = tmp_path / "config.yaml"
+    config.write_text(strip + "epsilons: [0.2]\nn_trajectories: 1\n")
+    out = tmp_path / "out"
+    assert main(["phase-sweep", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {why}")
+    assert not (out / "tau.csv").exists()

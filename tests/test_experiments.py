@@ -6,7 +6,13 @@ import pytest
 
 import sebd.experiments
 from sebd.channels import NoiseModel
-from sebd.experiments import benchmark_ratios, purification_point, sweep_rng
+from sebd.experiments import (
+    ConfigError,
+    ExperimentConfig,
+    benchmark_ratios,
+    purification_point,
+    sweep_rng,
+)
 from sebd.lightcone import build_lattice, compile_sebd, random_instance
 
 class TestSweepRng:
@@ -30,14 +36,15 @@ class TestSweepRng:
 
 class TestPurification:
     def test_row_fields_and_determinism(self):
-        row = purification_point(0.2, 4, seed=9, n_trajectories=3)
-        again = purification_point(0.2, 4, seed=9, n_trajectories=3)
+        cfg = ExperimentConfig(n_trajectories=3)
+        row = purification_point(cfg, 0.2, 4, 9)
+        again = purification_point(cfg, 0.2, 4, 9)
         assert row == again
         assert row["L_x"] == 4 and row["n_rows"] == 12
         assert row["status"] == "ok" or np.isinf(row["tau"])
 
     def test_strong_noise_decays(self):
-        row = purification_point(0.2, 4, seed=2, n_trajectories=4)
+        row = purification_point(ExperimentConfig(n_trajectories=4), 0.2, 4, 2)
         assert row["status"] == "ok"
         assert 0 < row["tau"] < 50
         assert row["s_final"] < 0.2
@@ -52,24 +59,28 @@ class TestBenchmarkRatios:
         return random_instance(build_lattice("square", 2, 3), "ABC", "fsim", noise, seed=6)
 
     def test_noiseless_ratios_are_exact(self):
-        rows = benchmark_ratios(self.noiseless_circuit(), ["000000", "010110"], 2)
+        cfg = ExperimentConfig(n_trajectories=2)
+        rows = benchmark_ratios(cfg, 0.0, self.noiseless_circuit(), ["000000", "010110"])
         for row in rows:
             assert row["reference"] == "dense"
             assert row["ratio"] == pytest.approx(1.0, abs=1e-9)
             assert row["se_hat"] == pytest.approx(0.0, abs=1e-12)
 
     def test_noisy_ratio_within_errorbars(self):
-        rows = benchmark_ratios(
-            self.noisy_circuit(), ["000000"], 200, master_seed=3, form="weak-tetrahedron"
-        )
+        cfg = ExperimentConfig(n_trajectories=200, seeds=(3,), unravel_form="weak-tetrahedron")
+        rows = benchmark_ratios(cfg, 0.1, self.noisy_circuit(), ["000000"])
         (row,) = rows
         assert row["se_hat"] > 0
         assert abs(row["ratio"] - 1.0) < 5 * row["ratio_se"]
 
     def test_mpo_reference_agrees_with_dense(self):
         c = self.noisy_circuit()
-        dense_row = benchmark_ratios(c, ["110010"], 4, reference="dense")[0]
-        mpo_row = benchmark_ratios(c, ["110010"], 4, reference="mpo")[0]
+
+        def row(reference):
+            cfg = ExperimentConfig(n_trajectories=4, reference=reference)
+            return benchmark_ratios(cfg, 0.1, c, ["110010"])[0]
+
+        dense_row, mpo_row = row("dense"), row("mpo")
         assert mpo_row["p_ref"] == pytest.approx(dense_row["p_ref"], rel=1e-8)
         assert mpo_row["p_hat"] == dense_row["p_hat"]
 
@@ -84,14 +95,15 @@ class TestBenchmarkRatios:
             return compile_sebd(circuit, unraveling)
 
         monkeypatch.setattr(sebd.experiments, "compile_sebd", counted)
-        rows = benchmark_ratios(
-            self.noisy_circuit(), ["000000", "010110", "111000"], 3,
-            form="weak-tetrahedron", reference=reference,
+        cfg = ExperimentConfig(
+            n_trajectories=3, unravel_form="weak-tetrahedron", reference=reference
         )
+        rows = benchmark_ratios(cfg, 0.1, self.noisy_circuit(), ["000000", "010110", "111000"])
         assert len(rows) == 3
         assert len(calls) == compiles
         assert calls.count("weak-tetrahedron") == 1
 
     def test_unknown_reference_rejected(self):
-        with pytest.raises(ValueError, match="reference"):
-            benchmark_ratios(self.noiseless_circuit(), ["000000"], 1, reference="guess")
+        # the config checks the reference once, where it enters
+        with pytest.raises(ConfigError, match="reference"):
+            ExperimentConfig(reference="guess")
