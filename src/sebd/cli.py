@@ -18,7 +18,11 @@ trajectory runs; the sampler takes only compiled circuits. All randomness
 flows from the config seeds, so reruns with the same config produce
 byte-identical outputs. --workers parallelizes over trajectories (sample)
 or sweep cells (phase-sweep); results are reduced in deterministic order
-either way. phase-sweep runs on the square lattice only, whose strips of
+either way. Each subcommand takes only the flags it reads (benchmark also
+accepts --workers, which it ignores). sample and benchmark run one
+instance, so a config whose lx_list or seeds holds more than one entry is
+refused before any output is written (--seed-override replaces seeds with
+one seed). phase-sweep runs on the square lattice only, whose strips of
 aspect*L_x rows (aspect >= 3) hold tau's fit window of rows [L_x, 2*L_x].
 
 Config keys (defaults in parentheses):
@@ -85,6 +89,17 @@ def _resolved_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _one_instance(cfg: ExperimentConfig, command: str) -> ExperimentConfig:
+    """cfg, if it names one L_x and one seed; sample and benchmark run one instance."""
+    for key in ("lx_list", "seeds"):
+        values = getattr(cfg, key)
+        if len(values) != 1:
+            raise ConfigError(
+                f"{command} runs one instance: {key} must hold one entry, got {list(values)}"
+            )
+    return cfg
+
+
 def _outdir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -100,7 +115,7 @@ def _eps_tag(epsilon: float) -> str:
 
 
 def cmd_sample(args) -> int:
-    cfg = _resolved_config(args)
+    cfg = _one_instance(_resolved_config(args), "sample")
     out = _outdir(cfg)
     policy = cfg.policy()
     entropy = "entropy" in cfg.telemetry
@@ -195,7 +210,7 @@ _BENCH_HEADER = ["z", "K", "p_hat", "se_hat", "p_ref", "reference", "ratio", "ra
 
 
 def cmd_benchmark(args) -> int:
-    cfg = _resolved_config(args)
+    cfg = _one_instance(_resolved_config(args), "benchmark")
     out = _outdir(cfg)
     for eps in cfg.epsilons:
         circuit = cfg.instance(eps, cfg.lx_list[0], cfg.ly, cfg.seeds[0])
@@ -319,33 +334,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config_and_out(p):
         p.add_argument("--config", help="YAML experiment config")
-        p.add_argument("--workers", type=int, default=1, help="worker process count")
-        p.add_argument("--seed-override", type=int, default=None,
-                       help="replace the config seed list with this single seed")
         p.add_argument("--out", default=None, help="override the config output_dir")
 
-    p = sub.add_parser("sample", help="draw trajectories, write bitstreams + telemetry")
-    common(p)
-    p.set_defaults(func=cmd_sample)
+    def seed_override(p):
+        p.add_argument("--seed-override", type=int, default=None,
+                       help="replace the config seed list with this single seed")
 
-    p = sub.add_parser("phase-sweep", help="purification tau table over (epsilon, L_x, seed)")
-    common(p)
-    p.set_defaults(func=cmd_phase_sweep)
+    def workers(p):
+        p.add_argument("--workers", type=int, default=1, help="worker process count")
 
-    p = sub.add_parser("benchmark", help="sampler vs reference probability ratios")
-    common(p)
-    p.set_defaults(func=cmd_benchmark)
+    # benchmark reads no --workers; it accepts the flag because perfbench
+    # passes --workers 1 to every command it times
+    for name, func, help_text in (
+        ("sample", cmd_sample, "draw trajectories, write bitstreams + telemetry"),
+        ("phase-sweep", cmd_phase_sweep, "purification tau table over (epsilon, L_x, seed)"),
+        ("benchmark", cmd_benchmark, "sampler vs reference probability ratios"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        config_and_out(p)
+        seed_override(p)
+        workers(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("collapse", help="scaling collapse of an existing tau CSV")
-    common(p)
+    config_and_out(p)
     p.add_argument("table", help="tau CSV from phase-sweep")
     p.add_argument("--grid", action="store_true", help="also dump the R grid")
     p.set_defaults(func=cmd_collapse)
 
     p = sub.add_parser("unravel-optimize", help="unraveling cost and phase prediction")
-    common(p)
+    config_and_out(p)
+    seed_override(p)
     p.add_argument("kraus", nargs="?", default=None,
                    help="serialized Kraus JSON; numeric gauge search instead of config channels")
     p.set_defaults(func=cmd_unravel_optimize)

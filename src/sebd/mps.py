@@ -39,7 +39,10 @@ state takes a broadcast instead: the 2x2 operators of apply_1q and of
 Kraus sampling (the reduced state and the Born branch) act on the physical
 leg of all lanes at once, and a stacked SVD whose smaller side is 1 or 2
 (a two-site block next to a bond of dimension 1, a projected site next
-to one of dimension 1 or 2) is done in closed form (_robust_svd). Every lane
+to one of dimension 1 or 2) is done in closed form once the stack holds
+enough lanes (_robust_svd: at least 4 lanes when the smaller side is 1, at
+least 32 when it is 2; below that, stacked gesdd is as fast or faster,
+since the closed form costs about the same at any lane count). Every lane
 truncates by its own singular values under the same rule (svd_cutoff,
 chi_max, hard_fail_chi, and the 1e-14 cutoff after a projection): the
 tensors are padded to the largest rank of any lane, and each lane's values
@@ -95,21 +98,31 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
+# fewest lanes for which a stack with smaller side k takes _thin_svd, by k
+THIN_SVD_MIN_LANES = {1: 4, 2: 32}
+
+
 def _robust_svd(mat: np.ndarray):
     """Thin SVD (u, s, vh) of a matrix or a stack of them, s in descending order.
 
-    A stack (ndim > 2) whose smaller side is 1 or 2, a thin block of a
-    lane state, takes the closed form of _thin_svd. At these sizes LAPACK's
-    fixed cost per matrix outweighs the arithmetic (stacked gesdd took 2 to
-    7 us per matrix from 2x1 to 8x2 on a 2-vCPU x86 host, the closed form
-    0.2 to 2 us per lane at 128 lanes), and the closed form makes each step
-    one numpy call over all lanes. It gives the singular values to about
-    eps * s_max, as gesdd does, and U and V orthonormal to 1e-13,
-    rank-deficient and all-zero lanes included. Every other input goes to
-    LAPACK's gesdd, and where that fails to converge, to gesvd.
+    A stack (ndim > 2) whose smaller side k is 1 or 2, a thin block of a
+    lane state, takes the closed form of _thin_svd when it holds at least
+    THIN_SVD_MIN_LANES[k] lanes. At these sizes LAPACK's fixed cost per
+    matrix outweighs the arithmetic (stacked gesdd took 2 to 7 us per
+    matrix from 2x1 to 8x2 on a 2-vCPU x86 host), and the closed form makes
+    each step one numpy call over all lanes, at a cost nearly flat in the
+    lane count: about 25 us at k = 1 and 100 to 250 us at k = 2 from 1 to
+    128 lanes on that host, against 19 to 400 and 16 to 860 us for gesdd.
+    The two break even near 4 lanes at k = 1 and 24 to 32 lanes at k = 2.
+    The closed form gives the singular values to about eps * s_max, as
+    gesdd does, and U and V orthonormal to 1e-13, rank-deficient and
+    all-zero lanes included. Every other input goes to LAPACK's gesdd, and
+    where that fails to converge, to gesvd.
     """
-    if mat.ndim > 2 and min(mat.shape[-2:]) <= 2:
-        return _thin_svd(mat)
+    if mat.ndim > 2:
+        k = min(mat.shape[-2:])
+        if k <= 2 and mat.shape[0] >= THIN_SVD_MIN_LANES[k]:
+            return _thin_svd(mat)
     try:
         return np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError:

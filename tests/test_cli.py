@@ -233,3 +233,36 @@ def test_phase_sweep_refuses_strips_without_the_fit_window(tmp_path, capsys, str
     assert main(["phase-sweep", "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {why}")
     assert not (out / "tau.csv").exists()
+
+
+@pytest.mark.parametrize("command", ("sample", "benchmark"))
+@pytest.mark.parametrize(
+    "axis, key", (("lx_list: [2, 3]\nseeds: [1]\n", "lx_list"), ("lx_list: [2]\nseeds: [1, 2]\n", "seeds"))
+)
+def test_one_instance_commands_refuse_sweep_axes(tmp_path, capsys, command, axis, key):
+    # they used to run lx_list[0] and seeds[0] and drop the other entries
+    config = tmp_path / "config.yaml"
+    config.write_text(axis + "ly: 2\nepsilons: [0.05]\nn_trajectories: 2\nn_bitstrings: 1\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command} runs one instance: {key} must hold one entry")
+    assert not out.exists()
+    if key == "seeds":  # --seed-override replaces the list with one seed
+        assert main([command, "--config", str(config), "--out", str(out), "--seed-override", "4"]) == 0
+        assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["collapse", "tau.csv", "--workers", "2"],
+        ["collapse", "tau.csv", "--seed-override", "3"],
+        ["unravel-optimize", "--config", "c.yaml", "--workers", "2"],
+    ),
+)
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -10,11 +10,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sebd import sampler
+from sebd import mps, sampler
 from sebd.channels import NoiseModel
+from sebd.cli import main
 from sebd.lightcone import build_lattice, compile_sebd, random_instance
 from sebd.mps import MatrixProductState, MpsError, TruncationPolicy
 from sebd.sampler import (
+    LANE_BYTES,
     RunConfig,
     _bits_by_coord,
     _block_weights,
@@ -22,6 +24,8 @@ from sebd.sampler import (
     _trajectory_rng,
     _uniform_tables,
     estimate_probability,
+    lane_blocks,
+    lane_bytes,
 )
 
 FAILED_RE = re.compile(r"(\d+) trajectories failed and were excluded")
@@ -85,17 +89,21 @@ def config(lattice, noise, epsilon, policy, seed, k):
     epsilon=st.sampled_from((0.05, 0.2)),
     policy=st.sampled_from(POLICIES),
     seed=st.integers(0, 10_000),
+    closed_form=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=30, deadline=None)
-def test_lane_weights_match_one_lane(lattice, noise, epsilon, policy, seed, data):
+def test_lane_weights_match_one_lane(lattice, noise, epsilon, policy, seed, closed_form, data):
     cfg = config(lattice, noise, epsilon, policy, seed, k=16)
     eff = cfg.circuit
     n = len(eff.coords())
     bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="target")
     target = _bits_by_coord(eff, bits)
     want = one_lane_weights(cfg, target)
-    got = _block_weights(cfg, eff, target, range(cfg.n_trajectories))
+    with pytest.MonkeyPatch.context() as patch:
+        if closed_form:  # every thin stack of the 16 lanes takes the closed-form SVD
+            patch.setattr(mps, "THIN_SVD_MIN_LANES", {1: 1, 2: 1})
+        got = _block_weights(cfg, eff, target, range(cfg.n_trajectories))
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     np.testing.assert_array_equal(got == 0.0, want == 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
@@ -112,14 +120,89 @@ def test_uniform_tables_are_the_trajectory_streams(seed):
             assert (got.view(np.uint64) == want.view(np.uint64)).all()
 
 
-def test_block_size_changes_nothing(monkeypatch):
-    cfg = config(("square", 3, 3), NOISES[0], 0.1, POLICIES[1], seed=5, k=7)
+@given(
+    k=st.integers(2, 12),
+    lanes=st.integers(1, 12),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=15, deadline=None)
+def test_block_size_changes_nothing(k, lanes, seed):
+    cfg = config(("square", 3, 3), NOISES[0], 0.1, POLICIES[1], seed=seed, k=k)
     bits = [1, 0, 0, 1, 1, 0, 1, 0, 0]
     whole = estimate_probability(cfg, bits)
-    monkeypatch.setattr(sampler, "LANE_BLOCK", 3)
-    blocks = estimate_probability(cfg, bits)
     assert whole[0] > 0.0
+    per_lane = lane_bytes(cfg.circuit.n_sites, cfg.policy.chi_max)
+    with pytest.MonkeyPatch.context() as patch:
+        # a budget of `lanes` lanes splits the k trajectories another way
+        patch.setattr(sampler, "LANE_BYTES", lanes * per_lane)
+        assert len(lane_blocks(cfg.circuit.n_sites, cfg.policy.chi_max, k)) == -(-k // lanes)
+        blocks = estimate_probability(cfg, bits)
     np.testing.assert_allclose(blocks, whole, rtol=1e-12, atol=0.0)
+
+
+@given(
+    n_sites=st.integers(1, 40),
+    chi_max=st.integers(1, 1024),
+    k=st.integers(1, 5000),
+)
+@settings(max_examples=200, deadline=None)
+def test_lane_blocks_split_evenly_under_the_budget(n_sites, chi_max, k):
+    blocks = lane_blocks(n_sites, chi_max, k)
+    assert [i for b in blocks for i in b] == list(range(k))
+    sizes = [len(b) for b in blocks]
+    assert max(sizes) - min(sizes) <= 1
+    lanes = max(1, LANE_BYTES // lane_bytes(n_sites, chi_max))
+    assert max(sizes) <= lanes
+    assert len(blocks) == -(-k // lanes)  # the fewest blocks that fit
+
+
+def test_lane_blocks_of_a_wide_chain_stay_under_the_budget():
+    # 12 slots at chi_max 256: bonds up to 64, 371328 bytes a lane, 180 lanes
+    assert lane_bytes(12, 256) == 371328
+    for k in (1, 179, 180, 181, 250, 1000, 10_000):
+        blocks = lane_blocks(12, 256, k)
+        assert all(len(b) * lane_bytes(12, 256) <= LANE_BYTES for b in blocks)
+        assert len(blocks) == -(-k // 180)
+
+
+def test_lane_bytes_bound_the_state():
+    # a lane state of a 3x4 strip, chi capped at 4 and uncapped: each lane's
+    # tensors stay within lane_bytes after every event
+    for chi_max in (4, 256):
+        policy = TruncationPolicy(chi_max=chi_max, svd_cutoff=0.0)
+        cfg = config(("square", 3, 4), NOISES[0], 0.05, policy, seed=2, k=4)
+        eff = cfg.circuit
+        bound = lane_bytes(eff.n_sites, chi_max)
+        psi = MatrixProductState.new_product_state(eff.n_sites, lanes=4)
+        rng = sampler._LaneUniforms(_uniform_tables(1, range(4), eff.counts()["noise"]))
+        widest = 0
+        for ev in eff.events():
+            if not _step(psi, ev, policy, rng, []):
+                psi.project_onto(ev.i, 0)
+            widest = max(widest, sum(t[0].nbytes for t in psi.tensors))
+        assert 32 * eff.n_sites < widest <= bound  # the bonds grew past a product state
+
+
+def test_benchmark_square_3x3_runs_as_one_lane_state(tmp_path, monkeypatch):
+    # the 3x3 strip compiles to 6 slots, 5760 bytes a lane: K = 250 is one block
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(
+        "lattice: square\nlx_list: [3]\nly: 3\nschedule: ABCD\ngate_family: fsim\n"
+        "noise_kind: depolarizing\nunravel_form: weak-tetrahedron\nepsilons: [0.05]\n"
+        "chi_max: 256\nsvd_cutoff: 1e-12\nn_trajectories: 250\nn_bitstrings: 1\n"
+        "reference: mpo\nseeds: [3]\n"
+    )
+    made = []
+    build = MatrixProductState.__dict__["new_product_state"].__func__
+
+    def spy(cls, n, bits=None, lanes=None):
+        made.append(lanes)
+        return build(cls, n, bits, lanes)
+
+    monkeypatch.setattr(MatrixProductState, "new_product_state", classmethod(spy))
+    assert lane_bytes(6, 256) == 5760
+    assert main(["benchmark", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    assert made == [250]
 
 
 def test_failed_lanes_counted_like_one_lane():

@@ -1,10 +1,11 @@
-"""The closed-form SVD of stacked thin blocks agrees with LAPACK's."""
+"""The closed-form SVD of stacked thin blocks agrees with LAPACK's at every lane count."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sebd.mps import _robust_svd
+from sebd import mps
+from sebd.mps import _thin_svd
 
 # how each lane is drawn: random, rank 1 (parallel columns or rows), one
 # zero column, all zero, and entries of modulus 1 (columns of exactly equal
@@ -37,7 +38,8 @@ def test_thin_stacked_svd_matches_lapack(side, length, kinds, exponent, seed):
     rng = np.random.default_rng(seed)
     m, n = {"m1": (length, 1), "1n": (1, length), "m2": (length, 2), "2n": (2, length)}[side]
     a = np.stack([lane(rng, kind, m, n) for kind in kinds]) * 10.0**exponent
-    u, s, vh = _robust_svd(a)
+    # called directly: _robust_svd sends stacks of few lanes to LAPACK
+    u, s, vh = _thin_svd(a)
     k = min(m, n)
     b = len(kinds)
     assert u.shape == (b, m, k) and s.shape == (b, k) and vh.shape == (b, k, n)
@@ -50,3 +52,18 @@ def test_thin_stacked_svd_matches_lapack(side, length, kinds, exponent, seed):
     want = np.linalg.svd(a, compute_uv=False)
     assert (np.abs(s - want) <= 1e-14 * want[:, :1]).all()
     assert (np.diff(s, axis=1) <= 0.0).all()
+
+
+def test_stacks_take_the_closed_form_from_their_lane_threshold(monkeypatch):
+    # few lanes go to LAPACK, where gesdd is as fast; one-lane matrices always do
+    taken = []
+    monkeypatch.setattr(mps, "_thin_svd", lambda a: taken.append(a.shape) or "closed")
+    for k, shape in ((1, (5, 1)), (1, (1, 3)), (2, (4, 2)), (2, (2, 8))):
+        least = mps.THIN_SVD_MIN_LANES[k]
+        for lanes in (1, least - 1, least, 2 * least):
+            a = np.ones((lanes,) + shape, dtype=complex)
+            closed = mps._robust_svd(a) == "closed"
+            assert closed == (lanes >= least), (shape, lanes)
+        assert mps._robust_svd(np.ones(shape, dtype=complex)) != "closed"
+    wide = np.ones((64, 3, 3), dtype=complex)
+    assert mps._robust_svd(wide) != "closed"
