@@ -12,12 +12,9 @@ and reads each slot out by measurement and reset; sample returns its
 records and purification_run averages their reference-qubit series.
 _block_weights runs a block of trajectory indices as the lanes of one
 state and projects each readout onto a target bit, for
-estimate_probability. lane_blocks sizes those blocks by memory: as many
-lanes as fit in LANE_BYTES (64 MiB) at lane_bytes each, the most one lane
-can hold on the chain, with the K trajectories split into ceil(K / lanes)
-blocks whose sizes differ by at most 1. A 6-slot chain (square 3x3) takes
-5760 bytes a lane, so any practical K runs as one lane state; a 12-slot
-chain at chi_max 256 takes 371328 bytes, 180 lanes a block.
+estimate_probability. The K trajectories split into ceil(K / LANE_BLOCK)
+blocks whose sizes differ by at most 1, so any K up to 256 runs as one
+lane state.
 
 One failure rule: an MpsError ends its trajectory and never leaves an
 entry point. sample keeps the failed record with its error text; the
@@ -47,9 +44,6 @@ __all__ = [
     "SEED_LIMIT",
     "run_trajectory",
     "sample",
-    "LANE_BYTES",
-    "lane_bytes",
-    "lane_blocks",
     "estimate_probability",
     "purification_run",
 ]
@@ -57,8 +51,8 @@ __all__ = [
 
 SEED_LIMIT = 2**63  # Philox keys are int64: a larger seed would lose bits
 
-# byte budget of one lane state of estimate_probability
-LANE_BYTES = 64 * 2**20
+# most trajectories per lane block of estimate_probability
+LANE_BLOCK = 256
 
 
 class SamplerError(ValueError):
@@ -264,34 +258,10 @@ class _LaneUniforms:
         return self.table[:, self.col - 1]
 
 
-def lane_bytes(n_sites: int, chi_max: int) -> int:
-    """The most bytes one lane of a lane state on n_sites slots can hold.
-
-    Bond c (c = 0..n_sites) has dimension at most
-    min(2**c, 2**(n_sites - c), chi_max). A lane holds its tensors, a
-    (chi_c, 2, chi_c+1) complex array per site, and at most one two-site
-    update at a time: the block theta (2 l, 2 r) across bonds l and r two
-    apart, and its SVD factors u (2 l, k) and vh (k, 2 r), k = min(2 l, 2 r).
-    Complex entries take 16 bytes.
-    """
-    bonds = [min(2**c, 2 ** (n_sites - c), chi_max) for c in range(n_sites + 1)]
-    tensors = sum(2 * a * b for a, b in zip(bonds, bonds[1:]))
-    update = max(
-        (4 * l * r + 2 * min(l, r) * (2 * l + 2 * r) for l, r in zip(bonds, bonds[2:])),
-        default=0,
-    )
-    return 16 * (tensors + update)
-
-
-def lane_blocks(n_sites: int, chi_max: int, k: int) -> list:
-    """Trajectory indices 0..k-1 as consecutive blocks, one lane state each.
-
-    A block holds at most LANE_BYTES // lane_bytes(n_sites, chi_max) lanes
-    (at least one), and the k indices split into the fewest such blocks,
-    whose sizes differ by at most 1.
-    """
-    lanes = max(1, LANE_BYTES // lane_bytes(n_sites, chi_max))
-    n_blocks = -(-k // lanes)
+def _lane_blocks(k: int) -> list:
+    """Trajectory indices 0..k-1 as the fewest consecutive blocks of at most
+    LANE_BLOCK, whose sizes differ by at most 1."""
+    n_blocks = -(-k // LANE_BLOCK)
     size, extra = divmod(k, n_blocks)
     starts = [b * size + min(b, extra) for b in range(n_blocks + 1)]
     return [range(a, b) for a, b in zip(starts, starts[1:])]
@@ -330,23 +300,23 @@ def estimate_probability(cfg: RunConfig, z_target) -> tuple:
     Returns (mean, standard error) over the non-failed trajectories.
 
     The trajectories run as the lanes of one MatrixProductState per block
-    of lane_blocks: as many lanes as fit in LANE_BYTES (64 MiB) when each
-    lane holds lane_bytes(n_sites, chi_max), its largest possible tensors
-    plus the widest two-site update, with the K trajectories split into
-    ceil(K / lanes) blocks whose sizes differ by at most 1. So a block's
-    state stays under 64 MiB however far the bonds grow; each lane's
-    uniform table, 8 bytes per noise event, comes on top. On the 6 slots
-    of a square 3x3 (5760 bytes a lane) K up to 11650 runs as one block.
-    Each lane's uniforms are drawn up front from its own stream,
+    of _lane_blocks: ceil(K / LANE_BLOCK) blocks whose sizes differ by at
+    most 1. Each lane's uniforms are drawn up front from its own stream,
     _trajectory_rng(master_seed, index): n draws at once are the same
     numbers as n single draws, so every lane makes the picks it would make
     alone. The block sizes change only speed and memory, and the results
-    at roundoff level.
+    at roundoff level. A block of B lanes stores 32 * B * sum_c chi_c *
+    chi_c+1 bytes of tensors for the bond dimensions chi_c along the chain,
+    at most 2688 bytes a lane on the 6 slots of a square 3x3, where no bond
+    exceeds 8; a two-site update's temporaries, the gate and Kraus
+    intermediates, LAPACK workspace and each lane's uniform table (8 bytes
+    per noise event) come on top.
     """
     eff = cfg.circuit
     target = _bits_by_coord(eff, z_target)
-    blocks = lane_blocks(eff.n_sites, cfg.policy.chi_max, cfg.n_trajectories)
-    weights = np.concatenate([_block_weights(cfg, eff, target, b) for b in blocks])
+    weights = np.concatenate([
+        _block_weights(cfg, eff, target, b) for b in _lane_blocks(cfg.n_trajectories)
+    ])
     arr = np.array(_drop_failed(weights, np.isnan(weights)))
     se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return float(arr.mean()), se

@@ -16,16 +16,14 @@ from sebd.cli import main
 from sebd.lightcone import build_lattice, compile_sebd, random_instance
 from sebd.mps import MatrixProductState, MpsError, TruncationPolicy
 from sebd.sampler import (
-    LANE_BYTES,
     RunConfig,
     _bits_by_coord,
     _block_weights,
+    _lane_blocks,
     _step,
     _trajectory_rng,
     _uniform_tables,
     estimate_probability,
-    lane_blocks,
-    lane_bytes,
 )
 
 FAILED_RE = re.compile(r"(\d+) trajectories failed and were excluded")
@@ -122,69 +120,38 @@ def test_uniform_tables_are_the_trajectory_streams(seed):
 
 @given(
     k=st.integers(2, 12),
-    lanes=st.integers(1, 12),
+    cap=st.integers(1, 12),
     seed=st.integers(0, 10_000),
 )
 @settings(max_examples=15, deadline=None)
-def test_block_size_changes_nothing(k, lanes, seed):
+def test_block_size_changes_nothing(k, cap, seed):
     cfg = config(("square", 3, 3), NOISES[0], 0.1, POLICIES[1], seed=seed, k=k)
     bits = [1, 0, 0, 1, 1, 0, 1, 0, 0]
     whole = estimate_probability(cfg, bits)
     assert whole[0] > 0.0
-    per_lane = lane_bytes(cfg.circuit.n_sites, cfg.policy.chi_max)
     with pytest.MonkeyPatch.context() as patch:
-        # a budget of `lanes` lanes splits the k trajectories another way
-        patch.setattr(sampler, "LANE_BYTES", lanes * per_lane)
-        assert len(lane_blocks(cfg.circuit.n_sites, cfg.policy.chi_max, k)) == -(-k // lanes)
+        # a cap of `cap` lanes splits the k trajectories another way
+        patch.setattr(sampler, "LANE_BLOCK", cap)
+        assert len(_lane_blocks(k)) == -(-k // cap)
         blocks = estimate_probability(cfg, bits)
     np.testing.assert_allclose(blocks, whole, rtol=1e-12, atol=0.0)
 
 
-@given(
-    n_sites=st.integers(1, 40),
-    chi_max=st.integers(1, 1024),
-    k=st.integers(1, 5000),
-)
+@given(k=st.integers(1, 5000), cap=st.integers(1, 1024))
 @settings(max_examples=200, deadline=None)
-def test_lane_blocks_split_evenly_under_the_budget(n_sites, chi_max, k):
-    blocks = lane_blocks(n_sites, chi_max, k)
+def test_lane_blocks_split_evenly_under_the_cap(k, cap):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler, "LANE_BLOCK", cap)
+        blocks = _lane_blocks(k)
     assert [i for b in blocks for i in b] == list(range(k))
     sizes = [len(b) for b in blocks]
     assert max(sizes) - min(sizes) <= 1
-    lanes = max(1, LANE_BYTES // lane_bytes(n_sites, chi_max))
-    assert max(sizes) <= lanes
-    assert len(blocks) == -(-k // lanes)  # the fewest blocks that fit
-
-
-def test_lane_blocks_of_a_wide_chain_stay_under_the_budget():
-    # 12 slots at chi_max 256: bonds up to 64, 371328 bytes a lane, 180 lanes
-    assert lane_bytes(12, 256) == 371328
-    for k in (1, 179, 180, 181, 250, 1000, 10_000):
-        blocks = lane_blocks(12, 256, k)
-        assert all(len(b) * lane_bytes(12, 256) <= LANE_BYTES for b in blocks)
-        assert len(blocks) == -(-k // 180)
-
-
-def test_lane_bytes_bound_the_state():
-    # a lane state of a 3x4 strip, chi capped at 4 and uncapped: each lane's
-    # tensors stay within lane_bytes after every event
-    for chi_max in (4, 256):
-        policy = TruncationPolicy(chi_max=chi_max, svd_cutoff=0.0)
-        cfg = config(("square", 3, 4), NOISES[0], 0.05, policy, seed=2, k=4)
-        eff = cfg.circuit
-        bound = lane_bytes(eff.n_sites, chi_max)
-        psi = MatrixProductState.new_product_state(eff.n_sites, lanes=4)
-        rng = sampler._LaneUniforms(_uniform_tables(1, range(4), eff.counts()["noise"]))
-        widest = 0
-        for ev in eff.events():
-            if not _step(psi, ev, policy, rng, []):
-                psi.project_onto(ev.i, 0)
-            widest = max(widest, sum(t[0].nbytes for t in psi.tensors))
-        assert 32 * eff.n_sites < widest <= bound  # the bonds grew past a product state
+    assert max(sizes) <= cap
+    assert len(blocks) == -(-k // cap)  # the fewest blocks that fit
 
 
 def test_benchmark_square_3x3_runs_as_one_lane_state(tmp_path, monkeypatch):
-    # the 3x3 strip compiles to 6 slots, 5760 bytes a lane: K = 250 is one block
+    # the benchmark_square_3x3 workload's K = 250 is one block
     config_path = tmp_path / "config.yaml"
     config_path.write_text(
         "lattice: square\nlx_list: [3]\nly: 3\nschedule: ABCD\ngate_family: fsim\n"
@@ -200,7 +167,6 @@ def test_benchmark_square_3x3_runs_as_one_lane_state(tmp_path, monkeypatch):
         return build(cls, n, bits, lanes)
 
     monkeypatch.setattr(MatrixProductState, "new_product_state", classmethod(spy))
-    assert lane_bytes(6, 256) == 5760
     assert main(["benchmark", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
     assert made == [250]
 
