@@ -16,9 +16,10 @@ hard errors so a typo cannot silently corrupt a sweep. sample, phase-sweep
 and benchmark compile each 2D instance with compile_sebd before any
 trajectory runs; the sampler takes only compiled circuits. All randomness
 flows from the config seeds, so reruns with the same config produce
-byte-identical outputs. --workers parallelizes over trajectories (sample)
-or sweep cells (phase-sweep); results are reduced in deterministic order
-either way. Each subcommand takes only the flags it reads (benchmark also
+byte-identical outputs. --workers parallelizes sample over its lane
+blocks of up to 256 trajectories, and phase-sweep over sweep cells;
+results are reduced in deterministic order either way. Each subcommand
+takes only the flags it reads (benchmark also
 accepts --workers, which it ignores). sample and benchmark run one
 instance, so a config whose lx_list or seeds holds more than one entry is
 refused before any output is written (--seed-override replaces seeds with

@@ -48,14 +48,17 @@ chi_max, hard_fail_chi, and the 1e-14 cutoff after a projection): the
 tensors are padded to the largest rank of any lane, and each lane's values
 past its own rank are zeroed and its kept ones renormalized, as a one-lane
 state would. ``ranks`` holds every lane's own bond dimensions,
-``bond_dims()`` the padded ones, and ``trunc_log`` the discarded weight
-summed over the lanes. In a lane state ``rng.random()`` returns one uniform
-for every lane id of the block, and each lane makes its own Born pick. A
-lane whose Born check or hard_fail_chi fails leaves the state, with the
-error text kept in ``failed``; a lane whose projection falls below the
+``bond_dims()`` the padded ones, ``discarded`` each lane's discarded
+weight by lane id, and ``trunc_log`` their sum. In a lane state
+``rng.random()`` returns one uniform for every lane id of the block, and
+each lane makes its own Born pick and its own measurement: its bit is 0
+when its uniform falls below its own p0. ``entropy`` returns one value per
+lane, from the stacked Schmidt values. A lane whose Born check,
+hard_fail_chi or measurement (a null branch) fails leaves the state, with
+the error text kept in ``failed``; a lane whose projection falls below the
 floor leaves it silently (its weight is 0). A one-lane state raises
-MpsError in both cases. Measurement with reset, the reference qubit,
-entropies and dense access take one-lane states only.
+MpsError in all these cases. The reference qubit, ``to_dense`` and
+``amplitude`` take one-lane states only.
 """
 
 from __future__ import annotations
@@ -244,7 +247,8 @@ class MatrixProductState:
             raise MpsError("empty tensor list")
         self.tensors = tensors
         self.center = center
-        self.trunc_log = 0.0
+        # discarded weight so far; in a lane state one entry per lane id
+        self.discarded: float | np.ndarray = 0.0
         self._ref: int | None = None
         self.lanes: np.ndarray | None = None
         self.ranks: np.ndarray | None = None  # (lanes, bonds): each lane's own bond dims
@@ -274,6 +278,7 @@ class MatrixProductState:
         if lanes is not None:
             psi.lanes = np.arange(lanes)
             psi.ranks = np.ones((lanes, n + 1), dtype=int)
+            psi.discarded = np.zeros(lanes)
         return psi
 
     # -- indexing ----------------------------------------------------------
@@ -300,6 +305,11 @@ class MatrixProductState:
         if self._ref is not None and self._ref <= cut:
             return cut + 1
         return cut
+
+    @property
+    def trunc_log(self) -> float:
+        """Discarded weight so far, summed over the lanes of a lane state."""
+        return float(np.sum(self.discarded))
 
     def bond_dims(self) -> list[int]:
         """Bond dimensions along the chain; in a lane state, padded to the largest lane."""
@@ -369,11 +379,12 @@ class MatrixProductState:
 
         The gate matrix is ordered so its first tensor factor acts on i. Every
         adjacent update (including routing swaps) is truncated per policy,
-        with the discarded probability mass accumulated in trunc_log. With
+        with the discarded probability mass accumulated in discarded. With
         ``kraus``, the channel then acts on site i and after it on site j,
         each Born-sampled like apply_kraus (one rng.random() per site) on
         the gate's two-site block before it is split; the pair of sampled
-        indices is returned, otherwise None.
+        indices is returned, otherwise None. In a lane state each index is
+        an array over the lanes live on return.
         """
         if i == j:
             raise MpsError("two-qubit gate needs distinct sites")
@@ -387,8 +398,12 @@ class MatrixProductState:
         for k in range(b, a + 1, -1):
             self._apply_adjacent(k - 1, None, policy, center_left=True)
         picks = self._apply_adjacent(a, g, policy, kraus=kraus, rng=rng, i_right=i_right)
+        drawn = self.lanes
         for k in range(a + 1, b):
             self._apply_adjacent(k, None, policy)
+        if picks is not None and self.lanes is not drawn:  # a swap back retired lanes
+            kept = np.isin(drawn, self.lanes)
+            picks = tuple(q[kept] for q in picks)
         return picks
 
     def _apply_adjacent(
@@ -453,7 +468,7 @@ class MatrixProductState:
 
         Values with s/s_max >= svd_cutoff are kept, at least one and at most
         chi_max, and a count above hard_fail_chi fails. The kept values take
-        the weight of all of them; the discarded fraction adds to trunc_log.
+        the weight of all of them; the discarded fraction adds to discarded.
         In a lane state each lane counts among the values of its own block
         and fails alone, its values past its own rank are zeroed, and the
         values come cut to the largest rank kept. The mask of lanes kept is
@@ -472,7 +487,7 @@ class MatrixProductState:
             kept = float(s2.sum())
             total = max(kept, PROB_FLOOR)
             if keep < len(s):
-                self.trunc_log += float(s2[keep:].sum()) / total
+                self.discarded += float(s2[keep:].sum()) / total
                 s, kept = s[:keep], float(s2[:keep].sum())
             if kept != total:  # give the kept values the weight of the whole block
                 s = s / np.sqrt(kept / total)
@@ -492,7 +507,7 @@ class MatrixProductState:
         self.ranks[:, pos + 1] = keep
         total = np.maximum(s2.sum(axis=1, keepdims=True), PROB_FLOOR)
         tail = np.arange(s.shape[1]) >= keep[:, None]
-        self.trunc_log += float((np.where(tail, s2, 0.0).sum(axis=1, keepdims=True) / total).sum())
+        self.discarded[self.lanes] += np.where(tail, s2, 0.0).sum(axis=1) / total[:, 0]
         kept = np.where(tail, 0.0, s2).sum(axis=1, keepdims=True)
         return np.where(tail, 0.0, s)[:, : keep.max()] / np.sqrt(kept / total), lanes_kept
 
@@ -569,17 +584,33 @@ class MatrixProductState:
         op = (kraus.stacked[pick] / np.sqrt(p)[:, None, None])[:, None, :, :, None]
         return pick, op[..., 0, :] * x[..., :1, :] + op[..., 1, :] * x[..., 1:, :], kept
 
-    def measure_reset(self, site: int, rng) -> int:
-        """Measure in the computational basis, record the bit, reset to |0>."""
-        self._one_lane("measure_reset")
+    def measure_reset(self, site: int, rng):
+        """Measure in the computational basis, record the bit, reset to |0>.
+
+        Draws one rng.random(): the bit is 0 when it falls below p0, the
+        weight on 0. A lane state returns one bit per lane left, and a lane
+        on a null branch leaves it first as failed.
+        """
         i = self._int(site)
         self._move_center(i)
         a = self.tensors[i]
-        p0 = float(np.vdot(a[:, 0, :], a[:, 0, :]).real)
-        bit = 0 if rng.random() < p0 else 1
-        p = p0 if bit == 0 else 1.0 - p0
-        if p < PROB_FLOOR:
-            raise MpsError("measurement hit a numerically null branch")
+        if self.lanes is None:
+            p0 = float(np.vdot(a[:, 0, :], a[:, 0, :]).real)
+            bit = 0 if rng.random() < p0 else 1
+            p = p0 if bit == 0 else 1.0 - p0
+            if p < PROB_FLOOR:
+                raise MpsError("measurement hit a numerically null branch")
+            self._project_reset(i, bit, p)
+            return bit
+        a0 = a[..., 0, :]
+        p0 = np.einsum("...ij,...ij->...", a0.conj(), a0).real
+        bit = np.where(rng.random()[self.lanes] < p0, 0, 1)
+        p = np.where(bit == 0, p0, 1.0 - p0)
+        null = p < PROB_FLOOR
+        if null.any():
+            text = "measurement hit a numerically null branch"
+            kept = self._retire(null, MpsError, [text] * int(null.sum()))
+            bit, p = bit[kept], p[kept]
         self._project_reset(i, bit, p)
         return bit
 
@@ -603,11 +634,13 @@ class MatrixProductState:
         self._project_reset(i, bit, p)
         return p
 
-    def _project_reset(self, i: int, bit: int, p):
+    def _project_reset(self, i: int, bit, p):
         # the projected site is a bare matrix on the bonds; splitting it by
-        # SVD lets the adjacent bond shrink to the rank actually used
+        # SVD lets the adjacent bond shrink to the rank actually used. bit is
+        # one int, or in a lane state an array of one bit per lane
         scale = np.sqrt(p) if self.lanes is None else np.sqrt(p)[:, None, None]
-        m = self.tensors[i][..., bit, :] / scale
+        a = self.tensors[i]
+        m = (a[..., bit, :] if np.ndim(bit) == 0 else a[np.arange(len(bit)), :, bit]) / scale
         lead, (l, r) = m.shape[:-2], m.shape[-2:]
         n_int = len(self.tensors)
         if i < n_int - 1:
@@ -641,17 +674,24 @@ class MatrixProductState:
 
     # -- entanglement telemetry -------------------------------------------
 
-    def entropy(self, cut: int) -> float:
-        """Von Neumann entropy across the bond left of system site `cut`."""
+    def entropy(self, cut: int):
+        """Von Neumann entropy across the bond left of system site `cut`.
+
+        A lane state returns one value per lane left; a lane with a null
+        spectrum leaves it first as failed.
+        """
         ic = self._int_cut(cut)
         self._move_center(ic - 1)
         a = self.tensors[ic - 1]
-        l, s, r = a.shape
-        sv = _robust_svd(a.reshape(l * s, r))[1]
-        total = np.sum(sv**2)
-        if total <= 0.0:
-            raise MpsError("null state has no Schmidt spectrum")
-        return _spectrum_entropy((sv / np.sqrt(total)) ** 2)
+        lead, (l, s, r) = a.shape[:-3], a.shape[-3:]
+        sv = _robust_svd(a.reshape(lead + (l * s, r)))[1]
+        total = np.sum(sv**2, axis=-1)
+        null = total <= 0.0
+        if null.any():
+            text = "null state has no Schmidt spectrum"
+            kept = self._retire(null, MpsError, [text] * int(null.sum()))
+            sv, total = sv[kept], total[kept]
+        return _spectrum_entropy((sv / np.sqrt(total)[..., None]) ** 2)
 
     # -- reference qubit ---------------------------------------------------
 
@@ -662,6 +702,7 @@ class MatrixProductState:
         replaced by the pair (|00> + |11>)/sqrt(2). The reference is invisible
         to all site-indexed operations.
         """
+        self._one_lane("attach_reference")
         if self._ref is not None:
             raise MpsError("reference already attached")
         i = self._int(site)
@@ -734,7 +775,8 @@ def _born_pick(probs: np.ndarray, u):
     return pick, probs[np.arange(len(pick)), pick]
 
 
-def _spectrum_entropy(p: np.ndarray) -> float:
-    """Von Neumann entropy of a probability spectrum."""
-    p = p[p > 1e-300]
-    return float(max(-np.sum(p * np.log(p)), 0.0) + 0.0)
+def _spectrum_entropy(p: np.ndarray):
+    """Von Neumann entropy of a probability spectrum, or of each row of a stack of them."""
+    live = p > 1e-300
+    h = -np.sum(np.where(live, p * np.log(np.where(live, p, 1.0)), 0.0), axis=-1)
+    return np.maximum(h, 0.0) + 0.0

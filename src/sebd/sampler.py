@@ -7,14 +7,16 @@ unitarily, noise events Born-sample one Kraus branch each, readout events
 measure and reset their slot. Each trajectory's (z, m) pair is a valid
 joint sample, so the z marginal samples the noisy output distribution.
 
-Two loops interpret the event stream. run_trajectory runs one trajectory
-and reads each slot out by measurement and reset; sample returns its
-records and purification_run averages their reference-qubit series.
-_block_weights runs a block of trajectory indices as the lanes of one
-state and projects each readout onto a target bit, for
-estimate_probability. The K trajectories split into ceil(K / LANE_BLOCK)
+Two loops interpret the event stream, sharing _step for gates and noise.
+_run_block runs a block of trajectory indices as the lanes of one state
+and takes the readout as an argument: sample measures and resets each
+slot (_sample_block), estimate_probability projects it onto a target bit
+(_block_weights). The K trajectories split into ceil(K / LANE_BLOCK)
 blocks whose sizes differ by at most 1, so any K up to 256 runs as one
-lane state.
+lane state. run_trajectory runs one trajectory in a one-lane state and
+reads each slot out by measurement and reset. It serves
+purification_run, whose reference qubit works on one-lane states only,
+and it is the oracle the lane records are tested against.
 
 One failure rule: an MpsError ends its trajectory and never leaves an
 entry point. sample keeps the failed record with its error text; the
@@ -51,7 +53,7 @@ __all__ = [
 
 SEED_LIMIT = 2**63  # Philox keys are int64: a larger seed would lose bits
 
-# most trajectories per lane block of estimate_probability
+# most trajectories per lane block of sample and estimate_probability
 LANE_BLOCK = 256
 
 
@@ -144,8 +146,8 @@ def _uniform_tables(master_seed: int, indices, n: int) -> np.ndarray:
 def _step(psi: MatrixProductState, ev, policy: TruncationPolicy, rng, m: list) -> bool:
     """Apply a gate or noise event, appending sampled Kraus indices to m.
 
-    Returns False, having done nothing, for a readout, which each caller
-    handles its own way.
+    m is a list, or for a lane state a _LanePicks. Returns False, having
+    done nothing, for a readout, which each caller handles its own way.
     """
     if isinstance(ev, Gate):
         if ev.j is None:
@@ -202,19 +204,29 @@ def run_trajectory(cfg: RunConfig, index: int) -> TrajectoryRecord:
     )
 
 
-def _run_one(args) -> TrajectoryRecord:
-    cfg, index = args
-    return run_trajectory(cfg, index)
-
-
 def sample(cfg: RunConfig, workers: int = 1) -> list:
-    """All n_trajectories records, ordered by trajectory index."""
-    indices = range(cfg.n_trajectories)
-    if workers <= 1:
-        return [run_trajectory(cfg, i) for i in indices]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, cfg.n_trajectories // (8 * workers))
-        return list(pool.map(_run_one, [(cfg, i) for i in indices], chunksize=chunk))
+    """All n_trajectories records, ordered by trajectory index.
+
+    The trajectories run as the lanes of one state per block of
+    _lane_blocks, so each record equals run_trajectory(cfg, index) up to
+    roundoff: the same bits, Kraus indices, peak chi and failure text,
+    with trunc_total and entropies agreeing to roundoff. With workers > 1
+    the blocks, whose split does not depend on the worker count, are mapped
+    over a process pool. Memory: `sebd sample` on a square 8x24 (16 slots,
+    chi 32, epsilon 0.02) peaked at 91 MB resident with K = 256, one block,
+    against 43 MB with K = 1. The reference qubit runs on one-lane states
+    only, so a config with reference_site is refused: its trajectories
+    belong to purification_run.
+    """
+    if cfg.reference_site is not None:
+        raise SamplerError("sample runs no reference qubit; purification_run reads it")
+    blocks = _lane_blocks(cfg.n_trajectories)
+    if workers <= 1 or len(blocks) == 1:
+        parts = [_sample_block(cfg, b) for b in blocks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            parts = list(pool.map(_sample_block, [cfg] * len(blocks), blocks))
+    return [rec for part in parts for rec in part]
 
 
 def _drop_failed(values, failed) -> list:
@@ -258,6 +270,46 @@ class _LaneUniforms:
         return self.table[:, self.col - 1]
 
 
+class _LanePicks:
+    """The m list _step fills in a lane state: one row of Kraus indices per lane.
+
+    Each pick array holds one index per lane live when _step hands it over,
+    so a lane's row holds -1 from the event in which it left the state on.
+    """
+
+    def __init__(self, psi: MatrixProductState, n_cols: int):
+        self.psi = psi
+        self.table = np.full((len(psi.lanes), n_cols), -1)
+        self.col = 0
+
+    def append(self, pick: np.ndarray):
+        self.table[self.psi.lanes, self.col] = pick
+        self.col += 1
+
+    def extend(self, picks):
+        for pick in picks:
+            self.append(pick)
+
+
+@dataclass
+class _Block:
+    """What the lanes of one block recorded, one row per lane id.
+
+    reads holds each readout's value, NaN once the lane has left the state;
+    picks the Kraus indices, -1 once it has left; chi each lane's peak bond
+    dimension; entropies the mid-cut entropy after each row-step, NaN once
+    it has left (no columns without RunConfig.mid_entropy). psi is the
+    final state: its live lanes, the failed lanes' error texts and each
+    lane's discarded weight.
+    """
+
+    psi: MatrixProductState
+    reads: np.ndarray
+    picks: np.ndarray
+    chi: np.ndarray
+    entropies: np.ndarray
+
+
 def _lane_blocks(k: int) -> list:
     """Trajectory indices 0..k-1 as the fewest consecutive blocks of at most
     LANE_BLOCK, whose sizes differ by at most 1."""
@@ -267,26 +319,89 @@ def _lane_blocks(k: int) -> list:
     return [range(a, b) for a, b in zip(starts, starts[1:])]
 
 
+def _run_block(cfg: RunConfig, eff: EffectiveCircuit1D, indices, readout) -> _Block:
+    """Run the trajectories in indices as the lanes of one state.
+
+    readout(psi, ev, rng) reads out the slot of a MeasureReset event and
+    returns one value per lane live afterwards; it may retire lanes. Lane r
+    draws its uniforms from _trajectory_rng(master_seed, indices[r]), one
+    per noise event and per readout in event order, as run_trajectory does;
+    a readout that draws none leaves the table's last columns unread, so
+    the noise events read the same numbers either way.
+    """
+    counts = eff.counts()
+    n = len(indices)
+    rng = _LaneUniforms(
+        _uniform_tables(cfg.master_seed, indices, counts["noise"] + counts["measure"])
+    )
+    psi = MatrixProductState.new_product_state(eff.n_sites, lanes=n)
+    picks = _LanePicks(psi, counts["noise"])
+    reads = np.full((n, counts["measure"]), np.nan)
+    chi = np.ones(n, dtype=int)
+    entropies = np.full((n, len(eff.rows) if cfg.mid_entropy else 0), np.nan)
+    col = 0
+    try:
+        for r, row in enumerate(eff.rows):
+            for ev in row:
+                if not _step(psi, ev, cfg.policy, rng, picks):
+                    value = readout(psi, ev, rng)  # may retire lanes
+                    reads[psi.lanes, col] = value
+                    col += 1
+                elif isinstance(ev, Gate) and ev.j is not None:
+                    chi[psi.lanes] = np.maximum(chi[psi.lanes], psi.ranks.max(axis=1))
+            chi[psi.lanes] = np.maximum(chi[psi.lanes], psi.ranks.max(axis=1))
+            if cfg.mid_entropy:
+                value = psi.entropy(eff.n_sites // 2)
+                entropies[psi.lanes, r] = value
+    except MpsError as exc:  # not a lane's own: it hits every live lane alike
+        for lane in psi.lanes.tolist():
+            psi.failed[lane] = f"{type(exc).__name__}: {exc}"
+    return _Block(psi, reads, picks.table, chi, entropies)
+
+
+def _sample_block(cfg: RunConfig, indices) -> list:
+    """sample's records of the trajectories in indices, run as one lane block.
+
+    Each readout measures and resets its slot; a failed lane's record holds
+    what it recorded before the event it failed in.
+    """
+    eff = cfg.circuit
+    block = _run_block(cfg, eff, indices, lambda psi, ev, rng: psi.measure_reset(ev.i, rng))
+    coords = eff.coords()
+    records = []
+    for lane, index in enumerate(indices):
+        bits = block.reads[lane]
+        picks = block.picks[lane]
+        entropies = block.entropies[lane]
+        records.append(TrajectoryRecord(
+            seed=index,
+            z={c: int(b) for c, b in zip(coords, bits[~np.isnan(bits)])},
+            m=tuple(picks[picks >= 0].tolist()),
+            entropies=tuple(entropies[~np.isnan(entropies)].tolist()),
+            chi_max_seen=int(block.chi[lane]),
+            trunc_total=float(block.psi.discarded[lane]),
+            failed=block.psi.failed.get(lane),
+        ))
+    return records
+
+
 def _block_weights(cfg: RunConfig, eff: EffectiveCircuit1D, target: dict, indices) -> np.ndarray:
     """Projection weights of the trajectories in indices, run as the lanes of one state.
 
-    A lane whose projection falls below the floor has weight 0; a failed
-    lane (an MpsError) has weight NaN.
+    A lane's weight is the product of its projection probabilities in
+    readout order. A lane whose projection falls below the floor has
+    weight 0; a failed lane (an MpsError) has weight NaN.
     """
-    n_draws = eff.counts()["noise"]  # one uniform per noise event, none per readout
-    rng = _LaneUniforms(_uniform_tables(cfg.master_seed, indices, n_draws))
-    psi = MatrixProductState.new_product_state(eff.n_sites, lanes=len(indices))
-    weight = np.ones(len(indices))
-    try:
-        for ev in eff.events():
-            if not _step(psi, ev, cfg.policy, rng, []):
-                p = psi.project_onto(ev.i, target[ev.coord])  # may retire lanes
-                weight[psi.lanes] *= p
-    except MpsError:  # not a lane's own: it hits every live lane alike
-        weight[psi.lanes] = np.nan
+    block = _run_block(
+        cfg, eff, indices, lambda psi, ev, rng: psi.project_onto(ev.i, target[ev.coord])
+    )
+    live = block.psi.lanes
+    weight = np.ones(len(live))
+    for p in block.reads[live].T:
+        weight *= p
     out = np.zeros(len(indices))
-    out[psi.lanes] = weight[psi.lanes]
-    out[list(psi.failed)] = np.nan
+    out[live] = weight
+    out[list(block.psi.failed)] = np.nan
     return out
 
 
@@ -310,7 +425,7 @@ def estimate_probability(cfg: RunConfig, z_target) -> tuple:
     at most 2688 bytes a lane on the 6 slots of a square 3x3, where no bond
     exceeds 8; a two-site update's temporaries, the gate and Kraus
     intermediates, LAPACK workspace and each lane's uniform table (8 bytes
-    per noise event) come on top.
+    per noise event and per readout) come on top.
     """
     eff = cfg.circuit
     target = _bits_by_coord(eff, z_target)

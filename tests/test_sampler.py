@@ -6,6 +6,7 @@ import json
 import pkgutil
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -173,9 +174,19 @@ class TestSample:
         assert sample(cfg5) == sample(cfg5)
 
     def test_worker_invariance(self):
+        # K = 300 runs as two lane blocks, one per worker with workers=2
         eff = compile_sebd(small_noisy_circuit())
-        cfg = RunConfig(circuit=eff, n_trajectories=6, master_seed=1)
-        assert sample(cfg) == sample(cfg, workers=2)
+        for mid_entropy in (False, True):
+            cfg = RunConfig(eff, n_trajectories=300, master_seed=1, mid_entropy=mid_entropy)
+            one = sample(cfg)
+            assert [r.seed for r in one] == list(range(300))
+            assert len(one[0].entropies) == (len(eff.rows) if mid_entropy else 0)
+            assert one == sample(cfg, workers=2)
+
+    def test_reference_site_refused(self):
+        cfg = RunConfig(compile_sebd(small_noisy_circuit()), n_trajectories=2, reference_site=1)
+        with pytest.raises(SamplerError, match="purification_run"):
+            sample(cfg)
 
     def test_failures_marked_not_dropped(self):
         c = small_noisy_circuit()
@@ -196,7 +207,6 @@ class TestSample:
         sigma = np.sqrt(np.clip(ref * (1 - ref), 1e-6, None) / k)
         assert np.all(np.abs(freqs - ref) < 4 * sigma)
 
-    @pytest.mark.slow
     def test_marginals_match_mpo_oracle_3x3_bulk(self):
         lat = build_lattice("square", 3, 3)
         noise = NoiseModel(kind="dephasing", epsilon=0.05)
@@ -358,7 +368,8 @@ class TestPurification:
 
     def test_failed_trajectories_excluded_and_counted(self):
         cfg = self.partly_failing(hard_fail_chi=2)
-        ok = [rec for rec in sample(cfg) if rec.ok]
+        recs = [run_trajectory(cfg, i) for i in range(cfg.n_trajectories)]
+        ok = [rec for rec in recs if rec.ok]
         n_failed = cfg.n_trajectories - len(ok)
         assert 0 < n_failed < cfg.n_trajectories
         with pytest.warns(UserWarning) as caught:
@@ -451,7 +462,7 @@ def test_runs_leave_module_state_unchanged():
     c = Circuit2D(lattice=lat, schedule="AB", layers=layers, noise=base.noise)
     cfg = RunConfig(circuit=compile_sebd(c), n_trajectories=3, master_seed=5, reference_site=1)
     before = _module_state()
-    assert all(rec.ok for rec in sample(cfg))
+    assert all(rec.ok for rec in sample(replace(cfg, reference_site=None)))
     estimate_probability(cfg, (0,) * lat.n_sites)
     purification_run(cfg)
     assert _module_state() == before
