@@ -81,6 +81,34 @@ class KrausSet:
         s.flags.writeable = False
         return s
 
+    # The two tables below serve one channel acting on both sites of a
+    # two-site block, as on a noisy gate's sites: row a * K + b is outcome a
+    # on the first (left) site and b on the second.
+
+    @cached_property
+    def pair_effects(self) -> np.ndarray:
+        """The joint Born table's (K^2, d^4) matrix of E_a kron E_b, as floats; read-only.
+
+        Each row's complex entries are stored as float pairs (real,
+        imaginary), shape (K^2, 2 d^4). For a Hermitian two-site state rho
+        (d^2, d^2) viewed the same way, v = rho.view(float).reshape(-1),
+        (pair_effects @ v)[a * K + b] = tr[(E_a kron E_b) rho], because
+        tr(E rho) = sum_st Re(E_st) Re(rho_st) + Im(E_st) Im(rho_st).
+        """
+        e = self.effects
+        table = np.einsum("aij,bkl->abikjl", e, e).reshape(len(self) ** 2, -1).view(float)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def pair_stacked(self) -> np.ndarray:
+        """The operators M_a kron M_b stacked as (K^2, d^2, d^2); read-only."""
+        m = self.stacked
+        d2 = self.d**2
+        ops = np.einsum("aij,bkl->abikjl", m, m).reshape(len(self) ** 2, d2, d2)
+        ops.flags.writeable = False
+        return ops
+
 
 @dataclass(frozen=True)
 class UnitalParams:

@@ -27,7 +27,12 @@ two-site block θ after the gate and before the SVD, first on the gate's
 site i, then on site j. θ is the centre, so each site's 2x2 reduced state
 comes from θ alone and no centre move is needed; the SVD then splits the
 post-noise block. The result equals the gate followed by apply_kraus on i
-and on j, with the same Born weights and random draws.
+and on j, with the same Born weights and random draws. A lane state reads
+both picks from one joint table instead, P[k_i, k_j] = tr[(E_ki kron
+E_kj) rho] over the block's two-site reduced state rho (_sample_pair):
+k_i from P's row sums, then k_j from row k_i, with the same two uniforms
+in the same order, so each lane makes the picks of the two one-site draws
+and gets their branch to roundoff.
 
 Lanes: a state made by ``new_product_state(n, lanes=B)`` holds B
 trajectories of one event stream, with a leading lane axis on every tensor,
@@ -35,9 +40,9 @@ trajectories of one event stream, with a leading lane axis on every tensor,
 updates, Kraus sampling and projection run over both shapes with the same
 code, batching their numpy and LAPACK calls over the lanes. Where a
 batched LAPACK or matmul call would still pay per small matrix, a lane
-state takes a broadcast instead: the 2x2 operators of apply_1q and of
-Kraus sampling (the reduced state and the Born branch) act on the physical
-leg of all lanes at once, and a stacked SVD whose smaller side is 1 or 2
+state takes a broadcast instead: the 2x2 operators of apply_1q and the
+Born branch of one-site Kraus sampling act on the physical leg of all
+lanes at once, and a stacked SVD whose smaller side is 1 or 2
 (a two-site block next to a bond of dimension 1, a projected site next
 to one of dimension 1 or 2) is done in closed form once the stack holds
 enough lanes (_robust_svd: at least 4 lanes when the smaller side is 1, at
@@ -47,12 +52,13 @@ truncates by its own singular values under the same rule (svd_cutoff,
 chi_max, hard_fail_chi, and the 1e-14 cutoff after a projection): the
 tensors are padded to the largest rank of any lane, and each lane's values
 past its own rank are zeroed and its kept ones renormalized, as a one-lane
-state would. ``ranks`` holds every lane's own bond dimensions,
-``bond_dims()`` the padded ones, ``discarded`` each lane's discarded
-weight by lane id, and ``trunc_log`` their sum. In a lane state
-``rng.random()`` returns one uniform for every lane id of the block, and
-each lane makes its own Born pick and its own measurement: its bit is 0
-when its uniform falls below its own p0. ``entropy`` returns one value per
+state would; when every lane keeps the same count, the common case, the
+values are cut by one slice and no mask is built. ``ranks`` holds every
+lane's own bond dimensions, ``bond_dims()`` the padded ones,
+``discarded`` each lane's discarded weight by lane id, and ``trunc_log``
+their sum. In a lane state ``rng.random()`` returns one uniform for every
+lane id of the block, and each lane makes its own Born pick and its own
+measurement: its bit is 0 when its uniform falls below its own p0. ``entropy`` returns one value per
 lane, from the stacked Schmidt values. A lane whose Born check,
 hard_fail_chi or measurement (a null branch) fails leaves the state, with
 the error text kept in ``failed``; a lane whose projection falls below the
@@ -431,15 +437,17 @@ class MatrixProductState:
         else:
             theta = np.matmul(g, theta.reshape(lead + (l, 4, r)))
         picks = None
-        if kraus is not None:
+        if kraus is not None and self.lanes is not None:
+            picks, theta, kept = self._sample_pair(theta, kraus, rng, i_right)
+            if kept is not None:
+                lead = theta.shape[:-3]
+        elif kraus is not None:
             # the block is the centre, so the reduced state of each site is
             # read off the view with that site's leg in the middle
             left, right = (l, 2, 2 * r), (2 * l, 2, r)
             picks = ()
             for view in ((right, left) if i_right else (left, right)):
-                pick, theta, kept = self._sample_kraus(theta.reshape(lead + view), kraus, rng)
-                if kept is not None:
-                    lead, picks = theta.shape[:-3], tuple(q[kept] for q in picks)
+                pick, theta, _ = self._sample_kraus(theta.reshape(view), kraus, rng)
                 picks += (pick,)
         u, s, vh = _robust_svd(theta.reshape(lead + (l * 2, 2 * r)))
         s, kept = self._truncate(s, policy, pos)
@@ -471,9 +479,11 @@ class MatrixProductState:
         the weight of all of them; the discarded fraction adds to discarded.
         In a lane state each lane counts among the values of its own block
         and fails alone, its values past its own rank are zeroed, and the
-        values come cut to the largest rank kept. The mask of lanes kept is
-        None when all were. The one-lane branch is the same rule on
-        scalars, which keeps it cheap.
+        values come cut to the largest rank kept. When every lane keeps the
+        same count, the common case, that is one slice of all rows, with
+        the one-lane branch's sums. The mask of lanes kept is None when all
+        were. The one-lane branch is the same rule on scalars, which keeps
+        it cheap.
         """
         cap = policy.hard_fail_chi
         s2 = s * s
@@ -492,10 +502,14 @@ class MatrixProductState:
             if kept != total:  # give the kept values the weight of the whole block
                 s = s / np.sqrt(kept / total)
             return s, None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want = np.sum(s / s[:, :1] >= policy.svd_cutoff, axis=1)
+        # a lane's values past its own rank are padding; the cutoff may not keep them
         own = 2 * np.minimum(self.ranks[:, pos], self.ranks[:, pos + 2])
-        want = np.where(s[:, 0] > 0.0, np.clip(want, 1, own), 1)
+        if s[:, :1].all():  # s0 / s0 = 1 passes the cutoff, so every lane keeps one or more
+            want = np.minimum((s / s[:, :1] >= policy.svd_cutoff).sum(axis=1), own)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = (s / s[:, :1] >= policy.svd_cutoff).sum(axis=1)
+            want = np.where(s[:, 0] > 0.0, np.clip(want, 1, own), 1)
         lanes_kept = None
         if cap is not None and (want > cap).any():
             over = want > cap
@@ -505,6 +519,14 @@ class MatrixProductState:
             s, s2, want = s[lanes_kept], s2[lanes_kept], want[lanes_kept]
         keep = np.minimum(want, policy.chi_max)
         self.ranks[:, pos + 1] = keep
+        width = keep[0]
+        if (keep == width).all():  # the one-lane rule on every row at once, by a slice
+            kept = s2.sum(axis=1)
+            total = np.maximum(kept, PROB_FLOOR)
+            if width < s.shape[1]:
+                self.discarded[self.lanes] += s2[:, width:].sum(axis=1) / total
+                s, kept = s[:, :width], s2[:, :width].sum(axis=1)
+            return s / np.sqrt(kept / total)[:, None], lanes_kept
         total = np.maximum(s2.sum(axis=1, keepdims=True), PROB_FLOOR)
         tail = np.arange(s.shape[1]) >= keep[:, None]
         self.discarded[self.lanes] += np.where(tail, s2, 0.0).sum(axis=1) / total[:, 0]
@@ -556,22 +578,14 @@ class MatrixProductState:
         (None when every lane was).
         """
         lead = x.shape[:-3]
-        if self.lanes is None:
-            m = x.swapaxes(-3, -2).reshape(lead + (2, -1))
-            rho = m @ m.conj().swapaxes(-1, -2)
-        else:  # the same sums as a broadcast over the lanes
-            m = x.swapaxes(-3, -2).reshape(lead + (2, 1, -1))
-            rho = (m * m.conj().swapaxes(-3, -2)).sum(-1)
+        m = x.swapaxes(-3, -2).reshape(lead + (2, -1))
+        rho = m @ m.conj().swapaxes(-1, -2)
         probs = (rho.conj().reshape(lead + (4,)) @ kraus.effects.reshape(len(kraus), -1).T).real
         total = probs.sum(-1)
         bad = abs(total - 1.0) > 1e-10  # also flags a total below PROB_FLOOR
         kept = None
         if bad if self.lanes is None else bad.any():  # a scalar's .any() costs microseconds
-            kept = self._retire(bad, MpsError, [
-                "all Kraus outcomes numerically degenerate" if t < PROB_FLOOR
-                else f"Born probabilities sum to {t}, state unnormalized"
-                for t in total[bad]
-            ])
+            kept = self._retire(bad, MpsError, _born_failures(total[bad]))
             x, probs = x[kept], probs[kept]
         u = rng.random()
         if self.lanes is None:
@@ -583,6 +597,40 @@ class MatrixProductState:
         # each lane's normalized operator, shaped (B, 1, 2, 2, 1) to meet x's legs
         op = (kraus.stacked[pick] / np.sqrt(p)[:, None, None])[:, None, :, :, None]
         return pick, op[..., 0, :] * x[..., :1, :] + op[..., 1, :] * x[..., 1:, :], kept
+
+    def _sample_pair(self, theta: np.ndarray, kraus, rng, i_right: bool):
+        """_sample_kraus on both sites of a lane state's two-site block theta (B, l, 4, r).
+
+        The channel acts on the gate's site i first, the block's right site
+        if i_right, then on its site j: the same picks as two _sample_kraus
+        calls, from one joint table. P[k_i, k_j] = tr[(E_ki kron E_kj) rho]
+        over the block's two-site reduced state rho; k_i is Born-picked from
+        P's row sums with the first rng.random() and k_j from row k_i,
+        over its sum p_i, with the second. The branch (M_ki kron M_kj) /
+        sqrt(p_i p_j|i), which is P[k_i, k_j] to roundoff, then acts on the
+        block at once, as the two one-site branches would. Returns the pair
+        of picks, the branch and the mask of lanes kept (None when every
+        lane was); a lane whose table does not sum to 1 leaves first.
+        """
+        n = len(kraus)
+        x = theta.swapaxes(-3, -2).reshape(len(theta), 4, -1)
+        rho = x @ x.conj().swapaxes(-1, -2)
+        table = (rho.view(float).reshape(len(rho), -1) @ kraus.pair_effects.T).reshape(-1, n, n)
+        if i_right:  # the table's rows are indexed by site i's outcome
+            table = table.swapaxes(-1, -2)
+        first = table.sum(-1)
+        total = first.sum(-1)
+        bad = abs(total - 1.0) > 1e-10  # also flags a total below PROB_FLOOR
+        kept = None
+        if bad.any():
+            kept = self._retire(bad, MpsError, _born_failures(total[bad]))
+            theta, table, first = theta[kept], table[kept], first[kept]
+        pick_i, p_i = _born_pick(first, rng.random()[self.lanes])
+        row = table[np.arange(len(pick_i)), pick_i]
+        pick_j, p_j = _born_pick(row / p_i[:, None], rng.random()[self.lanes])
+        pair = pick_j * n + pick_i if i_right else pick_i * n + pick_j
+        op = kraus.pair_stacked[pair] / np.sqrt(p_i * p_j)[:, None, None]
+        return (pick_i, pick_j), np.matmul(op[:, None], theta), kept
 
     def measure_reset(self, site: int, rng):
         """Measure in the computational basis, record the bit, reset to |0>.
@@ -604,12 +652,13 @@ class MatrixProductState:
             return bit
         a0 = a[..., 0, :]
         p0 = np.einsum("...ij,...ij->...", a0.conj(), a0).real
-        bit = np.where(rng.random()[self.lanes] < p0, 0, 1)
-        p = np.where(bit == 0, p0, 1.0 - p0)
+        one = rng.random()[self.lanes] >= p0
+        bit = one.astype(int)
+        p = np.where(one, 1.0 - p0, p0)
         null = p < PROB_FLOOR
         if null.any():
             text = "measurement hit a numerically null branch"
-            kept = self._retire(null, MpsError, [text] * int(null.sum()))
+            kept = self._retire(null, MpsError, [text] * np.count_nonzero(null))
             bit, p = bit[kept], p[kept]
         self._project_reset(i, bit, p)
         return bit
@@ -648,11 +697,13 @@ class MatrixProductState:
             if self.ranks is None:
                 width = max(int(np.sum(s / max(s[0], PROB_FLOOR) >= 1e-14)), 1)
             else:  # the same rule per lane; each lane's values past its own rank are zeroed
-                keep = np.sum(s / np.maximum(s[:, :1], PROB_FLOOR) >= 1e-14, axis=1)
-                keep = np.clip(keep, 1, np.minimum(self.ranks[:, i], self.ranks[:, i + 1]))
+                keep = (s / np.maximum(s[:, :1], PROB_FLOOR) >= 1e-14).sum(axis=1)
+                own = np.minimum(self.ranks[:, i], self.ranks[:, i + 1])
+                keep = np.minimum(np.maximum(keep, 1), own)
                 self.ranks[:, i + 1] = keep
-                s = np.where(np.arange(s.shape[-1]) < keep[:, None], s, 0.0)
                 width = int(keep.max())
+                if (keep < width).any():
+                    s = np.where(np.arange(s.shape[-1]) < keep[:, None], s, 0.0)
             t = np.zeros(lead + (l, 2, width), dtype=complex)
             t[..., 0, :] = u[..., :width]
             self.tensors[i] = t
@@ -759,8 +810,8 @@ def _born_pick(probs: np.ndarray, u):
     """The first index at which the running sum of probs exceeds u, and its probability.
 
     The last index is picked when no sum does. One lane: probs (k,) and a
-    float u. Lanes: probs (B, k) and u (B,), summed by np.cumsum, which
-    adds in the same order as the one-lane loop; picks and probabilities
+    float u. Lanes: probs (B, k) and u (B,), summed by cumsum, which adds
+    in the same order as the one-lane loop; picks and probabilities
     come as (B,) arrays.
     """
     if probs.ndim == 1:
@@ -770,9 +821,19 @@ def _born_pick(probs: np.ndarray, u):
             if u < acc:
                 return idx, p
         return len(probs) - 1, probs[-1]
-    hit = u[:, None] < np.cumsum(probs, axis=1)
-    pick = np.where(hit.any(axis=1), hit.argmax(axis=1), probs.shape[1] - 1)
+    hit = u[:, None] < probs.cumsum(axis=1)
+    hit[:, -1] = True  # argmax takes the first True: the last index only when no sum exceeds u
+    pick = hit.argmax(axis=1)
     return pick, probs[np.arange(len(pick)), pick]
+
+
+def _born_failures(total) -> list:
+    """The failure text of each Born total that is not 1."""
+    return [
+        "all Kraus outcomes numerically degenerate" if t < PROB_FLOOR
+        else f"Born probabilities sum to {t}, state unnormalized"
+        for t in total
+    ]
 
 
 def _spectrum_entropy(p: np.ndarray):

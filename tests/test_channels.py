@@ -138,6 +138,26 @@ class TestConstructions:
             atol=1e-14,
         )
 
+    @pytest.mark.parametrize("k", [
+        make_depolarizing(0.2, "weak-tetrahedron"),
+        make_amplitude_damping(0.3, "optimized"),
+        make_dephasing(0.1, "projective"),
+    ], ids=lambda k: k.label)
+    def test_pair_tables_are_kron_products(self, k):
+        n = len(k)
+        rng = np.random.default_rng(4)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
+        table = k.pair_effects @ rho.view(float).reshape(-1)
+        for a in range(n):
+            for b in range(n):
+                np.testing.assert_allclose(
+                    k.pair_stacked[a * n + b], np.kron(k.ops[a], k.ops[b]), rtol=0, atol=1e-15
+                )
+                want = np.trace(np.kron(k.effects[a], k.effects[b]) @ rho).real
+                assert abs(table[a * n + b] - want) <= 1e-12 * np.trace(rho).real
+        assert not k.pair_effects.flags.writeable and not k.pair_stacked.flags.writeable
+
     def test_optimized_damping_is_quarter_turn_gauge(self):
         kc = make_amplitude_damping(0.3, "canonical")
         c = s = 1 / np.sqrt(2)

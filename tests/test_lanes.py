@@ -273,3 +273,116 @@ def test_svd_fallback_retries_lane_by_lane(monkeypatch):
     got = _block_weights(cfg, eff, target, range(12))
     assert calls["stacked"] > 0
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _spectra(counts, n=6, seed=0):
+    """One row per lane, descending: counts[b] values in [0.05, 1] above n - counts[b] below 1e-7.
+
+    Under a cutoff of 1e-3 lane b keeps exactly counts[b] values; a count
+    of 0 gives an all-zero row. Six columns keep every sum a plain loop,
+    so the lane and one-lane branches add in the same order.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for c in counts:
+        big = np.sort(rng.uniform(0.05, 1.0, c))[::-1]
+        small = np.sort(rng.uniform(0.0, 1e-7, n - c))[::-1] if c else np.zeros(n)
+        rows.append(np.concatenate([big, small]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("counts, policy", [
+    ((3, 3, 3, 3), TruncationPolicy(svd_cutoff=1e-3)),  # every lane keeps 3: the slice
+    ((1, 3, 5, 2), TruncationPolicy(svd_cutoff=1e-3)),  # keeps differ: the masks
+    ((6, 3, 5, 4), TruncationPolicy(chi_max=3, svd_cutoff=1e-3)),  # chi_max binds on all
+    ((6, 1, 5, 4), TruncationPolicy(chi_max=3, svd_cutoff=1e-3)),  # and on some
+    ((2, 0, 2, 2), TruncationPolicy(svd_cutoff=1e-3)),  # an all-zero lane
+    ((2, 0, 1, 2), TruncationPolicy(svd_cutoff=1e-3)),
+    ((1, 4, 3, 5), TruncationPolicy(svd_cutoff=1e-3, hard_fail_chi=3)),  # two lanes retire
+    ((2, 4, 2, 2), TruncationPolicy(svd_cutoff=1e-3, hard_fail_chi=3)),  # the rest agree
+])
+def test_lane_truncate_is_one_lane_truncate_per_lane(counts, policy):
+    s = _spectra(counts)
+    psi = MatrixProductState.new_product_state(3, lanes=len(counts))
+    psi.ranks[:] = s.shape[1]  # no lane's own rank binds at pos 1
+    # an all-zero block has no weight to renormalize: 0 / 0 in both branches
+    with np.errstate(invalid="ignore"):
+        got, kept = psi._truncate(s, policy, 1)
+    row = 0
+    for lane, spectrum in enumerate(s):
+        one = MatrixProductState.new_product_state(3)
+        try:
+            with np.errstate(invalid="ignore"):
+                want, _ = one._truncate(spectrum, policy, 1)
+        except mps.TruncationOverflow as exc:
+            assert psi.failed[lane] == f"TruncationOverflow: {exc}"
+            assert lane not in psi.lanes
+            continue
+        assert psi.lanes[row] == lane
+        width = len(want)
+        np.testing.assert_array_equal(got[row, :width], want)
+        if spectrum.any():  # the all-zero lane's padding is 0 / 0 as well
+            assert not got[row, width:].any()
+        assert psi.ranks[row, 2] == width
+        assert psi.discarded[lane] == one.discarded
+        row += 1
+    assert row == len(psi.lanes) == got.shape[0]
+    assert (kept is None) == (row == len(counts))
+    assert got.shape[1] == psi.ranks[:, 2].max()
+
+
+KRAUS_SETS = (
+    NoiseModel("depolarizing", 0.2).kraus("weak-tetrahedron"),
+    NoiseModel("amplitude-damping", 0.3).kraus("canonical"),
+    NoiseModel("amplitude-damping", 0.3).kraus("optimized"),
+)
+
+
+def _born_total(text: str) -> float:
+    return float(re.search(r"sum to (\S+),", text).group(1))
+
+
+class _Draws:
+    """A one-lane rng that hands out the given uniforms in order."""
+
+    def __init__(self, *uniforms):
+        self.uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self.uniforms)
+
+
+@pytest.mark.parametrize("kraus", KRAUS_SETS, ids=lambda k: k.label)
+@pytest.mark.parametrize("i_right", [False, True])
+def test_joint_table_picks_like_two_site_draws(kraus, i_right):
+    # lane b draws the uniforms (u1, u2) of a grid point; lane 0 is unnormalized
+    grid = np.linspace(0.005, 0.995, 15)
+    u = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    lanes, l, r = len(u), 2, 3
+    rng = np.random.default_rng(11)
+    theta = rng.normal(size=(lanes, l, 4, r)) + 1j * rng.normal(size=(lanes, l, 4, r))
+    theta /= np.linalg.norm(theta.reshape(lanes, -1), axis=1)[:, None, None, None]
+    theta[0] *= 1.5
+    psi = MatrixProductState.new_product_state(2, lanes=lanes)
+    (pick_i, pick_j), branch, kept = psi._sample_pair(
+        theta, kraus, sampler._LaneUniforms(u), i_right
+    )
+    assert kept is not None and list(psi.lanes) == list(range(1, lanes))
+    left, right = (l, 2, 2 * r), (2 * l, 2, r)
+    for lane, uniforms in enumerate(u):
+        one = MatrixProductState.new_product_state(2)
+        draws = _Draws(*uniforms)
+        x, picks = theta[lane], []
+        try:
+            for view in ((right, left) if i_right else (left, right)):
+                pick, x, _ = one._sample_kraus(x.reshape(view), kraus, draws)
+                picks.append(pick)
+        except MpsError as exc:  # the same failure, with a total equal to roundoff
+            assert lane == 0 and psi.failed[0].startswith("MpsError: Born probabilities sum to")
+            assert abs(_born_total(psi.failed[0]) - _born_total(str(exc))) <= 1e-12
+            continue
+        row = lane - 1
+        assert (pick_i[row], pick_j[row]) == tuple(picks)
+        # the branch is normalized by the pair's probability: it agrees as well
+        np.testing.assert_allclose(branch[row], x.reshape(l, 4, r), rtol=0, atol=1e-12)
+    assert len(set(zip(pick_i.tolist(), pick_j.tolist()))) > 1

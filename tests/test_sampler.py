@@ -321,6 +321,52 @@ class TestEstimateProbability:
                 estimate_probability(cfg, (0,) * 6)
 
 
+class TestTableauAtWorkloadScale:
+    """Noiseless Clifford circuits of the sample workloads' sizes against the tableau.
+
+    Such a circuit ends in a stabilizer state, whose p(z) the tableau gives
+    exactly at any size, and without noise every lane of
+    estimate_probability weighs p(z) itself. So the whole compiled path
+    (slot map, routing swaps, lanes, closed-form SVDs, projections) must
+    reproduce log2 p(z) to roundoff, and a zero-probability z exactly.
+    """
+
+    POLICY = TruncationPolicy(chi_max=256, svd_cutoff=1e-12)
+
+    def run(self, lattice):
+        lat = build_lattice(*lattice)
+        c = random_instance(lat, "ABCD", "clifford-iswap-swap", None, seed=5)
+        cfg = RunConfig(compile_sebd(c), policy=self.POLICY, n_trajectories=4, master_seed=5)
+        return lat, cfg, tableau_evolve(c, "erasure", seed=5)
+
+    @pytest.mark.parametrize(
+        "lattice", [("square", 6, 18), ("heavy-hex", 11, None)], ids=["square-6x18", "heavy-hex-11"]
+    )
+    def test_estimates_are_tableau_probabilities(self, lattice):
+        lat, cfg, tab = self.run(lattice)
+        rng = np.random.default_rng(5)
+        sampled = [tuple(z) for z in tab.sample_many(2)]
+        zero = []  # sampled targets with three bits flipped, until two have p = 0
+        while len(zero) < 2:
+            z = np.array(sampled[len(zero)])
+            z[rng.choice(len(z), 3, replace=False)] ^= 1
+            if tab.probability_log2(z) == -np.inf:
+                zero.append(tuple(z))
+        for z in sampled + zero:
+            want = tab.probability_log2(z)
+            p, _ = estimate_probability(cfg, dict(zip(lat.sites, z)))
+            if want == -np.inf:
+                assert p == 0.0
+            else:
+                assert abs(np.log2(p) - want) <= 1e-12
+
+    def test_samples_have_positive_tableau_probability(self):
+        lat, cfg, tab = self.run(("square", 6, 18))
+        for rec in sample(cfg):
+            assert rec.ok
+            assert np.isfinite(tab.probability_log2([rec.z[site] for site in lat.sites]))
+
+
 class TestPurification:
     def test_reference_purifies_after_partner_measured(self):
         # T=1: the probe's entanglement lives inside one dimer, so it must
