@@ -447,7 +447,7 @@ class MatrixProductState:
             left, right = (l, 2, 2 * r), (2 * l, 2, r)
             picks = ()
             for view in ((right, left) if i_right else (left, right)):
-                pick, theta, _ = self._sample_kraus(theta.reshape(view), kraus, rng)
+                pick, theta = self._sample_kraus(theta.reshape(view), kraus, rng)
                 picks += (pick,)
         u, s, vh = _robust_svd(theta.reshape(lead + (l * 2, 2 * r)))
         s, kept = self._truncate(s, policy, pos)
@@ -504,7 +504,7 @@ class MatrixProductState:
             return s, None
         # a lane's values past its own rank are padding; the cutoff may not keep them
         own = 2 * np.minimum(self.ranks[:, pos], self.ranks[:, pos + 2])
-        if s[:, :1].all():  # s0 / s0 = 1 passes the cutoff, so every lane keeps one or more
+        if (s[:, 0] > 0.0).all():  # s0 / s0 = 1 passes the cutoff, so every lane keeps one or more
             want = np.minimum((s / s[:, :1] >= policy.svd_cutoff).sum(axis=1), own)
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -563,7 +563,7 @@ class MatrixProductState:
         """
         i = self._int(site)
         self._move_center(i)
-        pick, self.tensors[i], _ = self._sample_kraus(self.tensors[i], kraus, rng)
+        pick, self.tensors[i] = self._sample_kraus(self.tensors[i], kraus, rng)
         return pick
 
     def _sample_kraus(self, x: np.ndarray, kraus, rng):
@@ -573,9 +573,8 @@ class MatrixProductState:
         its reduced state on that leg is the site's: rho = X X^dag with X the
         leg-first matrix, and for Hermitian rho p_k = tr(M_k^dag M_k rho) =
         sum_st E_k[s, t] conj(rho[s, t]). Lanes failing the Born checks are
-        retired first. Draws one rng.random() and returns the index, the
-        normalized branch M_k x / sqrt(p_k), and the mask of lanes kept
-        (None when every lane was).
+        retired first. Draws one rng.random() and returns the index and the
+        normalized branch M_k x / sqrt(p_k).
         """
         lead = x.shape[:-3]
         m = x.swapaxes(-3, -2).reshape(lead + (2, -1))
@@ -583,7 +582,6 @@ class MatrixProductState:
         probs = (rho.conj().reshape(lead + (4,)) @ kraus.effects.reshape(len(kraus), -1).T).real
         total = probs.sum(-1)
         bad = abs(total - 1.0) > 1e-10  # also flags a total below PROB_FLOOR
-        kept = None
         if bad if self.lanes is None else bad.any():  # a scalar's .any() costs microseconds
             kept = self._retire(bad, MpsError, _born_failures(total[bad]))
             x, probs = x[kept], probs[kept]
@@ -592,11 +590,11 @@ class MatrixProductState:
             pick, p = _born_pick(probs, u)
             branch = np.matmul(kraus.stacked[pick, None], x)
             branch /= np.sqrt(p)
-            return pick, branch, kept
+            return pick, branch
         pick, p = _born_pick(probs, u[self.lanes])
         # each lane's normalized operator, shaped (B, 1, 2, 2, 1) to meet x's legs
         op = (kraus.stacked[pick] / np.sqrt(p)[:, None, None])[:, None, :, :, None]
-        return pick, op[..., 0, :] * x[..., :1, :] + op[..., 1, :] * x[..., 1:, :], kept
+        return pick, op[..., 0, :] * x[..., :1, :] + op[..., 1, :] * x[..., 1:, :]
 
     def _sample_pair(self, theta: np.ndarray, kraus, rng, i_right: bool):
         """_sample_kraus on both sites of a lane state's two-site block theta (B, l, 4, r).
@@ -701,9 +699,8 @@ class MatrixProductState:
                 own = np.minimum(self.ranks[:, i], self.ranks[:, i + 1])
                 keep = np.minimum(np.maximum(keep, 1), own)
                 self.ranks[:, i + 1] = keep
+                s = np.where(np.arange(s.shape[-1]) < keep[:, None], s, 0.0)
                 width = int(keep.max())
-                if (keep < width).any():
-                    s = np.where(np.arange(s.shape[-1]) < keep[:, None], s, 0.0)
             t = np.zeros(lead + (l, 2, width), dtype=complex)
             t[..., 0, :] = u[..., :width]
             self.tensors[i] = t

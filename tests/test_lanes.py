@@ -279,12 +279,16 @@ def _spectra(counts, n=6, seed=0):
     """One row per lane, descending: counts[b] values in [0.05, 1] above n - counts[b] below 1e-7.
 
     Under a cutoff of 1e-3 lane b keeps exactly counts[b] values; a count
-    of 0 gives an all-zero row. Six columns keep every sum a plain loop,
-    so the lane and one-lane branches add in the same order.
+    of 0 gives an all-zero row and None a NaN one. Six columns keep every
+    sum a plain loop, so the lane and one-lane branches add in the same
+    order.
     """
     rng = np.random.default_rng(seed)
     rows = []
     for c in counts:
+        if c is None:
+            rows.append(np.full(n, np.nan))
+            continue
         big = np.sort(rng.uniform(0.05, 1.0, c))[::-1]
         small = np.sort(rng.uniform(0.0, 1e-7, n - c))[::-1] if c else np.zeros(n)
         rows.append(np.concatenate([big, small]))
@@ -298,6 +302,8 @@ def _spectra(counts, n=6, seed=0):
     ((6, 1, 5, 4), TruncationPolicy(chi_max=3, svd_cutoff=1e-3)),  # and on some
     ((2, 0, 2, 2), TruncationPolicy(svd_cutoff=1e-3)),  # an all-zero lane
     ((2, 0, 1, 2), TruncationPolicy(svd_cutoff=1e-3)),
+    ((2, None, 2, 2), TruncationPolicy(svd_cutoff=1e-3)),  # a NaN lane keeps one too
+    ((1, None, 1, 1), TruncationPolicy(svd_cutoff=1e-3)),
     ((1, 4, 3, 5), TruncationPolicy(svd_cutoff=1e-3, hard_fail_chi=3)),  # two lanes retire
     ((2, 4, 2, 2), TruncationPolicy(svd_cutoff=1e-3, hard_fail_chi=3)),  # the rest agree
 ])
@@ -321,10 +327,10 @@ def test_lane_truncate_is_one_lane_truncate_per_lane(counts, policy):
         assert psi.lanes[row] == lane
         width = len(want)
         np.testing.assert_array_equal(got[row, :width], want)
-        if spectrum.any():  # the all-zero lane's padding is 0 / 0 as well
+        if spectrum.sum() > 0.0:  # an all-zero or NaN lane's padding is NaN as well
             assert not got[row, width:].any()
         assert psi.ranks[row, 2] == width
-        assert psi.discarded[lane] == one.discarded
+        np.testing.assert_equal(psi.discarded[lane], one.discarded)
         row += 1
     assert row == len(psi.lanes) == got.shape[0]
     assert (kept is None) == (row == len(counts))
@@ -375,7 +381,7 @@ def test_joint_table_picks_like_two_site_draws(kraus, i_right):
         x, picks = theta[lane], []
         try:
             for view in ((right, left) if i_right else (left, right)):
-                pick, x, _ = one._sample_kraus(x.reshape(view), kraus, draws)
+                pick, x = one._sample_kraus(x.reshape(view), kraus, draws)
                 picks.append(pick)
         except MpsError as exc:  # the same failure, with a total equal to roundoff
             assert lane == 0 and psi.failed[0].startswith("MpsError: Born probabilities sum to")
