@@ -1,13 +1,15 @@
 """Matrix-product-state trajectory backend.
 
 Holds the 1D state of an effective circuit as a chain of rank-3 tensors
-(left bond, physical qubit, right bond) with a tracked orthogonality center.
-Supports unitary gates (with swap routing for non-adjacent pairs), Born-rule
-Kraus sampling, measurement with reset, projection, and entanglement
-telemetry. All entropies are in natural-log units. The kernels trust
-their gates to be complex unitaries of the right shape: Circuit2D checks
-every gate once where a circuit enters (lightcone), and compile_sebd is
-the only source of effective circuits, so no check runs per call.
+(left bond, physical qubit, right bond) with a tracked orthogonality center
+over the slots that carry entanglement, and one loose single-qubit vector
+for every other slot. Supports unitary gates (with swap routing for pairs
+not adjacent on the chain), Born-rule Kraus sampling, measurement with
+reset, projection, and entanglement telemetry. All entropies are in
+natural-log units. The kernels trust their gates to be complex unitaries of
+the right shape: Circuit2D checks every gate once where a circuit enters
+(lightcone), and compile_sebd is the only source of effective circuits, so
+no check runs per call.
 
 Centre convention: every tensor left of ``center`` is a left isometry
 (A.reshape(l*2, r) has orthonormal columns) and every tensor right of it a
@@ -20,6 +22,27 @@ isometry on one side and puts the singular values on the other, which
 becomes the new centre (the right site by default, the left one with
 ``center_left``). Swap routing towards the gate therefore carries the
 centre along with the swapped content, and no QR runs between swaps.
+
+Loose slots: in SEBD every qubit enters the strip fresh and leaves it at
+its readout, and from its load until its first two-qubit gate, and again
+after its reset, its slot holds a product state. Such a slot stays off the
+chain, as a vector psi in ``loose``: (2,) in a one-lane state, (B, 2) in a
+lane state. new_product_state starts with an empty chain. One-qubit gates,
+Kraus sampling, measurement and projection on a loose slot act on its
+vector, with the same Born rule, checks and failure texts and the same one
+uniform per event, and move no centre. apply_2q first joins a loose slot
+at its slot-order position as identity kron psi on the bond there: exact,
+no SVD, and the new tensor is an isometry from either side, so the centre
+stays on the tensor it was on (``_join``; a lane state's ``ranks`` gains
+a column). A readout takes its slot off the chain again: the projected
+site's matrix is split by SVD into the two neighbours and the site is
+dropped, so the slot is a loose |0> and the bond between its neighbours
+keeps the rank it gets with the site (``_project_reset``). The chain is
+in slot order between calls, with the reference right after its partner,
+so routing swaps and centre moves run over chain positions and never pass
+a product slot. The per-slot views read a loose slot as the product factor
+it is: ``bond_dims`` gives it the chain bond it would join at, and
+``entropy``, ``to_dense`` and ``amplitude`` are in slot order.
 
 Noise on the block: a noise channel that follows a two-qubit gate on both
 of its sites (``apply_2q(..., kraus, rng)``) is sampled on the gate's
@@ -36,7 +59,8 @@ and gets their branch to roundoff.
 
 Lanes: a state made by ``new_product_state(n, lanes=B)`` holds B
 trajectories of one event stream, with a leading lane axis on every tensor,
-(B, l, 2, r); a one-lane state keeps (l, 2, r). The centre moves, two-site
+(B, l, 2, r), and on every loose vector, (B, 2); a one-lane state keeps
+(l, 2, r) and (2,). The centre moves, two-site
 updates, Kraus sampling and projection run over both shapes with the same
 code, batching their numpy and LAPACK calls over the lanes. Where a
 batched LAPACK or matmul call would still pay per small matrix, a lane
@@ -54,21 +78,25 @@ tensors are padded to the largest rank of any lane, and each lane's values
 past its own rank are zeroed and its kept ones renormalized, as a one-lane
 state would; when every lane keeps the same count, the common case, the
 values are cut by one slice and no mask is built. ``ranks`` holds every
-lane's own bond dimensions, ``bond_dims()`` the padded ones,
-``discarded`` each lane's discarded weight by lane id, and ``trunc_log``
-their sum. In a lane state ``rng.random()`` returns one uniform for every
-lane id of the block, and each lane makes its own Born pick and its own
-measurement: its bit is 0 when its uniform falls below its own p0. ``entropy`` returns one value per
-lane, from the stacked Schmidt values. A lane whose Born check,
-hard_fail_chi or measurement (a null branch) fails leaves the state, with
-the error text kept in ``failed``; a lane whose projection falls below the
-floor leaves it silently (its weight is 0). A one-lane state raises
-MpsError in all these cases. The reference qubit, ``to_dense`` and
+lane's own dimensions of the chain's bonds, ``bond_dims()`` the padded
+ones, ``discarded`` each lane's discarded weight by lane id, and
+``trunc_log`` their sum. In a lane state ``rng.random()`` returns one
+uniform for every lane id of the block, and each lane makes its own Born
+pick and its own measurement: its bit is 0 when its uniform falls below
+its own p0. ``entropy`` returns one value per lane, from the stacked
+Schmidt values. A lane whose Born check, hard_fail_chi or measurement (a
+null branch) fails leaves the state, with the error text kept in
+``failed``; a lane whose projection falls below the floor leaves it
+silently (its weight is 0). The checks are written so that NaN fails
+them: a NaN lane leaves as well. A lane leaving takes its tensors and its
+loose vectors along. A one-lane state raises MpsError in all these cases.
+The reference qubit, ``to_dense`` and
 ``amplitude`` take one-lane states only.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,29 +270,40 @@ def _unit_orthogonal(u1: np.ndarray) -> np.ndarray:
 class MatrixProductState:
     """Open-boundary MPS over qubits with an optional attached reference site.
 
-    Public site indices always refer to system qubits; the reference (if
-    attached) is read only by reference_entropy and never takes part in
-    gates, noise, or measurements. ``lanes`` is None for a one-lane state;
+    Public site indices always refer to system qubits (slots); the
+    reference (if attached) is read only by reference_entropy and never
+    takes part in gates, noise, or measurements. ``tensors`` is the chain:
+    the slots that carry entanglement, in slot order, and the reference
+    right after its partner, with the centre ``center`` a chain position.
+    Every other slot is loose, a single-qubit vector ``loose[slot]``, (2,)
+    in a one-lane state and (B, 2) in a lane state (the rows of chain slots
+    are unused). A slot joins the chain at its first two-qubit gate and
+    leaves it at its readout (see the module docstring). ``_keys`` holds
+    each chain position's order key, 2 * slot, or 2 * partner + 1 for the
+    reference, so ``_int`` finds a slot's position by bisection, with the
+    reference's offset folded in. ``lanes`` is None for a one-lane state;
     in a lane state it lists the ids of the live lanes in tensor order.
     """
 
-    def __init__(self, tensors: list[np.ndarray], center: int = 0):
-        if not tensors:
-            raise MpsError("empty tensor list")
-        self.tensors = tensors
-        self.center = center
+    def __init__(self, loose: np.ndarray):
+        """len(loose) slots, all loose, with loose[slot] their vectors; the chain is empty."""
+        self.tensors: list[np.ndarray] = []
+        self.center = 0
+        self._keys: list[int] = []
+        self.loose = loose
         # discarded weight so far; in a lane state one entry per lane id
         self.discarded: float | np.ndarray = 0.0
-        self._ref: int | None = None
+        self._ref: int | None = None  # the reference's order key
         self.lanes: np.ndarray | None = None
-        self.ranks: np.ndarray | None = None  # (lanes, bonds): each lane's own bond dims
+        self.ranks: np.ndarray | None = None  # (lanes, chain bonds): each lane's own bond dims
         self.failed: dict = {}  # lane id -> "ErrorType: text"
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def new_product_state(cls, n: int, bits=None, lanes: int | None = None) -> "MatrixProductState":
-        """Product state |bits> (default all zeros) on n sites; with lanes, one copy per lane."""
+        """Product state |bits> (default all zeros) on n loose slots; with lanes,
+        one copy per lane."""
         if n <= 0:
             raise MpsError("need at least one site")
         if lanes is not None and lanes < 1:
@@ -275,15 +314,13 @@ class MatrixProductState:
         if len(bits) != n or any(b not in (0, 1) for b in bits):
             raise MpsError(f"bits must be {n} binary values")
         lead = () if lanes is None else (lanes,)
-        tensors = []
-        for b in bits:
-            t = np.zeros((*lead, 1, 2, 1), dtype=complex)
-            t[..., 0, b, 0] = 1.0
-            tensors.append(t)
-        psi = cls(tensors, center=0)
+        b = np.array(bits).reshape((n,) + (1,) * len(lead))
+        loose = np.zeros((n, *lead, 2), dtype=complex)
+        loose[..., 0], loose[..., 1] = 1 - b, b
+        psi = cls(loose)
         if lanes is not None:
             psi.lanes = np.arange(lanes)
-            psi.ranks = np.ones((lanes, n + 1), dtype=int)
+            psi.ranks = np.ones((lanes, 1), dtype=int)
             psi.discarded = np.zeros(lanes)
         return psi
 
@@ -292,25 +329,44 @@ class MatrixProductState:
     @property
     def n_sites(self) -> int:
         """Number of system sites (the reference is excluded)."""
-        return len(self.tensors) - (1 if self._ref is not None else 0)
+        return len(self.loose)
 
     def _one_lane(self, what: str):
         if self.lanes is not None:
             raise MpsError(f"{what} takes a one-lane state")
 
-    def _int(self, site: int) -> int:
-        if not 0 <= site < self.n_sites:
-            raise MpsError(f"site {site} out of range 0..{self.n_sites - 1}")
-        if self._ref is not None and site >= self._ref:
-            return site + 1
-        return site
+    def _int(self, site: int) -> int | None:
+        """Chain position of a slot, None while it is loose."""
+        if not 0 <= site < len(self.loose):
+            raise MpsError(f"site {site} out of range 0..{len(self.loose) - 1}")
+        keys, k = self._keys, 2 * site
+        p = bisect_left(keys, k)
+        return p if p < len(keys) and keys[p] == k else None
 
-    def _int_cut(self, cut: int) -> int:
-        if not 1 <= cut <= self.n_sites - 1:
-            raise MpsError(f"cut {cut} out of range")
-        if self._ref is not None and self._ref <= cut:
-            return cut + 1
-        return cut
+    def _join(self, site: int) -> int:
+        """Chain position of a slot, which joins the chain first if it is loose.
+
+        A loose slot joins at its slot-order position as identity kron psi
+        on the bond there: exact, with no SVD. That tensor is an isometry
+        from either side, so the centre stays on its tensor.
+        """
+        p = self._int(site)
+        if p is not None:
+            return p
+        p = bisect_left(self._keys, 2 * site)
+        v = self.loose[site][..., None, :, None]
+        r = self.tensors[p].shape[-3] if p < len(self.tensors) else 1
+        self.tensors.insert(p, v.copy() if r == 1 else np.eye(r)[:, None, :] * v)
+        self._keys.insert(p, 2 * site)
+        if self.center >= p and len(self.tensors) > 1:
+            self.center += 1
+        if self.ranks is not None:  # the bond at p splits into two of its rank
+            self.ranks = np.concatenate((self.ranks[:, : p + 1], self.ranks[:, p:]), axis=1)
+        return p
+
+    def _loose_slots(self) -> list[int]:
+        chain = {k // 2 for k in self._keys if k % 2 == 0}
+        return [s for s in range(len(self.loose)) if s not in chain]
 
     @property
     def trunc_log(self) -> float:
@@ -318,11 +374,17 @@ class MatrixProductState:
         return float(np.sum(self.discarded))
 
     def bond_dims(self) -> list[int]:
-        """Bond dimensions along the chain; in a lane state, padded to the largest lane."""
-        return [t.shape[-3] for t in self.tensors] + [self.tensors[-1].shape[-1]]
+        """Bond dimensions left of each slot (and the reference) in slot
+        order, then the right end; in a lane state, padded to the largest
+        lane. A loose slot reads the chain bond it would join at."""
+        chain = [t.shape[-3] for t in self.tensors] + [1]
+        order = list(range(0, 2 * len(self.loose), 2))
+        if self._ref is not None:
+            order.insert(self._ref // 2 + 1, self._ref)
+        return [chain[bisect_left(self._keys, k)] for k in order] + [1]
 
     def max_bond(self) -> int:
-        return max(self.bond_dims())
+        return max((t.shape[-3] for t in self.tensors), default=1)
 
     # -- canonical form ----------------------------------------------------
 
@@ -364,13 +426,20 @@ class MatrixProductState:
         env = np.ones((1, 1), dtype=complex)
         for t in self.tensors:
             env = np.einsum("ab,aso,bsp->op", env, t, t.conj(), optimize=True)
-        return float(np.sqrt(max(env[0, 0].real, 0.0)))
+        sq = env[0, 0].real
+        for s in self._loose_slots():
+            sq *= np.vdot(self.loose[s], self.loose[s]).real
+        return float(np.sqrt(max(sq, 0.0)))
 
     # -- gates -------------------------------------------------------------
 
     def apply_1q(self, site: int, g: np.ndarray):
         """Single-qubit unitary; preserves canonical form, no center move."""
         i = self._int(site)
+        if i is None:
+            v = self.loose[site]
+            self.loose[site] = g @ v if self.lanes is None else v @ g.T
+            return
         t = self.tensors[i]
         if self.lanes is None:
             self.tensors[i] = np.matmul(g, t)
@@ -381,15 +450,17 @@ class MatrixProductState:
         self, i: int, j: int, g: np.ndarray, policy: TruncationPolicy = DEFAULT_POLICY,
         kraus=None, rng=None,
     ):
-        """Two-qubit unitary on sites (i, j); non-adjacent pairs are swap-routed.
+        """Two-qubit unitary on sites (i, j); pairs not adjacent on the chain are swap-routed.
 
-        The gate matrix is ordered so its first tensor factor acts on i. Every
-        adjacent update (including routing swaps) is truncated per policy,
-        with the discarded probability mass accumulated in discarded. With
-        ``kraus``, the channel then acts on site i and after it on site j,
-        each Born-sampled like apply_kraus (one rng.random() per site) on
-        the gate's two-site block before it is split; the pair of sampled
-        indices is returned, otherwise None. In a lane state each index is
+        A loose site joins the chain first (_join), so routing runs over
+        chain positions. The gate matrix is ordered so its first tensor
+        factor acts on i. Every adjacent update (including routing
+        swaps) is truncated per policy, with the discarded probability
+        mass accumulated in discarded. With ``kraus``, the channel then
+        acts on site i and after it on site j, each Born-sampled like
+        apply_kraus (one rng.random() per site) on the gate's two-site
+        block before it is split; the pair of sampled indices is
+        returned, otherwise None. In a lane state each index is
         an array over the lanes live on return.
         """
         if i == j:
@@ -398,7 +469,7 @@ class MatrixProductState:
         if i_right:
             g = g.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
             i, j = j, i
-        a, b = self._int(i), self._int(j)
+        a, b = self._join(i), self._join(j)  # i < j: joining j leaves a in place
         # bring the content of internal position b down next to a; the
         # centre stays on the left site so it travels down with the swaps
         for k in range(b, a + 1, -1):
@@ -548,6 +619,7 @@ class MatrixProductState:
                 self.failed[lane] = f"{error.__name__}: {text}"
         keep = ~bad
         self.tensors = [t[keep] for t in self.tensors]
+        self.loose = self.loose[:, keep]
         self.ranks, self.lanes = self.ranks[keep], self.lanes[keep]
         if not self.lanes.size:  # nothing left to run the rest of the kernel on
             raise MpsError("every lane has left the state")
@@ -562,6 +634,10 @@ class MatrixProductState:
         oracle's consumption so shared-seed runs stay in lockstep.
         """
         i = self._int(site)
+        if i is None:  # the loose vector is a (1, 2, 1) block that holds its own weight
+            pick, x = self._sample_kraus(self.loose[site][..., None, :, None], kraus, rng)
+            self.loose[site] = x[..., 0, :, 0]
+            return pick
         self._move_center(i)
         pick, self.tensors[i] = self._sample_kraus(self.tensors[i], kraus, rng)
         return pick
@@ -581,7 +657,7 @@ class MatrixProductState:
         rho = m @ m.conj().swapaxes(-1, -2)
         probs = (rho.conj().reshape(lead + (4,)) @ kraus.effects.reshape(len(kraus), -1).T).real
         total = probs.sum(-1)
-        bad = abs(total - 1.0) > 1e-10  # also flags a total below PROB_FLOOR
+        bad = ~(abs(total - 1.0) <= 1e-10)  # also flags a total below PROB_FLOOR, or NaN
         if bad if self.lanes is None else bad.any():  # a scalar's .any() costs microseconds
             kept = self._retire(bad, MpsError, _born_failures(total[bad]))
             x, probs = x[kept], probs[kept]
@@ -618,7 +694,7 @@ class MatrixProductState:
             table = table.swapaxes(-1, -2)
         first = table.sum(-1)
         total = first.sum(-1)
-        bad = abs(total - 1.0) > 1e-10  # also flags a total below PROB_FLOOR
+        bad = ~(abs(total - 1.0) <= 1e-10)  # also flags a total below PROB_FLOOR, or NaN
         kept = None
         if bad.any():
             kept = self._retire(bad, MpsError, _born_failures(total[bad]))
@@ -638,59 +714,81 @@ class MatrixProductState:
         on a null branch leaves it first as failed.
         """
         i = self._int(site)
-        self._move_center(i)
-        a = self.tensors[i]
+        a = self._readout_site(site, i)
         if self.lanes is None:
             p0 = float(np.vdot(a[:, 0, :], a[:, 0, :]).real)
             bit = 0 if rng.random() < p0 else 1
             p = p0 if bit == 0 else 1.0 - p0
-            if p < PROB_FLOOR:
+            if not p >= PROB_FLOOR:  # also a NaN state
                 raise MpsError("measurement hit a numerically null branch")
-            self._project_reset(i, bit, p)
+            self._project_reset(site, i, bit, p)
             return bit
         a0 = a[..., 0, :]
         p0 = np.einsum("...ij,...ij->...", a0.conj(), a0).real
         one = rng.random()[self.lanes] >= p0
         bit = one.astype(int)
         p = np.where(one, 1.0 - p0, p0)
-        null = p < PROB_FLOOR
+        null = ~(p >= PROB_FLOOR)
         if null.any():
             text = "measurement hit a numerically null branch"
             kept = self._retire(null, MpsError, [text] * np.count_nonzero(null))
             bit, p = bit[kept], p[kept]
-        self._project_reset(i, bit, p)
+        self._project_reset(site, i, bit, p)
         return bit
 
     def project_onto(self, site: int, bit: int) -> float:
         """Project a site onto a given bit, reset it to |0>, return the probability.
 
         A lane state returns one probability per lane left; lanes whose
-        probability falls below the floor have left it first.
+        probability falls below the floor (or is NaN) have left it first.
         """
         i = self._int(site)
-        self._move_center(i)
-        a = self.tensors[i][..., bit, :]
+        a = self._readout_site(site, i)[..., bit, :]
         p = np.einsum("...ij,...ij->...", a.conj(), a).real
-        low = p < PROB_FLOOR
+        low = ~(p >= PROB_FLOOR)
         if low.any():
             p = p[self._retire(low, MpsError, [
                 f"projection probability {q} below floor" for q in p[low]
             ], failed=False)]
         if self.lanes is None:
             p = float(p)
-        self._project_reset(i, bit, p)
+        self._project_reset(site, i, bit, p)
         return p
 
-    def _project_reset(self, i: int, bit, p):
-        # the projected site is a bare matrix on the bonds; splitting it by
-        # SVD lets the adjacent bond shrink to the rank actually used. bit is
-        # one int, or in a lane state an array of one bit per lane
+    def _readout_site(self, site: int, i: int | None) -> np.ndarray:
+        """The (..., l, 2, r) tensor that holds a slot's weight: its chain
+        tensor with the centre moved onto it, or its loose vector as (1, 2, 1)."""
+        if i is None:
+            return self.loose[site][..., None, :, None]
+        self._move_center(i)
+        return self.tensors[i]
+
+    def _project_reset(self, site: int, i: int | None, bit, p):
+        """Project a slot onto bit, whose weight is p, and leave it loose as |0>.
+
+        i is the slot's chain position, None if it is loose already. bit is
+        one int, or in a lane state an array of one bit per lane. On the
+        chain the projected site is a bare matrix m on its two bonds. Its SVD
+        u s vh, cut at 1e-14 relative, folds u into the left neighbour,
+        which stays a left isometry, and s vh into the right one, the new
+        centre, so the bond between them shrinks to the rank actually used;
+        at an end of the chain m folds into the one neighbour. A loose slot,
+        or the chain's only site, keeps its amplitude's phase on |0>, as the
+        chain keeps it in m.
+        """
+        v = self.loose[site]
+        if i is None:
+            amp = v[..., bit] if np.ndim(bit) == 0 else v[np.arange(len(bit)), bit]
+            v[..., 0], v[..., 1] = amp / np.sqrt(p), 0.0
+            return
+        v[..., 0], v[..., 1] = 1.0, 0.0
         scale = np.sqrt(p) if self.lanes is None else np.sqrt(p)[:, None, None]
         a = self.tensors[i]
         m = (a[..., bit, :] if np.ndim(bit) == 0 else a[np.arange(len(bit)), :, bit]) / scale
         lead, (l, r) = m.shape[:-2], m.shape[-2:]
         n_int = len(self.tensors)
-        if i < n_int - 1:
+        gone = i  # the ranks column that goes with the site
+        if 0 < i < n_int - 1:
             u, s, vh = _robust_svd(m)
             if self.ranks is None:
                 width = max(int(np.sum(s / max(s[0], PROB_FLOOR) >= 1e-14)), 1)
@@ -701,24 +799,29 @@ class MatrixProductState:
                 self.ranks[:, i + 1] = keep
                 s = np.where(np.arange(s.shape[-1]) < keep[:, None], s, 0.0)
                 width = int(keep.max())
-            t = np.zeros(lead + (l, 2, width), dtype=complex)
-            t[..., 0, :] = u[..., :width]
-            self.tensors[i] = t
+            b = self.tensors[i - 1]
+            self.tensors[i - 1] = (b.reshape(lead + (-1, l)) @ u[..., :width]).reshape(
+                b.shape[:-1] + (width,)
+            )
             b = self.tensors[i + 1]
             self.tensors[i + 1] = (
                 (s[..., :width, None] * vh[..., :width, :]) @ b.reshape(lead + (r, -1))
             ).reshape(lead + (width,) + b.shape[-2:])
-            self.center = i + 1
-            return
-        if n_int > 1:
+            self.center = i
+        elif i < n_int - 1:  # the first site: l = 1
+            b = self.tensors[1]
+            self.tensors[1] = (m @ b.reshape(lead + (r, -1))).reshape(lead + (1,) + b.shape[-2:])
+            self.center, gone = 0, 1
+        elif n_int > 1:  # the last site: r = 1
             b = self.tensors[i - 1]
             self.tensors[i - 1] = (b.reshape(lead + (-1, l)) @ m).reshape(b.shape[:-1] + (1,))
-            if self.ranks is not None:
-                self.ranks[:, i] = 1
             self.center = i - 1
-        fresh = np.zeros(lead + (1, 2, 1), dtype=complex)
-        fresh[..., 0, 0, 0] = 1.0
-        self.tensors[i] = fresh
+        else:  # the only site: m is its amplitude's phase, which stays on |0>
+            v[..., 0] = m[..., 0, 0]
+            self.center = 0
+        del self.tensors[i], self._keys[i]
+        if self.ranks is not None:
+            self.ranks = np.delete(self.ranks, gone, axis=1)
 
     # -- entanglement telemetry -------------------------------------------
 
@@ -728,7 +831,11 @@ class MatrixProductState:
         A lane state returns one value per lane left; a lane with a null
         spectrum leaves it first as failed.
         """
-        ic = self._int_cut(cut)
+        if not 1 <= cut <= len(self.loose) - 1:
+            raise MpsError(f"cut {cut} out of range")
+        ic = bisect_left(self._keys, 2 * cut)
+        if not 0 < ic < len(self.tensors):  # the whole chain lies on one side
+            return _spectrum_entropy(np.ones((1,) if self.lanes is None else (len(self.lanes), 1)))
         self._move_center(ic - 1)
         a = self.tensors[ic - 1]
         lead, (l, s, r) = a.shape[:-3], a.shape[-3:]
@@ -753,7 +860,7 @@ class MatrixProductState:
         self._one_lane("attach_reference")
         if self._ref is not None:
             raise MpsError("reference already attached")
-        i = self._int(site)
+        i = self._join(site)  # a loose partner joins with the bond it sits on
         t = self.tensors[i]
         if t.shape[0] != 1 or t.shape[2] != 1 or abs(t[0, 1, 0]) > 1e-12:
             raise MpsError("reference partner must be a fresh |0> product site")
@@ -764,14 +871,16 @@ class MatrixProductState:
         right[0, 0, 0] = right[1, 1, 0] = 1.0
         self.tensors[i] = left
         self.tensors.insert(i + 1, right)
-        self._ref = i + 1
+        self._ref = 2 * site + 1
+        self._keys.insert(i + 1, self._ref)
 
     def reference_entropy(self) -> float:
         """Von Neumann entropy of the reference's one-site reduced state."""
         if self._ref is None:
             raise MpsError("no reference attached")
-        self._move_center(self._ref)
-        a = self.tensors[self._ref]
+        i = bisect_left(self._keys, self._ref)
+        self._move_center(i)
+        a = self.tensors[i]
         rho = np.einsum("lsr,ltr->st", a, a.conj())
         evals = np.clip(np.linalg.eigvalsh(rho).real, 0.0, None)
         tot = evals.sum()
@@ -780,27 +889,34 @@ class MatrixProductState:
     # -- dense access ------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
-        """Full amplitude tensor of shape (2,)*n over all chain sites.
+        """Full amplitude tensor of shape (2,)*n over all sites, in slot order.
 
         Includes the reference site at its physical position if attached.
         """
         self._one_lane("to_dense")
-        acc = self.tensors[0]
-        for t in self.tensors[1:]:
+        acc = np.ones((1, 1), dtype=complex)
+        for t in self.tensors:
             acc = np.tensordot(acc, t, axes=(acc.ndim - 1, 0))
-        return acc[0, ..., 0]
+        acc, keys = acc[0, ..., 0], list(self._keys)
+        for s in self._loose_slots():
+            acc = np.multiply.outer(acc, self.loose[s])
+            keys.append(2 * s)
+        return acc.transpose(np.argsort(keys))
 
     def amplitude(self, bits) -> complex:
         self._one_lane("amplitude")
         bits = [int(b) for b in bits]
         if len(bits) != self.n_sites:
             raise MpsError("bitstring length mismatch")
+        if self._ref is not None:
+            raise MpsError("amplitude undefined with a reference attached")
         vec = np.ones((1,), dtype=complex)
-        for ext, b in enumerate(bits):
-            vec = vec @ self.tensors[self._int(ext)][:, b, :]
-            if self._ref is not None and self._int(ext) + 1 == self._ref:
-                raise MpsError("amplitude undefined with a reference attached")
-        return complex(vec[0])
+        for t, k in zip(self.tensors, self._keys):
+            vec = vec @ t[:, bits[k // 2], :]
+        amp = complex(vec[0])
+        for s in self._loose_slots():
+            amp *= complex(self.loose[s][bits[s]])
+        return amp
 
 
 def _born_pick(probs: np.ndarray, u):

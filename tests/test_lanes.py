@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from sebd import mps, sampler
 from sebd.channels import NoiseModel
 from sebd.cli import main
+from sebd.gates import CNOT, H, S
 from sebd.lightcone import build_lattice, compile_sebd, random_instance
 from sebd.mps import MatrixProductState, MpsError, TruncationPolicy
 from sebd.sampler import (
@@ -239,10 +240,11 @@ def test_lane_state_reads_like_one_lane_state():
         if not _step(psi, ev, cfg.policy, rng, []):
             break
     assert type(psi.trunc_log) is float and psi.trunc_log > 0.0
-    dims = psi.bond_dims()
-    assert all(type(d) is int for d in dims)
-    assert psi.ranks.shape == (12, len(dims))
-    assert (psi.ranks <= np.array(dims)).all()
+    assert all(type(d) is int for d in psi.bond_dims())
+    # ranks holds each lane's own dims of the chain's bonds, within the padded ones
+    chain = [t.shape[-3] for t in psi.tensors] + [1]
+    assert psi.ranks.shape == (12, len(chain))
+    assert (psi.ranks <= np.array(chain)).all()
 
 
 
@@ -310,6 +312,8 @@ def _spectra(counts, n=6, seed=0):
 def test_lane_truncate_is_one_lane_truncate_per_lane(counts, policy):
     s = _spectra(counts)
     psi = MatrixProductState.new_product_state(3, lanes=len(counts))
+    for slot in range(3):  # a chain of three sites, so bonds 1 and 3 frame pos 1
+        psi._join(slot)
     psi.ranks[:] = s.shape[1]  # no lane's own rank binds at pos 1
     # an all-zero block has no weight to renormalize: 0 / 0 in both branches
     with np.errstate(invalid="ignore"):
@@ -392,3 +396,62 @@ def test_joint_table_picks_like_two_site_draws(kraus, i_right):
         # the branch is normalized by the pair's probability: it agrees as well
         np.testing.assert_allclose(branch[row], x.reshape(l, 4, r), rtol=0, atol=1e-12)
     assert len(set(zip(pick_i.tolist(), pick_j.tolist()))) > 1
+
+
+def _entangled_state(lanes):
+    """Slots 0 and 1 entangled on the chain; slots 2 and 3 loose, off |0>."""
+    psi = MatrixProductState.new_product_state(4, lanes=lanes)
+    psi.apply_1q(0, H)
+    psi.apply_2q(0, 1, CNOT, POLICIES[0])
+    psi.apply_1q(2, H)
+    psi.apply_1q(3, H @ S)
+    return psi
+
+
+def _set_nan(psi, row=...):
+    """Every amplitude of one lane (row), or of a one-lane state, becomes NaN."""
+    for t in psi.tensors:
+        t[row] = np.nan
+    psi.loose[:, row] = np.nan
+
+
+NAN_EVENTS = {  # event -> (run it on site s, whether a lane that leaves is recorded as failed)
+    "idle noise": (lambda psi, s, rng: psi.apply_kraus(s, KRAUS_SETS[0], rng), True),
+    "noisy gate": (
+        lambda psi, s, rng: psi.apply_2q(s, s + 1, CNOT, POLICIES[0], KRAUS_SETS[0], rng), True
+    ),
+    "measurement": (lambda psi, s, rng: psi.measure_reset(s, rng), True),
+    "projection": (lambda psi, s, rng: psi.project_onto(s, 0), False),
+}
+
+
+@pytest.mark.parametrize("site", [0, 2], ids=["chain", "loose"])
+@pytest.mark.parametrize("event", list(NAN_EVENTS))
+def test_nan_lane_leaves_the_state(event, site):
+    # a NaN lane fails every Born total and probability floor, so it leaves
+    # before it can record a pick or a bit; the other lanes run on unchanged
+    run, records = NAN_EVENTS[event]
+    table = np.random.default_rng(4).uniform(0.1, 0.9, (3, 16))
+    clean, psi = _entangled_state(3), _entangled_state(3)
+    _set_nan(psi, 1)
+    want, got = (run(state, site, sampler._LaneUniforms(table)) for state in (clean, psi))
+    assert psi.lanes.tolist() == [0, 2]
+    if records:
+        assert psi.failed[1].startswith("MpsError: ")
+    else:
+        assert not psi.failed
+    if not isinstance(want, tuple):
+        want, got = (want,), (got,)
+    for w, g in zip(want, got):
+        np.testing.assert_allclose(g, w[[0, 2]], rtol=1e-12)
+    # then every slot, chain or loose, reads out as in the clean state
+    rng_clean, rng = sampler._LaneUniforms(table[:, 8:]), sampler._LaneUniforms(table[:, 8:])
+    for s in range(4):
+        clean.apply_1q(s, H)
+        psi.apply_1q(s, H)
+        bits = clean.measure_reset(s, rng_clean)
+        assert psi.measure_reset(s, rng).tolist() == bits[[0, 2]].tolist()
+    one = _entangled_state(None)
+    _set_nan(one)
+    with pytest.raises(MpsError):
+        run(one, site, _Draws(0.5, 0.5))

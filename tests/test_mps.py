@@ -1,5 +1,7 @@
 """MPS backend tests, cross-checked against the dense oracles."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,13 +19,14 @@ from sebd.channels import (
 from sebd.gates import CNOT, CZ, H, W, X, fsim, pauli_half_power
 from sebd.lightcone import build_lattice, compile_sebd, random_instance
 from sebd.mps import (
+    DEFAULT_POLICY,
     MatrixProductState,
     MpsError,
     TruncationOverflow,
     TruncationPolicy,
 )
 from sebd.oracles.dense import DenseVector
-from sebd.sampler import RunConfig, run_trajectory
+from sebd.sampler import RunConfig, _LaneUniforms, run_trajectory
 
 LN2 = np.log(2.0)
 BIG = TruncationPolicy(chi_max=4096, svd_cutoff=0.0)
@@ -40,8 +43,8 @@ class FakeRng:
 
 
 def clone(psi):
-    """An independent copy of a one-lane state without a reference site."""
-    return MatrixProductState([t.copy() for t in psi.tensors], psi.center)
+    """An independent copy of a state."""
+    return copy.deepcopy(psi)
 
 
 def ghz(n):
@@ -71,7 +74,8 @@ class TestConstruction:
 
     def test_single_one(self):
         psi = MatrixProductState.new_product_state(1, "1")
-        rho = np.einsum("lsr,ltr->st", psi.tensors[0], psi.tensors[0].conj())
+        v = psi.to_dense()
+        rho = np.outer(v, v.conj())
         np.testing.assert_allclose(rho, np.diag([0.0, 1.0]), atol=1e-15)
 
     def test_all_cuts_unentangled(self):
@@ -260,7 +264,7 @@ class TestEntropy:
             i = int(rng.integers(7))
             psi.apply_2q(i, i + 1, unitary_group.rvs(4, random_state=rng), policy)
         for cut in range(1, 8):
-            chi = psi.bond_dims()[psi._int_cut(cut)]
+            chi = psi.bond_dims()[cut]
             assert psi.entropy(cut) <= np.log(chi) + 1e-9
 
     def test_subsystem_full_is_zero(self):
@@ -462,7 +466,10 @@ def _pair_and_centred_state(seed, n, where, data):
     if span[0] > span[1]:
         span = (lo, hi)  # the pair touches that end of the chain
     psi = random_state(n, seed, depth=6)
-    psi._move_center(data.draw(st.integers(*span), label="centre"))
+    # the centre sits on a chain slot in the span, or on any chain slot if the span holds none
+    chain = [s for s in range(n) if psi._int(s) is not None]
+    chain = [s for s in chain if span[0] <= s <= span[1]] or chain
+    psi._move_center(psi._int(data.draw(st.sampled_from(chain), label="centre")))
     dv = DenseVector(n)
     dv.psi = psi.to_dense().copy()
     return i, j, psi, dv
@@ -549,16 +556,142 @@ def _count_linalg(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "lattice, qr, svd", ((("square", 4, 8), 54, 143), (("heavy-hex", 7, None), 74, 62))
-)
-def test_qr_calls_per_trajectory(monkeypatch, lattice, qr, svd):
+WORKLOAD_POLICY = TruncationPolicy(chi_max=256, svd_cutoff=1e-12)
+
+
+@pytest.mark.parametrize("lattice, policy, qr, svd", (
+    pytest.param(("square", 4, 8), DEFAULT_POLICY, 48, 115, id="square-4x8"),
+    pytest.param(("heavy-hex", 7, None), DEFAULT_POLICY, 39, 41, id="heavy-hex-7"),
+    # the benchmark's sample workloads
+    pytest.param(("heavy-hex", 11, None), WORKLOAD_POLICY, 133, 135, id="heavy-hex-11"),
+    pytest.param(("square", 6, 18), WORKLOAD_POLICY, 202, 517, id="square-6x18"),
+))
+def test_qr_calls_per_trajectory(monkeypatch, lattice, policy, qr, svd):
     # centre moves are structural: one QR per step the centre travels to
     # reach a site or a two-site block, none between routing swaps and none
-    # for the noise that follows a gate, which is sampled on its block
+    # for the noise that follows a gate, which is sampled on its block. A
+    # slot stays off the chain until its first two-qubit gate and leaves it
+    # at its readout, so product slots cost no QR, swap or SVD
     noise = NoiseModel(kind="depolarizing", epsilon=0.05)
     c = random_instance(build_lattice(*lattice), "ABCD", "fsim", noise, seed=3)
-    cfg = RunConfig(circuit=compile_sebd(c, "weak-tetrahedron"), master_seed=1)
+    cfg = RunConfig(circuit=compile_sebd(c, "weak-tetrahedron"), master_seed=1, policy=policy)
     calls = _count_linalg(monkeypatch)
     assert run_trajectory(cfg, 0).ok
     assert calls == {"qr": qr, "svd": svd}
+
+
+# -- loose slots: a slot joins the chain at its first two-qubit gate and
+# leaves it at its readout; the slot-order views must not see the difference
+
+LOOSE_NOISE = (make_depolarizing(0.2, "weak-tetrahedron"), make_amplitude_damping(0.3, "canonical"))
+
+
+def one_lane_view(psi, row):
+    """Lane `row` of a lane state as a one-lane state, each tensor cut to the lane's own ranks."""
+    view = copy.copy(psi)
+    r = psi.ranks[row]
+    view.tensors = [t[row][: r[k], :, : r[k + 1]] for k, t in enumerate(psi.tensors)]
+    view.loose = psi.loose[:, row]
+    view._keys = list(psi._keys)
+    view.lanes = view.ranks = None
+    return view
+
+
+def assert_reads_like_dense(psi, dv, n):
+    """The slot-order views of a one-lane state against the dense oracle's."""
+    want = dv.to_dense()
+    np.testing.assert_allclose(psi.to_dense(), want, atol=1e-9)
+    assert abs(np.vdot(psi.to_dense(), want)) == pytest.approx(1.0, abs=1e-9)
+    top = np.unravel_index(np.argmax(abs(want)), want.shape)
+    for bits in (top, [(s * 5 + 1) % 2 for s in range(n)]):
+        assert abs(psi.amplitude(bits) - dv.amplitude(bits)) <= 1e-9
+    assert_canonical(psi)
+    dims = psi.bond_dims()
+    assert len(dims) == n + 1 and dims[0] == dims[n] == 1
+    for s in range(n):
+        # a loose slot is a product factor and reads the bond it would join at
+        if psi._int(s) is None:
+            assert dims[s] == dims[s + 1]
+            assert dv.subsystem_renyi([s]) == pytest.approx(0.0, abs=1e-9)
+    for cut in range(1, n):
+        sv = np.linalg.svd(want.reshape(1 << cut, -1), compute_uv=False)
+        assert dims[cut] >= int(np.sum(sv > 1e-9 * sv[0]))
+        assert psi.entropy(cut) == pytest.approx(dv.renyi_entropy(cut, 1.0), abs=1e-6)
+
+
+@st.composite
+def loose_streams(draw):
+    """A slot count and an event stream whose first events find every slot loose."""
+    n = draw(st.integers(5, 7))
+    # a one-qubit gate on some slots first, so loose vectors carry phases
+    ops = [("1q", s, draw(st.integers(0, 10_000)), 0) for s in range(n) if draw(st.booleans())]
+    for _ in range(draw(st.integers(8, 24))):
+        kind = draw(st.sampled_from(
+            ("1q", "noise", "2q", "2q", "2q", "measure", "project", "centre")
+        ))
+        s = draw(st.integers(0, n - 1))
+        if kind == "2q":
+            d = draw(st.sampled_from([d for d in (1, 2, 3, -1, -2, -3) if 0 <= s + d < n]))
+            ops.append((kind, s, s + d, draw(st.integers(0, 10_000)), draw(st.integers(-1, 1))))
+        else:
+            ops.append((kind, s, draw(st.integers(0, 10_000)), draw(st.integers(0, 1))))
+    return n, ops
+
+
+@given(stream=loose_streams(), seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_loose_slots_match_dense(stream, seed):
+    # one event stream through a one-lane state, a 3-lane state and one
+    # dense vector per lane; lane 0 and the one-lane state draw the same uniforms
+    n, ops = stream
+    table = np.random.default_rng(seed).random((3, 2 * len(ops)))
+    psi = MatrixProductState.new_product_state(n)
+    lanes = MatrixProductState.new_product_state(n, lanes=3)
+    dense = [DenseVector(n) for _ in range(3)]
+    rngs = [FakeRng(row) for row in table]
+    one_rng, lane_rng = FakeRng(table[0]), _LaneUniforms(table)
+    for kind, s, *rest in ops:
+        if kind == "1q":
+            g = unitary_group.rvs(2, random_state=np.random.default_rng(rest[0]))
+            for state in (psi, lanes, *dense):
+                state.apply_1q(s, g)
+        elif kind == "noise":
+            k = LOOSE_NOISE[rest[1]]
+            want = [dv.apply_kraus(s, k, r) for dv, r in zip(dense, rngs)]
+            assert psi.apply_kraus(s, k, one_rng) == want[0]
+            assert lanes.apply_kraus(s, k, lane_rng).tolist() == want
+        elif kind == "2q":
+            j, g_seed, noise = rest
+            g = unitary_group.rvs(4, random_state=np.random.default_rng(g_seed))
+            k = None if noise < 0 else LOOSE_NOISE[noise]
+            want = [dv.apply_2q(s, j, g, k, r) for dv, r in zip(dense, rngs)]
+            assert psi.apply_2q(s, j, g, BIG, k, one_rng) == want[0]
+            got = lanes.apply_2q(s, j, g, BIG, k, lane_rng)
+            if k is not None:
+                assert list(zip(*(p.tolist() for p in got))) == want
+        elif kind == "measure":
+            want = [dv.measure_reset(s, r) for dv, r in zip(dense, rngs)]
+            assert psi.measure_reset(s, one_rng) == want[0]
+            assert lanes.measure_reset(s, lane_rng).tolist() == want
+        elif kind == "project":
+            # onto a bit every lane reaches with weight, so no lane leaves
+            bit = rest[1]
+            weights = [np.linalg.norm(np.take(dv.psi, bit, axis=s)) ** 2 for dv in dense]
+            if min(weights) < 1e-6:
+                bit = 1 - bit
+                weights = [1.0 - w for w in weights]
+            if min(weights) < 1e-6:
+                continue
+            want = [dv.project_onto(s, bit) for dv in dense]
+            assert psi.project_onto(s, bit) == pytest.approx(want[0], abs=1e-9)
+            np.testing.assert_allclose(lanes.project_onto(s, bit), want, atol=1e-9)
+        elif psi._int(s) is not None:  # "centre": put it on a chain slot of either state
+            psi._move_center(psi._int(s))
+            lanes._move_center(lanes._int(s))
+    assert lanes.lanes.tolist() == [0, 1, 2] and not lanes.failed
+    assert_reads_like_dense(psi, dense[0], n)
+    assert lanes._keys == psi._keys
+    assert lanes.ranks.shape == (3, len(lanes.tensors) + 1)
+    assert (lanes.ranks[:, 0] == 1).all() and (lanes.ranks[:, -1] == 1).all()
+    for row, dv in enumerate(dense):
+        assert_reads_like_dense(one_lane_view(lanes, row), dv, n)
