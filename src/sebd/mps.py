@@ -79,9 +79,10 @@ past its own rank are zeroed and its kept ones renormalized, as a one-lane
 state would; when every lane keeps the same count, the common case, the
 values are cut by one slice and no mask is built. ``ranks`` holds every
 lane's own dimensions of the chain's bonds, ``bond_dims()`` the padded
-ones, ``discarded`` each lane's discarded weight by lane id, and
-``trunc_log`` their sum. In a lane state ``rng.random()`` returns one
-uniform for every lane id of the block, and each lane makes its own Born
+ones, ``discarded`` each lane's discarded weight by lane id (one entry
+for a one-lane state), and ``trunc_log`` their sum. In a lane state
+``rng.random()`` returns one uniform for every lane id of the block, and
+each lane makes its own Born
 pick and its own measurement: its bit is 0 when its uniform falls below
 its own p0. ``entropy`` returns one value per lane, from the stacked
 Schmidt values. A lane whose Born check, hard_fail_chi or measurement (a
@@ -90,8 +91,9 @@ null branch) fails leaves the state, with the error text kept in
 silently (its weight is 0). The checks are written so that NaN fails
 them: a NaN lane leaves as well. A lane leaving takes its tensors and its
 loose vectors along. A one-lane state raises MpsError in all these cases.
-The reference qubit, ``to_dense`` and
-``amplitude`` take one-lane states only.
+The reference qubit, ``to_dense`` and ``amplitude`` take one-lane states
+only. ``live`` (lane ids, [0] for one lane) and ``lane_bonds()`` (each
+live lane's largest bond) read both shapes, so a driver need not branch.
 """
 
 from __future__ import annotations
@@ -102,6 +104,9 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_FLOOR = 1e-14
+
+_LANE_0 = np.zeros(1, dtype=int)  # live of a one-lane state
+_LANE_0.flags.writeable = False
 
 
 class MpsError(Exception):
@@ -156,7 +161,8 @@ def _robust_svd(mat: np.ndarray):
     The closed form gives the singular values to about eps * s_max, as
     gesdd does, and U and V orthonormal to 1e-13, rank-deficient and
     all-zero lanes included. Every other input goes to LAPACK's gesdd, and
-    where that fails to converge, to gesvd.
+    where that fails to converge, to gesvd; a matrix holding NaN or inf,
+    which no driver factors, gets NaN factors, as the closed form gives it.
     """
     if mat.ndim > 2:
         k = min(mat.shape[-2:])
@@ -168,6 +174,8 @@ def _robust_svd(mat: np.ndarray):
         # gesdd occasionally fails to converge on ill-conditioned inputs
         if mat.ndim > 2:  # retry lane by lane, so only the failing lanes fall back to gesvd
             return tuple(np.stack(f) for f in zip(*(_robust_svd(m) for m in mat)))
+        if not np.isfinite(mat).all():  # NaN factors of the right shapes
+            return tuple(f * np.nan for f in np.linalg.svd(np.zeros_like(mat), False))
         import scipy.linalg  # lazy: importing sebd loads no scipy
 
         return scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd")
@@ -291,8 +299,8 @@ class MatrixProductState:
         self.center = 0
         self._keys: list[int] = []
         self.loose = loose
-        # discarded weight so far; in a lane state one entry per lane id
-        self.discarded: float | np.ndarray = 0.0
+        # discarded weight so far, one entry per lane id
+        self.discarded = np.zeros(1)
         self._ref: int | None = None  # the reference's order key
         self.lanes: np.ndarray | None = None
         self.ranks: np.ndarray | None = None  # (lanes, chain bonds): each lane's own bond dims
@@ -385,6 +393,15 @@ class MatrixProductState:
 
     def max_bond(self) -> int:
         return max((t.shape[-3] for t in self.tensors), default=1)
+
+    @property
+    def live(self) -> np.ndarray:
+        """Ids of the live lanes in tensor order: lanes, or lane 0 of a one-lane state."""
+        return _LANE_0 if self.lanes is None else self.lanes
+
+    def lane_bonds(self):
+        """Each live lane's largest bond: a row of ranks, or max_bond() of a one-lane state."""
+        return self.max_bond() if self.ranks is None else self.ranks.max(axis=1)
 
     # -- canonical form ----------------------------------------------------
 
@@ -568,7 +585,7 @@ class MatrixProductState:
             kept = float(s2.sum())
             total = max(kept, PROB_FLOOR)
             if keep < len(s):
-                self.discarded += float(s2[keep:].sum()) / total
+                self.discarded[0] += float(s2[keep:].sum()) / total
                 s, kept = s[:keep], float(s2[:keep].sum())
             if kept != total:  # give the kept values the weight of the whole block
                 s = s / np.sqrt(kept / total)

@@ -7,16 +7,17 @@ unitarily, noise events Born-sample one Kraus branch each, readout events
 measure and reset their slot. Each trajectory's (z, m) pair is a valid
 joint sample, so the z marginal samples the noisy output distribution.
 
-Two loops interpret the event stream, sharing _step for gates and noise.
-_run_block runs a block of trajectory indices as the lanes of one state
-and takes the readout as an argument: sample measures and resets each
-slot (_sample_block), estimate_probability projects it onto a target bit
-(_block_weights). The K trajectories split into ceil(K / LANE_BLOCK)
-blocks whose sizes differ by at most 1, so any K up to 256 runs as one
-lane state. run_trajectory runs one trajectory in a one-lane state and
-reads each slot out by measurement and reset. It serves
-purification_run, whose reference qubit works on one-lane states only,
-and it is the oracle the lane records are tested against.
+One loop interprets the event stream: _run_block runs a block of
+trajectory indices and takes the readout as an argument. sample measures
+and resets each slot (_sample_block), estimate_probability projects it
+onto a target bit (_block_weights). Their K trajectories split into
+ceil(K / LANE_BLOCK) blocks whose sizes differ by at most 1, so any K up
+to 256 runs as the lanes of one state. run_trajectory is the block of one
+index read out by measurement, and purification_run averages the
+reference entropies of such blocks. The reference qubit takes no lane
+state, so a block whose config attaches one runs one trajectory in a
+one-lane state, and sample and estimate_probability refuse such a config;
+every other block is a lane state.
 
 One failure rule: an MpsError ends its trajectory and never leaves an
 entry point. sample keeps the failed record with its error text; the
@@ -99,7 +100,8 @@ class RunConfig:
     unraveling was chosen when it was compiled. mid_entropy records the
     entropy at the mid-chain cut (n_sites // 2) after every row-step;
     reference_site attaches a Bell-pair probe to that chain site before
-    the first row.
+    the first row and records its entropy after every row-step, one
+    trajectory per state: only run_trajectory and purification_run take it.
     """
 
     circuit: EffectiveCircuit1D
@@ -146,8 +148,8 @@ def _uniform_tables(master_seed: int, indices, n: int) -> np.ndarray:
 def _step(psi: MatrixProductState, ev, policy: TruncationPolicy, rng, m: list) -> bool:
     """Apply a gate or noise event, appending sampled Kraus indices to m.
 
-    m is a list, or for a lane state a _LanePicks. Returns False, having
-    done nothing, for a readout, which each caller handles its own way.
+    m is a list or a _LanePicks. Returns False, having done nothing, for a
+    readout, which each caller handles its own way.
     """
     if isinstance(ev, Gate):
         if ev.j is None:
@@ -166,57 +168,23 @@ def _step(psi: MatrixProductState, ev, policy: TruncationPolicy, rng, m: list) -
 
 
 def run_trajectory(cfg: RunConfig, index: int) -> TrajectoryRecord:
-    """Execute one trajectory; deterministic for fixed (master_seed, index)."""
-    eff = cfg.circuit
-    rng = _trajectory_rng(cfg.master_seed, index)
-    psi = MatrixProductState.new_product_state(eff.n_sites)
-    if cfg.reference_site is not None:
-        psi.attach_reference(cfg.reference_site)
-    z: dict = {}
-    m: list = []
-    entropies: list = []
-    refs: list = []
-    chi_max = 1
-    failed = None
-    try:
-        for row in eff.rows:
-            for ev in row:
-                if not _step(psi, ev, cfg.policy, rng, m):
-                    z[ev.coord] = psi.measure_reset(ev.i, rng)
-                elif isinstance(ev, Gate) and ev.j is not None:
-                    chi_max = max(chi_max, psi.max_bond())
-            chi_max = max(chi_max, psi.max_bond())
-            if cfg.mid_entropy:
-                entropies.append(psi.entropy(eff.n_sites // 2))
-            if cfg.reference_site is not None:
-                refs.append(psi.reference_entropy())
-    except MpsError as exc:
-        failed = f"{type(exc).__name__}: {exc}"
-    return TrajectoryRecord(
-        seed=index,
-        z=z,
-        m=tuple(m),
-        entropies=tuple(entropies),
-        ref_entropies=tuple(refs),
-        chi_max_seen=chi_max,
-        trunc_total=psi.trunc_log,
-        failed=failed,
-    )
+    """Trajectory index run alone (a block of one); deterministic for fixed
+    (master_seed, index)."""
+    return _sample_block(cfg, range(index, index + 1))[0]
 
 
 def sample(cfg: RunConfig, workers: int = 1) -> list:
     """All n_trajectories records, ordered by trajectory index.
 
     The trajectories run as the lanes of one state per block of
-    _lane_blocks, so each record equals run_trajectory(cfg, index) up to
-    roundoff: the same bits, Kraus indices, peak chi and failure text,
-    with trunc_total and entropies agreeing to roundoff. With workers > 1
-    the blocks, whose split does not depend on the worker count, are mapped
-    over a process pool. Memory: `sebd sample` on a square 8x24 (16 slots,
-    chi 32, epsilon 0.02) peaked at 91 MB resident with K = 256, one block,
-    against 43 MB with K = 1. The reference qubit runs on one-lane states
-    only, so a config with reference_site is refused: its trajectories
-    belong to purification_run.
+    _lane_blocks. Each lane draws from its own stream, so a record holds
+    the bits, Kraus indices, peak chi and failure text of its trajectory
+    run alone, with trunc_total and entropies agreeing to roundoff. With
+    workers > 1 the blocks, whose split does not depend on the worker count,
+    are mapped over a process pool. Memory: `sebd sample` on a square 8x24
+    (16 slots, chi 32, epsilon 0.02) peaked at 91 MB resident with K = 256,
+    one block, against 43 MB with K = 1. A config with reference_site is
+    refused: its trajectories belong to purification_run.
     """
     if cfg.reference_site is not None:
         raise SamplerError("sample runs no reference qubit; purification_run reads it")
@@ -271,20 +239,19 @@ class _LaneUniforms:
 
 
 class _LanePicks:
-    """The m list _step fills in a lane state: one row of Kraus indices per lane.
+    """The m list _step fills in _run_block: a row of Kraus indices per
+    noise event, a column per lane id. Each pick holds one index per lane
+    live when _step hands it over, so a lane's column holds -1 from the
+    event in which it left the state on."""
 
-    Each pick array holds one index per lane live when _step hands it over,
-    so a lane's row holds -1 from the event in which it left the state on.
-    """
-
-    def __init__(self, psi: MatrixProductState, n_cols: int):
+    def __init__(self, psi: MatrixProductState, n_rows: int):
         self.psi = psi
-        self.table = np.full((len(psi.lanes), n_cols), -1)
-        self.col = 0
+        self.table = np.full((n_rows, len(psi.live)), -1)
+        self.row = 0
 
-    def append(self, pick: np.ndarray):
-        self.table[self.psi.lanes, self.col] = pick
-        self.col += 1
+    def append(self, pick):
+        self.table[self.row][self.psi.live] = pick  # a row view: cheaper than a 2D index
+        self.row += 1
 
     def extend(self, picks):
         for pick in picks:
@@ -298,9 +265,10 @@ class _Block:
     reads holds each readout's value, NaN once the lane has left the state;
     picks the Kraus indices, -1 once it has left; chi each lane's peak bond
     dimension; entropies the mid-cut entropy after each row-step, NaN once
-    it has left (no columns without RunConfig.mid_entropy). psi is the
-    final state: its live lanes, the failed lanes' error texts and each
-    lane's discarded weight.
+    it has left (no columns without RunConfig.mid_entropy); refs likewise
+    the reference's entropy (no columns without RunConfig.reference_site).
+    psi is the final state: its live lanes, the failed lanes' error texts
+    and each lane's discarded weight.
     """
 
     psi: MatrixProductState
@@ -308,6 +276,7 @@ class _Block:
     picks: np.ndarray
     chi: np.ndarray
     entropies: np.ndarray
+    refs: np.ndarray
 
 
 def _lane_blocks(k: int) -> list:
@@ -325,38 +294,47 @@ def _run_block(cfg: RunConfig, eff: EffectiveCircuit1D, indices, readout) -> _Bl
     readout(psi, ev, rng) reads out the slot of a MeasureReset event and
     returns one value per lane live afterwards; it may retire lanes. Lane r
     draws its uniforms from _trajectory_rng(master_seed, indices[r]), one
-    per noise event and per readout in event order, as run_trajectory does;
-    a readout that draws none leaves the table's last columns unread, so
-    the noise events read the same numbers either way.
+    per noise event and per readout in event order (a lane state's drawn up
+    front); a readout that draws none leaves the table's last columns
+    unread, so the noise events read the same numbers either way. A block
+    with cfg.reference_site is one trajectory in a one-lane state, as
+    attach_reference needs; every other is a lane state. psi.live and
+    psi.lane_bonds() read both.
     """
     counts = eff.counts()
-    n = len(indices)
-    rng = _LaneUniforms(
-        _uniform_tables(cfg.master_seed, indices, counts["noise"] + counts["measure"])
-    )
-    psi = MatrixProductState.new_product_state(eff.n_sites, lanes=n)
+    n, rows = len(indices), len(eff.rows)
+    if cfg.reference_site is None:
+        psi = MatrixProductState.new_product_state(eff.n_sites, lanes=n)
+        table = _uniform_tables(cfg.master_seed, indices, counts["noise"] + counts["measure"])
+        rng = _LaneUniforms(table)
+    else:
+        psi = MatrixProductState.new_product_state(eff.n_sites)
+        psi.attach_reference(cfg.reference_site)
+        rng = _trajectory_rng(cfg.master_seed, indices[0])
     picks = _LanePicks(psi, counts["noise"])
     reads = np.full((n, counts["measure"]), np.nan)
     chi = np.ones(n, dtype=int)
-    entropies = np.full((n, len(eff.rows) if cfg.mid_entropy else 0), np.nan)
+    entropies = np.full((n, rows if cfg.mid_entropy else 0), np.nan)
+    refs = np.full((n, 0 if cfg.reference_site is None else rows), np.nan)
     col = 0
     try:
         for r, row in enumerate(eff.rows):
             for ev in row:
                 if not _step(psi, ev, cfg.policy, rng, picks):
-                    value = readout(psi, ev, rng)  # may retire lanes
-                    reads[psi.lanes, col] = value
+                    # the readout, which may retire lanes, runs before psi.live is read
+                    reads[psi.live, col] = readout(psi, ev, rng)
                     col += 1
                 elif isinstance(ev, Gate) and ev.j is not None:
-                    chi[psi.lanes] = np.maximum(chi[psi.lanes], psi.ranks.max(axis=1))
-            chi[psi.lanes] = np.maximum(chi[psi.lanes], psi.ranks.max(axis=1))
-            if cfg.mid_entropy:
-                value = psi.entropy(eff.n_sites // 2)
-                entropies[psi.lanes, r] = value
+                    chi[psi.live] = np.maximum(chi[psi.live], psi.lane_bonds())
+            chi[psi.live] = np.maximum(chi[psi.live], psi.lane_bonds())
+            if cfg.mid_entropy:  # so does entropy
+                entropies[psi.live, r] = psi.entropy(eff.n_sites // 2)
+            if cfg.reference_site is not None:
+                refs[psi.live, r] = psi.reference_entropy()
     except MpsError as exc:  # not a lane's own: it hits every live lane alike
-        for lane in psi.lanes.tolist():
+        for lane in psi.live.tolist():
             psi.failed[lane] = f"{type(exc).__name__}: {exc}"
-    return _Block(psi, reads, picks.table, chi, entropies)
+    return _Block(psi, reads, picks.table.T, chi, entropies, refs)
 
 
 def _sample_block(cfg: RunConfig, indices) -> list:
@@ -370,14 +348,14 @@ def _sample_block(cfg: RunConfig, indices) -> list:
     coords = eff.coords()
     records = []
     for lane, index in enumerate(indices):
-        bits = block.reads[lane]
-        picks = block.picks[lane]
-        entropies = block.entropies[lane]
+        bits, picks = block.reads[lane], block.picks[lane]
+        entropies, refs = block.entropies[lane], block.refs[lane]
         records.append(TrajectoryRecord(
             seed=index,
             z={c: int(b) for c, b in zip(coords, bits[~np.isnan(bits)])},
             m=tuple(picks[picks >= 0].tolist()),
             entropies=tuple(entropies[~np.isnan(entropies)].tolist()),
+            ref_entropies=tuple(refs[~np.isnan(refs)].tolist()),
             chi_max_seen=int(block.chi[lane]),
             trunc_total=float(block.psi.discarded[lane]),
             failed=block.psi.failed.get(lane),
@@ -395,12 +373,9 @@ def _block_weights(cfg: RunConfig, eff: EffectiveCircuit1D, target: dict, indice
     block = _run_block(
         cfg, eff, indices, lambda psi, ev, rng: psi.project_onto(ev.i, target[ev.coord])
     )
-    live = block.psi.lanes
-    weight = np.ones(len(live))
-    for p in block.reads[live].T:
-        weight *= p
+    live = block.psi.live
     out = np.zeros(len(indices))
-    out[live] = weight
+    out[live] = block.reads[live].prod(axis=1)
     out[list(block.psi.failed)] = np.nan
     return out
 
@@ -425,8 +400,13 @@ def estimate_probability(cfg: RunConfig, z_target) -> tuple:
     at most 2688 bytes a lane on the 6 slots of a square 3x3, where no bond
     exceeds 8; a two-site update's temporaries, the gate and Kraus
     intermediates, LAPACK workspace and each lane's uniform table (8 bytes
-    per noise event and per readout) come on top.
+    per noise event and per readout) come on top. A config with
+    reference_site is refused, as sample refuses it.
     """
+    if cfg.reference_site is not None:
+        raise SamplerError(
+            "estimate_probability runs no reference qubit; purification_run reads it"
+        )
     eff = cfg.circuit
     target = _bits_by_coord(eff, z_target)
     weights = np.concatenate([
@@ -441,8 +421,9 @@ def purification_run(cfg: RunConfig) -> np.ndarray:
     """Mean reference-qubit entropy after each row-step.
 
     The Bell-pair reference attaches to cfg.reference_site before the first
-    row; the returned series is the mean of run_trajectory's ref_entropies
-    over the trajectories that did not fail, summed in index order.
+    row. Each trajectory runs alone (run_trajectory, a one-lane block), and
+    the series is the mean of their ref_entropies over the trajectories that
+    did not fail, summed in index order.
     """
     if cfg.reference_site is None:
         raise SamplerError("purification needs a reference site")

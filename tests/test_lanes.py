@@ -15,10 +15,11 @@ from sebd import mps, sampler
 from sebd.channels import NoiseModel
 from sebd.cli import main
 from sebd.gates import CNOT, H, S
-from sebd.lightcone import build_lattice, compile_sebd, random_instance
+from sebd.lightcone import Gate, build_lattice, compile_sebd, random_instance
 from sebd.mps import MatrixProductState, MpsError, TruncationPolicy
 from sebd.sampler import (
     RunConfig,
+    TrajectoryRecord,
     _bits_by_coord,
     _block_weights,
     _lane_blocks,
@@ -26,7 +27,7 @@ from sebd.sampler import (
     _trajectory_rng,
     _uniform_tables,
     estimate_probability,
-    run_trajectory,
+    purification_run,
     sample,
 )
 
@@ -76,6 +77,39 @@ def one_lane_weights(cfg: RunConfig, target: dict) -> np.ndarray:
             weight = np.nan
         out.append(weight)
     return np.array(out)
+
+
+def one_lane_records(cfg: RunConfig) -> list:
+    """Each trajectory of cfg run alone in a one-lane state, read out by
+    measurement and reset.
+
+    Its peak bond is read after every two-qubit gate and every row-step,
+    its mid-cut entropy after every row-step (with mid_entropy), and an
+    MpsError ends it with the error's text.
+    """
+    eff = cfg.circuit
+    out = []
+    for index in range(cfg.n_trajectories):
+        rng = _trajectory_rng(cfg.master_seed, index)
+        psi = MatrixProductState.new_product_state(eff.n_sites)
+        z, m, entropies, chi, failed = {}, [], [], 1, None
+        try:
+            for row in eff.rows:
+                for ev in row:
+                    if not _step(psi, ev, cfg.policy, rng, m):
+                        z[ev.coord] = psi.measure_reset(ev.i, rng)
+                    elif isinstance(ev, Gate) and ev.j is not None:
+                        chi = max(chi, psi.max_bond())
+                chi = max(chi, psi.max_bond())
+                if cfg.mid_entropy:
+                    entropies.append(float(psi.entropy(eff.n_sites // 2)))
+        except MpsError as exc:
+            failed = f"{type(exc).__name__}: {exc}"
+        out.append(TrajectoryRecord(
+            seed=index, z=z, m=tuple(m), entropies=tuple(entropies), chi_max_seen=chi,
+            trunc_total=psi.trunc_log, failed=failed,
+        ))
+    return out
 
 
 def config(lattice, noise, epsilon, policy, seed, k):
@@ -137,7 +171,7 @@ def test_lane_records_match_one_lane(
 ):
     cfg = config(lattice, noise, epsilon, policy, seed, k=16)
     cfg.mid_entropy = mid_entropy
-    want = [run_trajectory(cfg, i) for i in range(cfg.n_trajectories)]
+    want = one_lane_records(cfg)
     with pytest.MonkeyPatch.context() as patch:
         if closed_form:
             patch.setattr(mps, "THIN_SVD_MIN_LANES", {1: 1, 2: 1})
@@ -214,6 +248,29 @@ def test_benchmark_square_3x3_runs_as_one_lane_state(tmp_path, monkeypatch):
     monkeypatch.setattr(MatrixProductState, "new_product_state", classmethod(spy))
     assert main(["benchmark", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
     assert made == [250]
+
+
+def test_purification_runs_one_lane_states_of_one_trajectory(monkeypatch):
+    # attach_reference takes a one-lane state, so each trajectory is a block of its own
+    cfg = config(("square", 3, 3), NOISES[0], 0.1, POLICIES[0], seed=3, k=5)
+    cfg.reference_site = cfg.circuit.n_sites // 2
+    made, blocks = [], []
+    build = MatrixProductState.__dict__["new_product_state"].__func__
+    run_block = sampler._run_block
+
+    def spy(cls, n, bits=None, lanes=None):
+        made.append(lanes)
+        return build(cls, n, bits, lanes)
+
+    def spy_block(cfg, eff, indices, readout):
+        blocks.append(list(indices))
+        return run_block(cfg, eff, indices, readout)
+
+    monkeypatch.setattr(MatrixProductState, "new_product_state", classmethod(spy))
+    monkeypatch.setattr(sampler, "_run_block", spy_block)
+    assert len(purification_run(cfg)) == len(cfg.circuit.rows)
+    assert made == [None] * 5
+    assert blocks == [[i] for i in range(5)]
 
 
 def test_failed_lanes_counted_like_one_lane():
@@ -455,3 +512,35 @@ def test_nan_lane_leaves_the_state(event, site):
     _set_nan(one)
     with pytest.raises(MpsError):
         run(one, site, _Draws(0.5, 0.5))
+
+
+NAN_SVDS = {  # a noiseless event whose first step is an SVD of the NaN lane's block
+    "gate": lambda psi: psi.apply_2q(0, 1, CNOT, POLICIES[0]),
+    # slot 2 joins the chain, a swap brings it next to slot 0, and one takes it back
+    "routing swap": lambda psi: psi.apply_2q(0, 2, CNOT, POLICIES[0]),
+}
+
+
+@pytest.mark.parametrize("event", list(NAN_SVDS))
+def test_nan_lane_passes_an_svd(event):
+    # three lanes take stacked LAPACK, which cannot factor a NaN block: the
+    # NaN lane gets NaN factors and leaves at its next check, as failed,
+    # while the other lanes run on unchanged
+    run = NAN_SVDS[event]
+    clean, psi = _entangled_state(3), _entangled_state(3)
+    _set_nan(psi, 1)
+    run(clean)
+    run(psi)
+    assert psi.lanes.tolist() == [0, 1, 2] and not psi.failed
+    table = np.random.default_rng(5).uniform(0.1, 0.9, (3, 4))
+    rng_clean, rng = sampler._LaneUniforms(table), sampler._LaneUniforms(table)
+    for s in range(4):
+        bits = clean.measure_reset(s, rng_clean)
+        assert psi.measure_reset(s, rng).tolist() == bits[[0, 2]].tolist()
+    assert psi.lanes.tolist() == [0, 2]
+    assert psi.failed[1] == "MpsError: measurement hit a numerically null branch"
+    one = _entangled_state(None)
+    _set_nan(one)
+    run(one)
+    with pytest.raises(MpsError):
+        one.measure_reset(0, _Draws(0.5))

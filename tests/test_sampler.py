@@ -15,6 +15,7 @@ import scipy.stats
 
 import sebd
 from sebd.channels import NoiseModel
+from sebd.experiments import config_from_mapping
 from sebd.gates import fsim
 from sebd.lightcone import (
     Circuit2D,
@@ -227,7 +228,9 @@ class TestGoldenSeed:
     numbers are drawn; it checks that gauge and kernel rewrites change
     results by roundoff only. Each case is a 2D circuit drawn with seed 11
     (ABCD schedule, fSim gates, depolarizing 0.05, weak-tetrahedron
-    unraveling) and run for 6 trajectories with master seed 2306.
+    unraveling) and run for 6 trajectories with master seed 2306. The
+    purification series and estimates were recorded while purification_run
+    still had an event loop of its own, before it went through _run_block.
     """
 
     CASES = {"square_4x8": ("square", 4, 8), "heavyhex_7": ("heavy-hex", 7, None)}
@@ -249,6 +252,41 @@ class TestGoldenSeed:
             assert "".join(map(str, rec.bits_scan_order())) == want["bits"]
             assert "".join(map(str, rec.m)) == want["m"]
             assert abs(rec.trunc_total - want["trunc_total"]) <= 1e-20
+
+    # the perfbench workloads' circuit and truncation settings
+    WORKLOAD = {
+        "schedule": "ABCD", "gate_family": "fsim", "noise_kind": "depolarizing",
+        "unravel_form": "weak-tetrahedron", "epsilons": [0.05], "chi_max": 256,
+        "svd_cutoff": 1e-12,
+    }
+
+    @staticmethod
+    def fixture(name):
+        return json.loads((Path(__file__).parent / "golden_seed.json").read_text())[name]
+
+    def test_purification_series_match_fixture(self):
+        # phase_sweep_square_6: a 6 x 18 strip, 8 trajectories, the reference on
+        # the middle slot, as purification_point builds it for command seeds
+        # 3001 and 3002; the fit window reads entropies down to 1e-11
+        cfg = config_from_mapping(
+            {**self.WORKLOAD, "lattice": "square", "lx_list": [6], "n_trajectories": 8}
+        )
+        for seed, want in self.fixture("purification_square_6").items():
+            eff = compile_sebd(cfg.instance(0.05, 6, 18, int(seed)), cfg.form(0.05))
+            run = RunConfig(
+                eff, policy=cfg.policy(), n_trajectories=8, master_seed=int(seed),
+                reference_site=eff.n_sites // 2,
+            )
+            np.testing.assert_allclose(purification_run(run), want, rtol=1e-9, atol=1e-13)
+
+    def test_estimates_match_fixture(self):
+        # benchmark_square_3x3: K = 250 trajectories on the square 3 x 3 of seed 3
+        cfg = config_from_mapping({**self.WORKLOAD, "lattice": "square", "lx_list": [3]})
+        eff = compile_sebd(cfg.instance(0.05, 3, 3, 3), cfg.form(0.05))
+        run = RunConfig(eff, policy=cfg.policy(), n_trajectories=250, master_seed=3)
+        for z, want in self.fixture("estimate_square_3x3").items():
+            got = estimate_probability(run, [int(b) for b in z])
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 def marginal_ones(rho) -> np.ndarray:
@@ -319,6 +357,11 @@ class TestEstimateProbability:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 estimate_probability(cfg, (0,) * 6)
+
+    def test_reference_site_refused(self):
+        cfg = RunConfig(compile_sebd(small_noisy_circuit()), n_trajectories=2, reference_site=1)
+        with pytest.raises(SamplerError, match="purification_run"):
+            estimate_probability(cfg, (0,) * 6)
 
 
 class TestTableauAtWorkloadScale:
@@ -509,6 +552,6 @@ def test_runs_leave_module_state_unchanged():
     cfg = RunConfig(circuit=compile_sebd(c), n_trajectories=3, master_seed=5, reference_site=1)
     before = _module_state()
     assert all(rec.ok for rec in sample(replace(cfg, reference_site=None)))
-    estimate_probability(cfg, (0,) * lat.n_sites)
+    estimate_probability(replace(cfg, reference_site=None), (0,) * lat.n_sites)
     purification_run(cfg)
     assert _module_state() == before
