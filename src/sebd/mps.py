@@ -73,7 +73,8 @@ enough lanes (_robust_svd: at least 4 lanes when the smaller side is 1, at
 least 32 when it is 2; below that, stacked gesdd is as fast or faster,
 since the closed form costs about the same at any lane count). Every lane
 truncates by its own singular values under the same rule (svd_cutoff,
-chi_max, hard_fail_chi, and the 1e-14 cutoff after a projection): the
+chi_max, hard_fail_chi, and the SVD_FLOOR of 1e-14 relative, below which
+a value is roundoff of zero and its vectors may lie in the padding): the
 tensors are padded to the largest rank of any lane, and each lane's values
 past its own rank are zeroed and its kept ones renormalized, as a one-lane
 state would; when every lane keeps the same count, the common case, the
@@ -104,6 +105,10 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_FLOOR = 1e-14
+# singular values below this fraction of the largest are roundoff of zero:
+# their vectors are not determined, and in a lane state they can lie in the
+# padding past the lane's own rank, so no cut keeps them
+SVD_FLOOR = 1e-14
 
 _LANE_0 = np.zeros(1, dtype=int)  # live of a one-lane state
 _LANE_0.flags.writeable = False
@@ -122,7 +127,8 @@ class TruncationPolicy:
     """SVD truncation rule: relative cutoff first, then a hard cap.
 
     Singular values with lambda/lambda_max >= svd_cutoff are kept, at most
-    chi_max of them. If hard_fail_chi is set and the post-cutoff rank exceeds
+    chi_max of them; a cutoff below SVD_FLOOR acts as SVD_FLOOR, so a cutoff
+    of 0 keeps every value that is not roundoff of zero. If hard_fail_chi is set and the post-cutoff rank exceeds
     it, the operation raises instead of truncating silently.
     """
 
@@ -405,9 +411,31 @@ class MatrixProductState:
 
     # -- canonical form ----------------------------------------------------
 
+    def _own_part(self, c: int) -> np.ndarray | None:
+        """The tensor at c with each lane's entries past its own ranks zeroed.
+
+        None when no lane is padded there. Householder QR leaves rows that
+        are exactly zero out of every reflector, so with the padding zeroed
+        and a lane's own rows first, a rank-deficient lane completes its
+        isometry inside its own ranks, as a one-lane state does, and
+        roundoff in the padding cannot tilt it.
+        """
+        t, ranks = self.tensors[c], self.ranks
+        if ranks is None:
+            return None
+        rl, rr = ranks[:, c], ranks[:, c + 1]
+        l, r = t.shape[-3], t.shape[-1]
+        if (rl == l).all() and (rr == r).all():
+            return None
+        rows, cols = np.arange(l) < rl[:, None], np.arange(r) < rr[:, None]
+        return t * (rows[:, :, None, None] & cols[:, None, None, :])
+
     def _shift_right(self):
         c = self.center
         a, b = self.tensors[c], self.tensors[c + 1]
+        own = self._own_part(c)
+        if own is not None:  # rows (l, s): a lane's own rows come first
+            a = own
         lead, (l, s, r) = a.shape[:-3], a.shape[-3:]
         q, rm = np.linalg.qr(a.reshape(lead + (l * s, r)))
         self.tensors[c] = q.reshape(lead + (l, s, -1))
@@ -420,9 +448,13 @@ class MatrixProductState:
         # LQ from the QR of the transpose: a = rm.T @ q.T, q.T has orthonormal rows
         c = self.center
         a, b = self.tensors[c], self.tensors[c - 1]
+        own = self._own_part(c)
+        if own is not None:  # columns (r, s), so a lane's own ones come first
+            a = own.swapaxes(-1, -2)
         lead, (l, s, r) = a.shape[:-3], a.shape[-3:]
         q, rm = np.linalg.qr(a.reshape(lead + (l, s * r)).swapaxes(-1, -2))
-        self.tensors[c] = q.swapaxes(-1, -2).reshape(lead + (-1, s, r))
+        q = q.swapaxes(-1, -2).reshape(lead + (-1, s, r))
+        self.tensors[c] = q if own is None else q.swapaxes(-1, -2)
         self.tensors[c - 1] = (
             b.reshape(lead + (-1, l)) @ rm.swapaxes(-1, -2)
         ).reshape(b.shape[:-1] + (-1,))
@@ -562,23 +594,23 @@ class MatrixProductState:
     def _truncate(self, s: np.ndarray, policy: TruncationPolicy, pos: int):
         """Truncate the singular values of the block at pos; returns (values, lanes kept).
 
-        Values with s/s_max >= svd_cutoff are kept, at least one and at most
-        chi_max, and a count above hard_fail_chi fails. The kept values take
-        the weight of all of them; the discarded fraction adds to discarded.
-        In a lane state each lane counts among the values of its own block
-        and fails alone, its values past its own rank are zeroed, and the
-        values come cut to the largest rank kept. When every lane keeps the
-        same count, the common case, that is one slice of all rows, with
-        the one-lane branch's sums. The mask of lanes kept is None when all
-        were. The one-lane branch is the same rule on scalars, which keeps
-        it cheap.
+        Values with s/s_max >= svd_cutoff (SVD_FLOOR at least) are kept, at
+        least one and at most chi_max, and a count above hard_fail_chi
+        fails. The kept values take the weight of all of them; the
+        discarded fraction adds to discarded. In a lane state each lane
+        counts among the values of its own block and fails alone, its values
+        past its own rank are zeroed, and the values come cut to the largest
+        rank kept. When every lane keeps the same count, the common case,
+        that is one slice of all rows, with the one-lane branch's sums. The
+        mask of lanes kept is None when all were. The one-lane branch is the
+        same rule on scalars, which keeps it cheap.
         """
-        cap = policy.hard_fail_chi
+        cap, cut = policy.hard_fail_chi, max(policy.svd_cutoff, SVD_FLOOR)
         s2 = s * s
         if s.ndim == 1:
             keep = 1
             if s[0] > 0.0:
-                keep = int(np.sum(s / s[0] >= policy.svd_cutoff)) or 1
+                keep = int(np.sum(s / s[0] >= cut)) or 1
                 if cap is not None and keep > cap:
                     raise TruncationOverflow(f"needed bond {keep} exceeds hard_fail_chi={cap}")
                 keep = min(keep, policy.chi_max)
@@ -593,10 +625,10 @@ class MatrixProductState:
         # a lane's values past its own rank are padding; the cutoff may not keep them
         own = 2 * np.minimum(self.ranks[:, pos], self.ranks[:, pos + 2])
         if (s[:, 0] > 0.0).all():  # s0 / s0 = 1 passes the cutoff, so every lane keeps one or more
-            want = np.minimum((s / s[:, :1] >= policy.svd_cutoff).sum(axis=1), own)
+            want = np.minimum((s / s[:, :1] >= cut).sum(axis=1), own)
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
-                want = (s / s[:, :1] >= policy.svd_cutoff).sum(axis=1)
+                want = (s / s[:, :1] >= cut).sum(axis=1)
             want = np.where(s[:, 0] > 0.0, np.clip(want, 1, own), 1)
         lanes_kept = None
         if cap is not None and (want > cap).any():
@@ -786,7 +818,7 @@ class MatrixProductState:
         i is the slot's chain position, None if it is loose already. bit is
         one int, or in a lane state an array of one bit per lane. On the
         chain the projected site is a bare matrix m on its two bonds. Its SVD
-        u s vh, cut at 1e-14 relative, folds u into the left neighbour,
+        u s vh, cut at SVD_FLOOR relative, folds u into the left neighbour,
         which stays a left isometry, and s vh into the right one, the new
         centre, so the bond between them shrinks to the rank actually used;
         at an end of the chain m folds into the one neighbour. A loose slot,
@@ -808,9 +840,9 @@ class MatrixProductState:
         if 0 < i < n_int - 1:
             u, s, vh = _robust_svd(m)
             if self.ranks is None:
-                width = max(int(np.sum(s / max(s[0], PROB_FLOOR) >= 1e-14)), 1)
+                width = max(int(np.sum(s / max(s[0], PROB_FLOOR) >= SVD_FLOOR)), 1)
             else:  # the same rule per lane; each lane's values past its own rank are zeroed
-                keep = (s / np.maximum(s[:, :1], PROB_FLOOR) >= 1e-14).sum(axis=1)
+                keep = (s / np.maximum(s[:, :1], PROB_FLOOR) >= SVD_FLOOR).sum(axis=1)
                 own = np.minimum(self.ranks[:, i], self.ranks[:, i + 1])
                 keep = np.minimum(np.maximum(keep, 1), own)
                 self.ranks[:, i + 1] = keep

@@ -42,8 +42,7 @@ NOISES = (
     ("amplitude-damping", "canonical"),
 )
 # cutoffs of 1e-3 and 1e-2 truncate for real, so the lanes keep different
-# ranks; cutoff 0 keeps zero singular values, so the columns the closed-form
-# SVD completes for rank-deficient blocks stay in the state
+# ranks; cutoff 0 keeps every value above the SVD_FLOOR of roundoff
 POLICIES = (
     TruncationPolicy(chi_max=256, svd_cutoff=1e-12),
     TruncationPolicy(chi_max=256, svd_cutoff=1e-3),

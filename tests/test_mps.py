@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
@@ -640,6 +640,12 @@ def loose_streams(draw):
 
 @given(stream=loose_streams(), seed=st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
+# amplitude damping leaves lane 0's slots 0 and 1 product states, so the last
+# gate's block has a singular value of 1e-17 in that lane: kept at cutoff 0,
+# its vector lay in the padding past the lane's rank
+@example(stream=(5, [("1q", 0, 0, 0)] * 14 + [("2q", 0, 1, 0, 0)] + [("1q", 0, 0, 0)] * 3 + [
+    ("2q", 0, 2, 0, 0), ("noise", 0, 0, 1), ("project", 1, 0, 0), ("2q", 1, 3, 0, 1),
+]), seed=0)
 def test_loose_slots_match_dense(stream, seed):
     # one event stream through a one-lane state, a 3-lane state and one
     # dense vector per lane; lane 0 and the one-lane state draw the same uniforms
