@@ -1,100 +1,99 @@
 """Matrix-product-state trajectory backend.
 
-Holds the 1D state of an effective circuit as a chain of rank-3 tensors
-(left bond, physical qubit, right bond) with a tracked orthogonality center
-over the slots that carry entanglement, and one loose single-qubit vector
-for every other slot. Supports unitary gates (with swap routing for pairs
-not adjacent on the chain), Born-rule Kraus sampling, measurement with
-reset, projection, and entanglement telemetry. All entropies are in
-natural-log units. The kernels trust their gates to be complex unitaries of
-the right shape: Circuit2D checks every gate once where a circuit enters
-(lightcone), and compile_sebd is the only source of effective circuits, so
-no check runs per call.
+Holds B trajectories of one effective circuit, its lanes, as a chain of
+rank-4 tensors (lane, left bond, physical qubit, right bond) with a tracked
+orthogonality center over the slots that carry entanglement, and one loose
+(B, 2) vector for every other slot. ``new_product_state(n, lanes=B)`` makes
+the one state shape there is; a single trajectory is a state of one lane.
+Supports unitary gates (with swap routing for pairs not adjacent on the
+chain), Born-rule Kraus sampling, measurement with reset, projection, and
+entanglement telemetry. All entropies are in natural-log units. The
+kernels trust their gates to be complex unitaries of the right shape:
+Circuit2D checks every gate once where a circuit enters (lightcone), and
+compile_sebd is the only source of effective circuits, so no check runs
+per call.
 
 Centre convention: every tensor left of ``center`` is a left isometry
-(A.reshape(l*2, r) has orthonormal columns) and every tensor right of it a
-right isometry (A.reshape(l, 2*r) has orthonormal rows), so the state's
-norm and all its weight sit in ``tensors[center]``. Single-site operations
-(Kraus sampling, measurement, projection, entropies) first move the centre
-onto their site with one QR per step. A two-site update only needs the
-centre somewhere in its block {pos, pos+1}: the SVD of the block leaves an
-isometry on one side and puts the singular values on the other, which
-becomes the new centre (the right site by default, the left one with
-``center_left``). Swap routing towards the gate therefore carries the
-centre along with the swapped content, and no QR runs between swaps.
+(A.reshape(l*2, r) has orthonormal columns in each lane) and every tensor
+right of it a right isometry (A.reshape(l, 2*r) has orthonormal rows), so
+each lane's norm and all its weight sit in ``tensors[center]``. Single-site
+operations (Kraus sampling, measurement, projection, entropies) first move
+the centre onto their site with one stacked QR per step. A two-site update
+only needs the centre somewhere in its block {pos, pos+1}: the SVD of the
+block leaves an isometry on one side and puts the singular values on the
+other, which becomes the new centre (the right site by default, the left
+one with ``center_left``). Swap routing towards the gate therefore carries
+the centre along with the swapped content, and no QR runs between swaps.
 
 Loose slots: in SEBD every qubit enters the strip fresh and leaves it at
 its readout, and from its load until its first two-qubit gate, and again
 after its reset, its slot holds a product state. Such a slot stays off the
-chain, as a vector psi in ``loose``: (2,) in a one-lane state, (B, 2) in a
-lane state. new_product_state starts with an empty chain. One-qubit gates,
-Kraus sampling, measurement and projection on a loose slot act on its
-vector, with the same Born rule, checks and failure texts and the same one
-uniform per event, and move no centre. apply_2q first joins a loose slot
-at its slot-order position as identity kron psi on the bond there: exact,
-no SVD, and the new tensor is an isometry from either side, so the centre
-stays on the tensor it was on (``_join``; a lane state's ``ranks`` gains
-a column). A readout takes its slot off the chain again: the projected
-site's matrix is split by SVD into the two neighbours and the site is
-dropped, so the slot is a loose |0> and the bond between its neighbours
-keeps the rank it gets with the site (``_project_reset``). The chain is
-in slot order between calls, with the reference right after its partner,
-so routing swaps and centre moves run over chain positions and never pass
-a product slot. The per-slot views read a loose slot as the product factor
-it is: ``bond_dims`` gives it the chain bond it would join at, and
-``entropy``, ``to_dense`` and ``amplitude`` are in slot order.
+chain, as its vectors in ``loose``. new_product_state starts with an empty
+chain. One-qubit gates, Kraus sampling, measurement and projection on a
+loose slot act on its vectors, with the same Born rule, checks and failure
+texts and the same one uniform per lane and event, and move no centre.
+apply_2q first joins a loose slot at its slot-order position as identity
+kron psi on the bond there: exact, no SVD, and the new tensor is an
+isometry from either side, so the centre stays on the tensor it was on
+(``_join``; ``ranks`` gains a column). A readout takes its slot off the
+chain again: the projected site's matrix is split by SVD into the two
+neighbours and the site is dropped, so the slot is a loose |0> and the
+bond between its neighbours keeps the rank it gets with the site
+(``_project_reset``). The chain is in slot order between calls, so routing
+swaps and centre moves run over chain positions and never pass a product
+slot. The per-slot views read a loose slot as the product factor it is:
+``bond_dims`` gives it the chain bond it would join at, and ``entropy``,
+``to_dense`` and ``amplitude`` are in slot order.
+
+The reference qubit of the purification probe attaches to an empty chain
+(``attach_reference``), as the Bell pair [reference, partner], and stays at
+the chain's left end, order key -1: left of every slot, so no gate routes
+past it and it widens no bond between slots. ``entropy(cut)`` counts it on
+the left of every cut; no entry point sets both RunConfig.mid_entropy and
+reference_site.
 
 Noise on the block: a noise channel that follows a two-qubit gate on both
 of its sites (``apply_2q(..., kraus, rng)``) is sampled on the gate's
-two-site block θ after the gate and before the SVD, first on the gate's
-site i, then on site j. θ is the centre, so each site's 2x2 reduced state
-comes from θ alone and no centre move is needed; the SVD then splits the
-post-noise block. The result equals the gate followed by apply_kraus on i
-and on j, with the same Born weights and random draws. A lane state reads
-both picks from one joint table instead, P[k_i, k_j] = tr[(E_ki kron
-E_kj) rho] over the block's two-site reduced state rho (_sample_pair):
-k_i from P's row sums, then k_j from row k_i, with the same two uniforms
-in the same order, so each lane makes the picks of the two one-site draws
-and gets their branch to roundoff.
+two-site block θ after the gate and before the SVD, site i first, then
+site j. θ is the centre, so the block's two-site reduced state rho comes
+from θ alone and no centre move is needed; the SVD then splits the
+post-noise block. Both picks come from one joint table P[k_i, k_j] =
+tr[(E_ki kron E_kj) rho] (_sample_pair): k_i from P's row sums, then k_j
+from row k_i, with the same two uniforms in the same order as the gate
+followed by apply_kraus on i and on j, so each lane makes the picks of the
+two one-site draws and gets their branch to roundoff.
 
-Lanes: a state made by ``new_product_state(n, lanes=B)`` holds B
-trajectories of one event stream, with a leading lane axis on every tensor,
-(B, l, 2, r), and on every loose vector, (B, 2); a one-lane state keeps
-(l, 2, r) and (2,). The centre moves, two-site
-updates, Kraus sampling and projection run over both shapes with the same
-code, batching their numpy and LAPACK calls over the lanes. Where a
-batched LAPACK or matmul call would still pay per small matrix, a lane
-state takes a broadcast instead: the 2x2 operators of apply_1q and the
-Born branch of one-site Kraus sampling act on the physical leg of all
-lanes at once, and a stacked SVD whose smaller side is 1 or 2
-(a two-site block next to a bond of dimension 1, a projected site next
-to one of dimension 1 or 2) is done in closed form once the stack holds
-enough lanes (_robust_svd: at least 4 lanes when the smaller side is 1, at
-least 32 when it is 2; below that, stacked gesdd is as fast or faster,
-since the closed form costs about the same at any lane count). Every lane
-truncates by its own singular values under the same rule (svd_cutoff,
-chi_max, hard_fail_chi, and the SVD_FLOOR of 1e-14 relative, below which
-a value is roundoff of zero and its vectors may lie in the padding): the
-tensors are padded to the largest rank of any lane, and each lane's values
-past its own rank are zeroed and its kept ones renormalized, as a one-lane
-state would; when every lane keeps the same count, the common case, the
-values are cut by one slice and no mask is built. ``ranks`` holds every
-lane's own dimensions of the chain's bonds, ``bond_dims()`` the padded
-ones, ``discarded`` each lane's discarded weight by lane id (one entry
-for a one-lane state), and ``trunc_log`` their sum. In a lane state
-``rng.random()`` returns one uniform for every lane id of the block, and
-each lane makes its own Born
-pick and its own measurement: its bit is 0 when its uniform falls below
-its own p0. ``entropy`` returns one value per lane, from the stacked
-Schmidt values. A lane whose Born check, hard_fail_chi or measurement (a
-null branch) fails leaves the state, with the error text kept in
-``failed``; a lane whose projection falls below the floor leaves it
-silently (its weight is 0). The checks are written so that NaN fails
-them: a NaN lane leaves as well. A lane leaving takes its tensors and its
-loose vectors along. A one-lane state raises MpsError in all these cases.
-The reference qubit, ``to_dense`` and ``amplitude`` take one-lane states
-only. ``live`` (lane ids, [0] for one lane) and ``lane_bonds()`` (each
-live lane's largest bond) read both shapes, so a driver need not branch.
+Lanes: every kernel runs over all lanes at once, batching its numpy and
+LAPACK calls. Where a batched LAPACK or matmul call would still pay per
+small matrix, it takes a broadcast instead: the 2x2 operators of apply_1q
+and the Born branch of one-site Kraus sampling act on the physical leg of
+all lanes at once, and a stacked SVD whose smaller side is 1 or 2 (a
+two-site block next to a bond of dimension 1, a projected site next to one
+of dimension 1 or 2) is done in closed form once the stack holds enough
+lanes (_robust_svd: at least 4 lanes when the smaller side is 1, at least
+32 when it is 2; below that, stacked gesdd is as fast or faster, since the
+closed form costs about the same at any lane count). Every lane truncates
+by its own singular values under the same rule (svd_cutoff, chi_max,
+hard_fail_chi, and the SVD_FLOOR of 1e-14 relative, below which a value is
+roundoff of zero and its vectors may lie in the padding): the tensors are
+padded to the largest rank of any lane, and each lane's values past its
+own rank are zeroed and its kept ones renormalized; when every lane keeps
+the same count, the common case, the values are cut by one slice and no
+mask is built. ``ranks`` holds every lane's own dimensions of the chain's
+bonds, ``bond_dims()`` the padded ones, ``discarded`` each lane's
+discarded weight by lane id, and ``trunc_log`` their sum. ``rng.random()``
+returns one uniform for every lane id of the block, and each lane makes
+its own Born pick and its own measurement: its bit is 0 when its uniform
+falls below its own p0. ``entropy`` and ``reference_entropy`` return one
+value per lane. A lane whose Born check, hard_fail_chi, measurement (a
+null branch) or projection (a probability that is not finite) fails leaves
+the state, with the error text kept in ``failed``; a lane whose projection
+falls below the floor leaves it silently (its weight is 0). The checks are
+written so that NaN fails them. A lane leaving takes its tensors and its
+loose vectors along; ``lanes`` lists the ids of those left, and the last
+one leaving raises its error (MpsError when it left silently), so a state
+of one lane fails as a single trajectory would. ``to_dense``,
+``amplitude`` and ``norm`` read a state of one lane.
 """
 
 from __future__ import annotations
@@ -106,12 +105,10 @@ import numpy as np
 
 PROB_FLOOR = 1e-14
 # singular values below this fraction of the largest are roundoff of zero:
-# their vectors are not determined, and in a lane state they can lie in the
-# padding past the lane's own rank, so no cut keeps them
+# their vectors are not determined, and they can lie in the padding past a
+# lane's own rank, so no cut keeps them
 SVD_FLOOR = 1e-14
-
-_LANE_0 = np.zeros(1, dtype=int)  # live of a one-lane state
-_LANE_0.flags.writeable = False
+_REF = -1  # the reference's order key: left of every slot's 2 * slot
 
 
 class MpsError(Exception):
@@ -127,9 +124,10 @@ class TruncationPolicy:
     """SVD truncation rule: relative cutoff first, then a hard cap.
 
     Singular values with lambda/lambda_max >= svd_cutoff are kept, at most
-    chi_max of them; a cutoff below SVD_FLOOR acts as SVD_FLOOR, so a cutoff
-    of 0 keeps every value that is not roundoff of zero. If hard_fail_chi is set and the post-cutoff rank exceeds
-    it, the operation raises instead of truncating silently.
+    chi_max of them; a cutoff below SVD_FLOOR acts as SVD_FLOOR, so a
+    cutoff of 0 keeps every value that is not roundoff of zero. If
+    hard_fail_chi is set and the post-cutoff rank exceeds it, the operation
+    raises instead of truncating silently.
     """
 
     chi_max: int = 512
@@ -282,61 +280,54 @@ def _unit_orthogonal(u1: np.ndarray) -> np.ndarray:
 
 
 class MatrixProductState:
-    """Open-boundary MPS over qubits with an optional attached reference site.
+    """Open-boundary MPS of B lanes over qubits, with an optional reference site.
 
     Public site indices always refer to system qubits (slots); the
     reference (if attached) is read only by reference_entropy and never
-    takes part in gates, noise, or measurements. ``tensors`` is the chain:
-    the slots that carry entanglement, in slot order, and the reference
-    right after its partner, with the centre ``center`` a chain position.
-    Every other slot is loose, a single-qubit vector ``loose[slot]``, (2,)
-    in a one-lane state and (B, 2) in a lane state (the rows of chain slots
-    are unused). A slot joins the chain at its first two-qubit gate and
-    leaves it at its readout (see the module docstring). ``_keys`` holds
-    each chain position's order key, 2 * slot, or 2 * partner + 1 for the
-    reference, so ``_int`` finds a slot's position by bisection, with the
-    reference's offset folded in. ``lanes`` is None for a one-lane state;
-    in a lane state it lists the ids of the live lanes in tensor order.
+    takes part in gates, noise, or measurements. ``tensors`` is the chain,
+    each tensor (B, l, 2, r): the reference first if attached, then the
+    slots that carry entanglement, in slot order, with the centre
+    ``center`` a chain position. Every other slot is loose, its vectors
+    ``loose[slot]`` (B, 2) (the rows of chain slots are unused). A slot
+    joins the chain at its first two-qubit gate and leaves it at its
+    readout (see the module docstring). ``_keys`` holds each chain
+    position's order key, 2 * slot, or -1 for the reference, so ``_int``
+    finds a slot's position by bisection. ``lanes`` lists the ids of the
+    live lanes in tensor order, and ``ranks`` (B, chain bonds) each live
+    lane's own bond dimensions.
     """
 
     def __init__(self, loose: np.ndarray):
-        """len(loose) slots, all loose, with loose[slot] their vectors; the chain is empty."""
+        """len(loose) slots of loose.shape[1] lanes, all loose, with loose[slot]
+        their vectors; the chain is empty."""
         self.tensors: list[np.ndarray] = []
         self.center = 0
         self._keys: list[int] = []
         self.loose = loose
-        # discarded weight so far, one entry per lane id
-        self.discarded = np.zeros(1)
-        self._ref: int | None = None  # the reference's order key
-        self.lanes: np.ndarray | None = None
-        self.ranks: np.ndarray | None = None  # (lanes, chain bonds): each lane's own bond dims
+        n = loose.shape[1]
+        self.lanes = np.arange(n)
+        self.ranks = np.ones((n, 1), dtype=int)
+        self.discarded = np.zeros(n)  # discarded weight so far, by lane id
         self.failed: dict = {}  # lane id -> "ErrorType: text"
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def new_product_state(cls, n: int, bits=None, lanes: int | None = None) -> "MatrixProductState":
-        """Product state |bits> (default all zeros) on n loose slots; with lanes,
-        one copy per lane."""
+    def new_product_state(cls, n: int, bits=None, lanes: int = 1) -> "MatrixProductState":
+        """Product state |bits> (default all zeros) on n loose slots, one copy per lane."""
         if n <= 0:
             raise MpsError("need at least one site")
-        if lanes is not None and lanes < 1:
+        if lanes < 1:
             raise MpsError("need at least one lane")
         if bits is None:
             bits = [0] * n
         bits = [int(b) for b in bits]
         if len(bits) != n or any(b not in (0, 1) for b in bits):
             raise MpsError(f"bits must be {n} binary values")
-        lead = () if lanes is None else (lanes,)
-        b = np.array(bits).reshape((n,) + (1,) * len(lead))
-        loose = np.zeros((n, *lead, 2), dtype=complex)
+        b = np.array(bits)[:, None]
+        loose = np.zeros((n, lanes, 2), dtype=complex)
         loose[..., 0], loose[..., 1] = 1 - b, b
-        psi = cls(loose)
-        if lanes is not None:
-            psi.lanes = np.arange(lanes)
-            psi.ranks = np.ones((lanes, 1), dtype=int)
-            psi.discarded = np.zeros(lanes)
-        return psi
+        return cls(loose)
 
     # -- indexing ----------------------------------------------------------
 
@@ -346,8 +337,8 @@ class MatrixProductState:
         return len(self.loose)
 
     def _one_lane(self, what: str):
-        if self.lanes is not None:
-            raise MpsError(f"{what} takes a one-lane state")
+        if len(self.lanes) != 1:
+            raise MpsError(f"{what} reads a state of one lane")
 
     def _int(self, site: int) -> int | None:
         """Chain position of a slot, None while it is loose."""
@@ -368,46 +359,38 @@ class MatrixProductState:
         if p is not None:
             return p
         p = bisect_left(self._keys, 2 * site)
-        v = self.loose[site][..., None, :, None]
+        v = self.loose[site][:, None, :, None]
         r = self.tensors[p].shape[-3] if p < len(self.tensors) else 1
         self.tensors.insert(p, v.copy() if r == 1 else np.eye(r)[:, None, :] * v)
         self._keys.insert(p, 2 * site)
         if self.center >= p and len(self.tensors) > 1:
             self.center += 1
-        if self.ranks is not None:  # the bond at p splits into two of its rank
-            self.ranks = np.concatenate((self.ranks[:, : p + 1], self.ranks[:, p:]), axis=1)
+        # the bond at p splits into two of its rank
+        self.ranks = np.concatenate((self.ranks[:, : p + 1], self.ranks[:, p:]), axis=1)
         return p
 
     def _loose_slots(self) -> list[int]:
-        chain = {k // 2 for k in self._keys if k % 2 == 0}
+        chain = {k // 2 for k in self._keys if k != _REF}
         return [s for s in range(len(self.loose)) if s not in chain]
+
+    def _has_ref(self) -> bool:
+        return self._keys[:1] == [_REF]
 
     @property
     def trunc_log(self) -> float:
-        """Discarded weight so far, summed over the lanes of a lane state."""
+        """Discarded weight so far, summed over the lanes."""
         return float(np.sum(self.discarded))
 
     def bond_dims(self) -> list[int]:
-        """Bond dimensions left of each slot (and the reference) in slot
-        order, then the right end; in a lane state, padded to the largest
-        lane. A loose slot reads the chain bond it would join at."""
+        """Bond dimensions left of the reference (if attached) and of each slot
+        in slot order, then the right end, padded to the largest lane. A loose
+        slot reads the chain bond it would join at."""
         chain = [t.shape[-3] for t in self.tensors] + [1]
-        order = list(range(0, 2 * len(self.loose), 2))
-        if self._ref is not None:
-            order.insert(self._ref // 2 + 1, self._ref)
+        order = [_REF] * self._has_ref() + list(range(0, 2 * len(self.loose), 2))
         return [chain[bisect_left(self._keys, k)] for k in order] + [1]
 
     def max_bond(self) -> int:
         return max((t.shape[-3] for t in self.tensors), default=1)
-
-    @property
-    def live(self) -> np.ndarray:
-        """Ids of the live lanes in tensor order: lanes, or lane 0 of a one-lane state."""
-        return _LANE_0 if self.lanes is None else self.lanes
-
-    def lane_bonds(self):
-        """Each live lane's largest bond: a row of ranks, or max_bond() of a one-lane state."""
-        return self.max_bond() if self.ranks is None else self.ranks.max(axis=1)
 
     # -- canonical form ----------------------------------------------------
 
@@ -417,13 +400,11 @@ class MatrixProductState:
         None when no lane is padded there. Householder QR leaves rows that
         are exactly zero out of every reflector, so with the padding zeroed
         and a lane's own rows first, a rank-deficient lane completes its
-        isometry inside its own ranks, as a one-lane state does, and
-        roundoff in the padding cannot tilt it.
+        isometry inside its own ranks, as it would alone, and roundoff in
+        the padding cannot tilt it.
         """
-        t, ranks = self.tensors[c], self.ranks
-        if ranks is None:
-            return None
-        rl, rr = ranks[:, c], ranks[:, c + 1]
+        t = self.tensors[c]
+        rl, rr = self.ranks[:, c], self.ranks[:, c + 1]
         l, r = t.shape[-3], t.shape[-1]
         if (rl == l).all() and (rr == r).all():
             return None
@@ -436,12 +417,11 @@ class MatrixProductState:
         own = self._own_part(c)
         if own is not None:  # rows (l, s): a lane's own rows come first
             a = own
-        lead, (l, s, r) = a.shape[:-3], a.shape[-3:]
-        q, rm = np.linalg.qr(a.reshape(lead + (l * s, r)))
-        self.tensors[c] = q.reshape(lead + (l, s, -1))
-        self.tensors[c + 1] = (rm @ b.reshape(lead + (r, -1))).reshape(lead + (-1,) + b.shape[-2:])
-        if self.ranks is not None:
-            self.ranks[:, c + 1] = np.minimum(2 * self.ranks[:, c], self.ranks[:, c + 1])
+        n, l, s, r = a.shape
+        q, rm = np.linalg.qr(a.reshape(n, l * s, r))
+        self.tensors[c] = q.reshape(n, l, s, -1)
+        self.tensors[c + 1] = (rm @ b.reshape(n, r, -1)).reshape((n, -1) + b.shape[-2:])
+        self.ranks[:, c + 1] = np.minimum(2 * self.ranks[:, c], self.ranks[:, c + 1])
         self.center = c + 1
 
     def _shift_left(self):
@@ -451,15 +431,14 @@ class MatrixProductState:
         own = self._own_part(c)
         if own is not None:  # columns (r, s), so a lane's own ones come first
             a = own.swapaxes(-1, -2)
-        lead, (l, s, r) = a.shape[:-3], a.shape[-3:]
-        q, rm = np.linalg.qr(a.reshape(lead + (l, s * r)).swapaxes(-1, -2))
-        q = q.swapaxes(-1, -2).reshape(lead + (-1, s, r))
+        n, l, s, r = a.shape
+        q, rm = np.linalg.qr(a.reshape(n, l, s * r).swapaxes(-1, -2))
+        q = q.swapaxes(-1, -2).reshape(n, -1, s, r)
         self.tensors[c] = q if own is None else q.swapaxes(-1, -2)
-        self.tensors[c - 1] = (
-            b.reshape(lead + (-1, l)) @ rm.swapaxes(-1, -2)
-        ).reshape(b.shape[:-1] + (-1,))
-        if self.ranks is not None:
-            self.ranks[:, c] = np.minimum(self.ranks[:, c], 2 * self.ranks[:, c + 1])
+        self.tensors[c - 1] = (b.reshape(n, -1, l) @ rm.swapaxes(-1, -2)).reshape(
+            b.shape[:-1] + (-1,)
+        )
+        self.ranks[:, c] = np.minimum(self.ranks[:, c], 2 * self.ranks[:, c + 1])
         self.center = c - 1
 
     def _move_center(self, pos: int):
@@ -471,13 +450,14 @@ class MatrixProductState:
     # -- norms -------------------------------------------------------------
 
     def norm(self) -> float:
-        """Exact global norm by transfer contraction (gauge-independent)."""
+        """Exact global norm of a one-lane state by transfer contraction (gauge-independent)."""
+        self._one_lane("norm")
         env = np.ones((1, 1), dtype=complex)
         for t in self.tensors:
-            env = np.einsum("ab,aso,bsp->op", env, t, t.conj(), optimize=True)
+            env = np.einsum("ab,aso,bsp->op", env, t[0], t[0].conj(), optimize=True)
         sq = env[0, 0].real
         for s in self._loose_slots():
-            sq *= np.vdot(self.loose[s], self.loose[s]).real
+            sq *= np.vdot(self.loose[s, 0], self.loose[s, 0]).real
         return float(np.sqrt(max(sq, 0.0)))
 
     # -- gates -------------------------------------------------------------
@@ -486,14 +466,11 @@ class MatrixProductState:
         """Single-qubit unitary; preserves canonical form, no center move."""
         i = self._int(site)
         if i is None:
-            v = self.loose[site]
-            self.loose[site] = g @ v if self.lanes is None else v @ g.T
+            self.loose[site] = self.loose[site] @ g.T
             return
         t = self.tensors[i]
-        if self.lanes is None:
-            self.tensors[i] = np.matmul(g, t)
-        else:  # broadcast over the lanes: a stacked matmul pays per 2x2 product
-            self.tensors[i] = g[:, :1] * t[..., :1, :] + g[:, 1:] * t[..., 1:, :]
+        # broadcast over the lanes: a stacked matmul pays per 2x2 product
+        self.tensors[i] = g[:, :1] * t[..., :1, :] + g[:, 1:] * t[..., 1:, :]
 
     def apply_2q(
         self, i: int, j: int, g: np.ndarray, policy: TruncationPolicy = DEFAULT_POLICY,
@@ -509,8 +486,8 @@ class MatrixProductState:
         acts on site i and after it on site j, each Born-sampled like
         apply_kraus (one rng.random() per site) on the gate's two-site
         block before it is split; the pair of sampled indices is
-        returned, otherwise None. In a lane state each index is
-        an array over the lanes live on return.
+        returned, each an array over the lanes live on return, otherwise
+        None.
         """
         if i == j:
             raise MpsError("two-qubit gate needs distinct sites")
@@ -541,87 +518,57 @@ class MatrixProductState:
         The centre moves only if it lies outside the block. Afterwards it
         sits on pos+1, or on pos if center_left is set. With ``kraus`` the
         channel is sampled on the left site and then on the right one (the
-        other way round if i_right) after the gate, and the two indices are
-        returned.
+        other way round if i_right) after the gate (_sample_pair), and the
+        two indices are returned.
         """
         if self.center < pos:
             self._move_center(pos)
         elif self.center > pos + 1:
             self._move_center(pos + 1)
         a, b = self.tensors[pos], self.tensors[pos + 1]
-        lead = a.shape[:-3]
-        l, r = a.shape[-3], b.shape[-1]
-        theta = a.reshape(lead + (l * 2, -1)) @ b.reshape(lead + (-1, 2 * r))
+        n, l, r = len(a), a.shape[-3], b.shape[-1]
+        theta = a.reshape(n, l * 2, -1) @ b.reshape(n, -1, 2 * r)
         if g is None:
-            theta = theta.reshape(lead + (l, 2, 2, r)).swapaxes(-3, -2)
+            theta = theta.reshape(n, l, 2, 2, r).swapaxes(-3, -2)
         else:
-            theta = np.matmul(g, theta.reshape(lead + (l, 4, r)))
+            theta = np.matmul(g, theta.reshape(n, l, 4, r))
         picks = None
-        if kraus is not None and self.lanes is not None:
-            picks, theta, kept = self._sample_pair(theta, kraus, rng, i_right)
-            if kept is not None:
-                lead = theta.shape[:-3]
-        elif kraus is not None:
-            # the block is the centre, so the reduced state of each site is
-            # read off the view with that site's leg in the middle
-            left, right = (l, 2, 2 * r), (2 * l, 2, r)
-            picks = ()
-            for view in ((right, left) if i_right else (left, right)):
-                pick, theta = self._sample_kraus(theta.reshape(view), kraus, rng)
-                picks += (pick,)
-        u, s, vh = _robust_svd(theta.reshape(lead + (l * 2, 2 * r)))
+        if kraus is not None:
+            picks, theta = self._sample_pair(theta, kraus, rng, i_right)
+        u, s, vh = _robust_svd(theta.reshape(len(theta), l * 2, 2 * r))
         s, kept = self._truncate(s, policy, pos)
         if kept is not None:
-            u, vh, lead = u[kept], vh[kept], s.shape[:-1]
+            u, vh = u[kept], vh[kept]
             if picks is not None:
                 picks = tuple(q[kept] for q in picks)
-        width = s.shape[-1]
+        n, width = s.shape
         if width < u.shape[-1]:
             u, vh = u[..., :width], vh[..., :width, :]
         # u and vh are the SVD's own arrays, so they can be scaled in place
         if center_left:
             u *= s[..., None, :]
-            self.tensors[pos] = u.reshape(lead + (l, 2, width))
-            self.tensors[pos + 1] = vh.reshape(lead + (width, 2, r))
             self.center = pos
         else:
             vh *= s[..., None]
-            self.tensors[pos] = u.reshape(lead + (l, 2, width))
-            self.tensors[pos + 1] = vh.reshape(lead + (width, 2, r))
             self.center = pos + 1
+        self.tensors[pos] = u.reshape(n, l, 2, width)
+        self.tensors[pos + 1] = vh.reshape(n, width, 2, r)
         return picks
 
     def _truncate(self, s: np.ndarray, policy: TruncationPolicy, pos: int):
-        """Truncate the singular values of the block at pos; returns (values, lanes kept).
+        """Truncate the singular values s (B, k) of the block at pos; returns (values, lanes kept).
 
         Values with s/s_max >= svd_cutoff (SVD_FLOOR at least) are kept, at
         least one and at most chi_max, and a count above hard_fail_chi
         fails. The kept values take the weight of all of them; the
-        discarded fraction adds to discarded. In a lane state each lane
-        counts among the values of its own block and fails alone, its values
-        past its own rank are zeroed, and the values come cut to the largest
-        rank kept. When every lane keeps the same count, the common case,
-        that is one slice of all rows, with the one-lane branch's sums. The
-        mask of lanes kept is None when all were. The one-lane branch is the
-        same rule on scalars, which keeps it cheap.
+        discarded fraction adds to discarded. Each lane counts among the
+        values of its own block and fails alone, its values past its own
+        rank are zeroed, and the values come cut to the largest rank kept.
+        When every lane keeps the same count, the common case, that is one
+        slice of all rows. The mask of lanes kept is None when all were.
         """
         cap, cut = policy.hard_fail_chi, max(policy.svd_cutoff, SVD_FLOOR)
         s2 = s * s
-        if s.ndim == 1:
-            keep = 1
-            if s[0] > 0.0:
-                keep = int(np.sum(s / s[0] >= cut)) or 1
-                if cap is not None and keep > cap:
-                    raise TruncationOverflow(f"needed bond {keep} exceeds hard_fail_chi={cap}")
-                keep = min(keep, policy.chi_max)
-            kept = float(s2.sum())
-            total = max(kept, PROB_FLOOR)
-            if keep < len(s):
-                self.discarded[0] += float(s2[keep:].sum()) / total
-                s, kept = s[:keep], float(s2[:keep].sum())
-            if kept != total:  # give the kept values the weight of the whole block
-                s = s / np.sqrt(kept / total)
-            return s, None
         # a lane's values past its own rank are padding; the cutoff may not keep them
         own = 2 * np.minimum(self.ranks[:, pos], self.ranks[:, pos + 2])
         if (s[:, 0] > 0.0).all():  # s0 / s0 = 1 passes the cutoff, so every lane keeps one or more
@@ -640,7 +587,7 @@ class MatrixProductState:
         keep = np.minimum(want, policy.chi_max)
         self.ranks[:, pos + 1] = keep
         width = keep[0]
-        if (keep == width).all():  # the one-lane rule on every row at once, by a slice
+        if (keep == width).all():  # one slice of every row
             kept = s2.sum(axis=1)
             total = np.maximum(kept, PROB_FLOOR)
             if width < s.shape[1]:
@@ -653,17 +600,16 @@ class MatrixProductState:
         kept = np.where(tail, 0.0, s2).sum(axis=1, keepdims=True)
         return np.where(tail, 0.0, s)[:, : keep.max()] / np.sqrt(kept / total), lanes_kept
 
-    def _retire(self, bad, error: type, texts: list, failed: bool = True) -> np.ndarray:
-        """Take the lanes flagged in bad out of a lane state; returns the kept mask.
+    def _retire(self, bad, error: type | None = None, texts=()) -> np.ndarray:
+        """Take the lanes flagged in bad out of the state; returns the kept mask.
 
-        texts holds one message per flagged lane. A one-lane state raises
-        error(texts[0]) instead. A failed lane's "ErrorType: text" is kept
-        in self.failed; failed=False ends lanes without a record. Retiring
-        the last lane raises MpsError, which stops the kernel.
+        With an error type, each flagged lane fails: its "ErrorType: text",
+        from texts (one message per flagged lane), is kept in self.failed.
+        Without one the lanes end without a record. Retiring the last lane
+        stops the kernel: it raises the first flagged lane's error, or
+        MpsError when they left without one.
         """
-        if self.lanes is None:
-            raise error(texts[0])
-        if failed:
+        if error is not None:
             for lane, text in zip(self.lanes[bad].tolist(), texts):
                 self.failed[lane] = f"{error.__name__}: {text}"
         keep = ~bad
@@ -671,58 +617,51 @@ class MatrixProductState:
         self.loose = self.loose[:, keep]
         self.ranks, self.lanes = self.ranks[keep], self.lanes[keep]
         if not self.lanes.size:  # nothing left to run the rest of the kernel on
-            raise MpsError("every lane has left the state")
+            raise MpsError("every lane has left the state") if error is None else error(texts[0])
         return keep
 
     # -- stochastic events -------------------------------------------------
 
-    def apply_kraus(self, site: int, kraus, rng) -> int:
-        """Sample a Kraus outcome by the Born rule and apply it.
+    def apply_kraus(self, site: int, kraus, rng) -> np.ndarray:
+        """Sample a Kraus outcome by the Born rule and apply it; one index per lane left.
 
         Consumes exactly one rng.random() per call, matching the dense
         oracle's consumption so shared-seed runs stay in lockstep.
         """
         i = self._int(site)
         if i is None:  # the loose vector is a (1, 2, 1) block that holds its own weight
-            pick, x = self._sample_kraus(self.loose[site][..., None, :, None], kraus, rng)
-            self.loose[site] = x[..., 0, :, 0]
+            pick, x = self._sample_kraus(self.loose[site][:, None, :, None], kraus, rng)
+            self.loose[site] = x[:, 0, :, 0]
             return pick
         self._move_center(i)
         pick, self.tensors[i] = self._sample_kraus(self.tensors[i], kraus, rng)
         return pick
 
     def _sample_kraus(self, x: np.ndarray, kraus, rng):
-        """Born-sample a Kraus branch on the middle leg of x, shaped (..., L, 2, R).
+        """Born-sample a Kraus branch on the middle leg of x, shaped (B, L, 2, R).
 
         x must hold the whole state's weight (the centre site or block), so
         its reduced state on that leg is the site's: rho = X X^dag with X the
         leg-first matrix, and for Hermitian rho p_k = tr(M_k^dag M_k rho) =
         sum_st E_k[s, t] conj(rho[s, t]). Lanes failing the Born checks are
-        retired first. Draws one rng.random() and returns the index and the
-        normalized branch M_k x / sqrt(p_k).
+        retired first. Draws one rng.random() and returns each lane's index
+        and normalized branch M_k x / sqrt(p_k).
         """
-        lead = x.shape[:-3]
-        m = x.swapaxes(-3, -2).reshape(lead + (2, -1))
+        m = x.swapaxes(-3, -2).reshape(len(x), 2, -1)
         rho = m @ m.conj().swapaxes(-1, -2)
-        probs = (rho.conj().reshape(lead + (4,)) @ kraus.effects.reshape(len(kraus), -1).T).real
+        probs = (rho.conj().reshape(len(x), 4) @ kraus.effects.reshape(len(kraus), -1).T).real
         total = probs.sum(-1)
         bad = ~(abs(total - 1.0) <= 1e-10)  # also flags a total below PROB_FLOOR, or NaN
-        if bad if self.lanes is None else bad.any():  # a scalar's .any() costs microseconds
+        if bad.any():
             kept = self._retire(bad, MpsError, _born_failures(total[bad]))
             x, probs = x[kept], probs[kept]
-        u = rng.random()
-        if self.lanes is None:
-            pick, p = _born_pick(probs, u)
-            branch = np.matmul(kraus.stacked[pick, None], x)
-            branch /= np.sqrt(p)
-            return pick, branch
-        pick, p = _born_pick(probs, u[self.lanes])
+        pick, p = _born_pick(probs, rng.random()[self.lanes])
         # each lane's normalized operator, shaped (B, 1, 2, 2, 1) to meet x's legs
         op = (kraus.stacked[pick] / np.sqrt(p)[:, None, None])[:, None, :, :, None]
         return pick, op[..., 0, :] * x[..., :1, :] + op[..., 1, :] * x[..., 1:, :]
 
     def _sample_pair(self, theta: np.ndarray, kraus, rng, i_right: bool):
-        """_sample_kraus on both sites of a lane state's two-site block theta (B, l, 4, r).
+        """_sample_kraus on both sites of a two-site block theta (B, l, 4, r).
 
         The channel acts on the gate's site i first, the block's right site
         if i_right, then on its site j: the same picks as two _sample_kraus
@@ -732,8 +671,8 @@ class MatrixProductState:
         over its sum p_i, with the second. The branch (M_ki kron M_kj) /
         sqrt(p_i p_j|i), which is P[k_i, k_j] to roundoff, then acts on the
         block at once, as the two one-site branches would. Returns the pair
-        of picks, the branch and the mask of lanes kept (None when every
-        lane was); a lane whose table does not sum to 1 leaves first.
+        of picks and the branch of the lanes left; a lane whose table does
+        not sum to 1 leaves first.
         """
         n = len(kraus)
         x = theta.swapaxes(-3, -2).reshape(len(theta), 4, -1)
@@ -744,7 +683,6 @@ class MatrixProductState:
         first = table.sum(-1)
         total = first.sum(-1)
         bad = ~(abs(total - 1.0) <= 1e-10)  # also flags a total below PROB_FLOOR, or NaN
-        kept = None
         if bad.any():
             kept = self._retire(bad, MpsError, _born_failures(total[bad]))
             theta, table, first = theta[kept], table[kept], first[kept]
@@ -753,26 +691,17 @@ class MatrixProductState:
         pick_j, p_j = _born_pick(row / p_i[:, None], rng.random()[self.lanes])
         pair = pick_j * n + pick_i if i_right else pick_i * n + pick_j
         op = kraus.pair_stacked[pair] / np.sqrt(p_i * p_j)[:, None, None]
-        return (pick_i, pick_j), np.matmul(op[:, None], theta), kept
+        return (pick_i, pick_j), np.matmul(op[:, None], theta)
 
-    def measure_reset(self, site: int, rng):
+    def measure_reset(self, site: int, rng) -> np.ndarray:
         """Measure in the computational basis, record the bit, reset to |0>.
 
-        Draws one rng.random(): the bit is 0 when it falls below p0, the
-        weight on 0. A lane state returns one bit per lane left, and a lane
-        on a null branch leaves it first as failed.
+        Draws one rng.random(): a lane's bit is 0 when its uniform falls
+        below its p0, the weight on 0. Returns one bit per lane left; a lane
+        on a null branch leaves first as failed.
         """
         i = self._int(site)
-        a = self._readout_site(site, i)
-        if self.lanes is None:
-            p0 = float(np.vdot(a[:, 0, :], a[:, 0, :]).real)
-            bit = 0 if rng.random() < p0 else 1
-            p = p0 if bit == 0 else 1.0 - p0
-            if not p >= PROB_FLOOR:  # also a NaN state
-                raise MpsError("measurement hit a numerically null branch")
-            self._project_reset(site, i, bit, p)
-            return bit
-        a0 = a[..., 0, :]
+        a0 = self._readout_site(site, i)[..., 0, :]
         p0 = np.einsum("...ij,...ij->...", a0.conj(), a0).real
         one = rng.random()[self.lanes] >= p0
         bit = one.astype(int)
@@ -785,30 +714,32 @@ class MatrixProductState:
         self._project_reset(site, i, bit, p)
         return bit
 
-    def project_onto(self, site: int, bit: int) -> float:
-        """Project a site onto a given bit, reset it to |0>, return the probability.
+    def project_onto(self, site: int, bit: int) -> np.ndarray:
+        """Project a site onto a given bit, reset it to |0>; one probability per lane left.
 
-        A lane state returns one probability per lane left; lanes whose
-        probability falls below the floor (or is NaN) have left it first.
+        A lane whose probability is not finite leaves first as failed; one
+        whose probability falls below the floor leaves silently (its weight
+        is 0).
         """
         i = self._int(site)
         a = self._readout_site(site, i)[..., bit, :]
         p = np.einsum("...ij,...ij->...", a.conj(), a).real
-        low = ~(p >= PROB_FLOOR)
+        broken = ~np.isfinite(p)
+        if broken.any():
+            p = p[self._retire(broken, MpsError, [
+                f"projection probability {q} is not finite" for q in p[broken]
+            ])]
+        low = p < PROB_FLOOR
         if low.any():
-            p = p[self._retire(low, MpsError, [
-                f"projection probability {q} below floor" for q in p[low]
-            ], failed=False)]
-        if self.lanes is None:
-            p = float(p)
+            p = p[self._retire(low)]
         self._project_reset(site, i, bit, p)
         return p
 
     def _readout_site(self, site: int, i: int | None) -> np.ndarray:
-        """The (..., l, 2, r) tensor that holds a slot's weight: its chain
-        tensor with the centre moved onto it, or its loose vector as (1, 2, 1)."""
+        """The (B, l, 2, r) tensor that holds a slot's weight: its chain
+        tensor with the centre moved onto it, or its loose vectors as (B, 1, 2, 1)."""
         if i is None:
-            return self.loose[site][..., None, :, None]
+            return self.loose[site][:, None, :, None]
         self._move_center(i)
         return self.tensors[i]
 
@@ -816,7 +747,7 @@ class MatrixProductState:
         """Project a slot onto bit, whose weight is p, and leave it loose as |0>.
 
         i is the slot's chain position, None if it is loose already. bit is
-        one int, or in a lane state an array of one bit per lane. On the
+        one int for every lane, or an array of one bit per lane. On the
         chain the projected site is a bare matrix m on its two bonds. Its SVD
         u s vh, cut at SVD_FLOOR relative, folds u into the left neighbour,
         which stays a left isometry, and s vh into the right one, the new
@@ -827,68 +758,65 @@ class MatrixProductState:
         """
         v = self.loose[site]
         if i is None:
-            amp = v[..., bit] if np.ndim(bit) == 0 else v[np.arange(len(bit)), bit]
-            v[..., 0], v[..., 1] = amp / np.sqrt(p), 0.0
+            amp = v[:, bit] if np.ndim(bit) == 0 else v[np.arange(len(bit)), bit]
+            v[:, 0], v[:, 1] = amp / np.sqrt(p), 0.0
             return
-        v[..., 0], v[..., 1] = 1.0, 0.0
-        scale = np.sqrt(p) if self.lanes is None else np.sqrt(p)[:, None, None]
+        v[:, 0], v[:, 1] = 1.0, 0.0
         a = self.tensors[i]
-        m = (a[..., bit, :] if np.ndim(bit) == 0 else a[np.arange(len(bit)), :, bit]) / scale
-        lead, (l, r) = m.shape[:-2], m.shape[-2:]
+        m = a[:, :, bit, :] if np.ndim(bit) == 0 else a[np.arange(len(bit)), :, bit]
+        m = m / np.sqrt(p)[:, None, None]
+        n, l, r = m.shape
         n_int = len(self.tensors)
         gone = i  # the ranks column that goes with the site
         if 0 < i < n_int - 1:
             u, s, vh = _robust_svd(m)
-            if self.ranks is None:
-                width = max(int(np.sum(s / max(s[0], PROB_FLOOR) >= SVD_FLOOR)), 1)
-            else:  # the same rule per lane; each lane's values past its own rank are zeroed
-                keep = (s / np.maximum(s[:, :1], PROB_FLOOR) >= SVD_FLOOR).sum(axis=1)
-                own = np.minimum(self.ranks[:, i], self.ranks[:, i + 1])
-                keep = np.minimum(np.maximum(keep, 1), own)
-                self.ranks[:, i + 1] = keep
-                s = np.where(np.arange(s.shape[-1]) < keep[:, None], s, 0.0)
-                width = int(keep.max())
+            # each lane's values past its own rank are zeroed
+            keep = (s / np.maximum(s[:, :1], PROB_FLOOR) >= SVD_FLOOR).sum(axis=1)
+            own = np.minimum(self.ranks[:, i], self.ranks[:, i + 1])
+            keep = np.minimum(np.maximum(keep, 1), own)
+            self.ranks[:, i + 1] = keep
+            s = np.where(np.arange(s.shape[-1]) < keep[:, None], s, 0.0)
+            width = int(keep.max())
             b = self.tensors[i - 1]
-            self.tensors[i - 1] = (b.reshape(lead + (-1, l)) @ u[..., :width]).reshape(
+            self.tensors[i - 1] = (b.reshape(n, -1, l) @ u[..., :width]).reshape(
                 b.shape[:-1] + (width,)
             )
             b = self.tensors[i + 1]
             self.tensors[i + 1] = (
-                (s[..., :width, None] * vh[..., :width, :]) @ b.reshape(lead + (r, -1))
-            ).reshape(lead + (width,) + b.shape[-2:])
+                (s[..., :width, None] * vh[..., :width, :]) @ b.reshape(n, r, -1)
+            ).reshape((n, width) + b.shape[-2:])
             self.center = i
         elif i < n_int - 1:  # the first site: l = 1
             b = self.tensors[1]
-            self.tensors[1] = (m @ b.reshape(lead + (r, -1))).reshape(lead + (1,) + b.shape[-2:])
+            self.tensors[1] = (m @ b.reshape(n, r, -1)).reshape((n, 1) + b.shape[-2:])
             self.center, gone = 0, 1
         elif n_int > 1:  # the last site: r = 1
             b = self.tensors[i - 1]
-            self.tensors[i - 1] = (b.reshape(lead + (-1, l)) @ m).reshape(b.shape[:-1] + (1,))
+            self.tensors[i - 1] = (b.reshape(n, -1, l) @ m).reshape(b.shape[:-1] + (1,))
             self.center = i - 1
         else:  # the only site: m is its amplitude's phase, which stays on |0>
-            v[..., 0] = m[..., 0, 0]
+            v[:, 0] = m[:, 0, 0]
             self.center = 0
         del self.tensors[i], self._keys[i]
-        if self.ranks is not None:
-            self.ranks = np.delete(self.ranks, gone, axis=1)
+        self.ranks = np.delete(self.ranks, gone, axis=1)
 
     # -- entanglement telemetry -------------------------------------------
 
-    def entropy(self, cut: int):
-        """Von Neumann entropy across the bond left of system site `cut`.
+    def entropy(self, cut: int) -> np.ndarray:
+        """Von Neumann entropy across the bond left of system site `cut`, one per lane left.
 
-        A lane state returns one value per lane left; a lane with a null
-        spectrum leaves it first as failed.
+        An attached reference counts on the left of every cut. A lane with a
+        null spectrum leaves first as failed.
         """
         if not 1 <= cut <= len(self.loose) - 1:
             raise MpsError(f"cut {cut} out of range")
         ic = bisect_left(self._keys, 2 * cut)
         if not 0 < ic < len(self.tensors):  # the whole chain lies on one side
-            return _spectrum_entropy(np.ones((1,) if self.lanes is None else (len(self.lanes), 1)))
+            return _spectrum_entropy(np.ones((len(self.lanes), 1)))
         self._move_center(ic - 1)
         a = self.tensors[ic - 1]
-        lead, (l, s, r) = a.shape[:-3], a.shape[-3:]
-        sv = _robust_svd(a.reshape(lead + (l * s, r)))[1]
+        n, l, s, r = a.shape
+        sv = _robust_svd(a.reshape(n, l * s, r))[1]
         total = np.sum(sv**2, axis=-1)
         null = total <= 0.0
         if null.any():
@@ -900,89 +828,75 @@ class MatrixProductState:
     # -- reference qubit ---------------------------------------------------
 
     def attach_reference(self, site: int) -> None:
-        """Bell-pair a fresh reference site with `site`.
+        """Bell-pair a fresh reference site with `site` in every lane.
 
-        The partner must currently be an unentangled |0> site; its state is
-        replaced by the pair (|00> + |11>)/sqrt(2). The reference is invisible
-        to all site-indexed operations.
+        The chain must be empty and the partner a loose |0>, as at the start
+        of a run. The chain becomes [reference, partner] holding (|00> +
+        |11>)/sqrt(2), the reference at order key -1, so it stays at the
+        chain's left end. The reference is invisible to all site-indexed
+        operations.
         """
-        self._one_lane("attach_reference")
-        if self._ref is not None:
-            raise MpsError("reference already attached")
-        i = self._join(site)  # a loose partner joins with the bond it sits on
-        t = self.tensors[i]
-        if t.shape[0] != 1 or t.shape[2] != 1 or abs(t[0, 1, 0]) > 1e-12:
+        if self.tensors:
+            raise MpsError("the reference attaches to an empty chain")
+        self._int(site)  # range check
+        if not (abs(self.loose[site][:, 1]) <= 1e-12).all():
             raise MpsError("reference partner must be a fresh |0> product site")
-        self._move_center(i)
-        left = np.zeros((1, 2, 2), dtype=complex)
-        left[0, 0, 0] = left[0, 1, 1] = 1.0 / np.sqrt(2.0)
-        right = np.zeros((2, 2, 1), dtype=complex)
-        right[0, 0, 0] = right[1, 1, 0] = 1.0
-        self.tensors[i] = left
-        self.tensors.insert(i + 1, right)
-        self._ref = 2 * site + 1
-        self._keys.insert(i + 1, self._ref)
+        n = len(self.lanes)
+        ref = np.zeros((n, 1, 2, 2), dtype=complex)
+        ref[:, 0, 0, 0] = ref[:, 0, 1, 1] = 1.0 / np.sqrt(2.0)
+        partner = np.zeros((n, 2, 2, 1), dtype=complex)
+        partner[:, 0, 0, 0] = partner[:, 1, 1, 0] = 1.0
+        self.tensors, self._keys, self.center = [ref, partner], [_REF, 2 * site], 0
+        self.ranks = np.tile([1, 2, 1], (n, 1))
 
-    def reference_entropy(self) -> float:
-        """Von Neumann entropy of the reference's one-site reduced state."""
-        if self._ref is None:
+    def reference_entropy(self) -> np.ndarray:
+        """Von Neumann entropy of the reference's one-site reduced state, one per lane."""
+        if not self._has_ref():
             raise MpsError("no reference attached")
-        i = bisect_left(self._keys, self._ref)
-        self._move_center(i)
-        a = self.tensors[i]
-        rho = np.einsum("lsr,ltr->st", a, a.conj())
-        evals = np.clip(np.linalg.eigvalsh(rho).real, 0.0, None)
-        tot = evals.sum()
-        return _spectrum_entropy(evals / tot)
+        self._move_center(0)
+        a = self.tensors[0][:, 0]  # (B, 2, r): the reference's leg, then its right bond
+        evals = np.clip(np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2)), 0.0, None)
+        return _spectrum_entropy(evals / evals.sum(axis=-1, keepdims=True))
 
     # -- dense access ------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
-        """Full amplitude tensor of shape (2,)*n over all sites, in slot order.
-
-        Includes the reference site at its physical position if attached.
-        """
+        """Full amplitude tensor of a one-lane state, shape (2,)*n over all
+        sites: the reference first if attached, then the slots in slot order."""
         self._one_lane("to_dense")
         acc = np.ones((1, 1), dtype=complex)
         for t in self.tensors:
-            acc = np.tensordot(acc, t, axes=(acc.ndim - 1, 0))
+            acc = np.tensordot(acc, t[0], axes=(acc.ndim - 1, 0))
         acc, keys = acc[0, ..., 0], list(self._keys)
         for s in self._loose_slots():
-            acc = np.multiply.outer(acc, self.loose[s])
+            acc = np.multiply.outer(acc, self.loose[s, 0])
             keys.append(2 * s)
         return acc.transpose(np.argsort(keys))
 
     def amplitude(self, bits) -> complex:
+        """<bits|psi> of a one-lane state without a reference."""
         self._one_lane("amplitude")
         bits = [int(b) for b in bits]
         if len(bits) != self.n_sites:
             raise MpsError("bitstring length mismatch")
-        if self._ref is not None:
+        if self._has_ref():
             raise MpsError("amplitude undefined with a reference attached")
         vec = np.ones((1,), dtype=complex)
         for t, k in zip(self.tensors, self._keys):
-            vec = vec @ t[:, bits[k // 2], :]
+            vec = vec @ t[0, :, bits[k // 2], :]
         amp = complex(vec[0])
         for s in self._loose_slots():
-            amp *= complex(self.loose[s][bits[s]])
+            amp *= complex(self.loose[s, 0, bits[s]])
         return amp
 
 
-def _born_pick(probs: np.ndarray, u):
-    """The first index at which the running sum of probs exceeds u, and its probability.
+def _born_pick(probs: np.ndarray, u: np.ndarray):
+    """Each lane's first index at which the running sum of its probs exceeds its u,
+    and that index's probability.
 
-    The last index is picked when no sum does. One lane: probs (k,) and a
-    float u. Lanes: probs (B, k) and u (B,), summed by cumsum, which adds
-    in the same order as the one-lane loop; picks and probabilities
-    come as (B,) arrays.
+    probs (B, k) and u (B,); the last index is picked when no sum does.
+    Picks and probabilities come as (B,) arrays.
     """
-    if probs.ndim == 1:
-        acc = 0.0
-        for idx, p in enumerate(probs.tolist()):
-            acc += p
-            if u < acc:
-                return idx, p
-        return len(probs) - 1, probs[-1]
     hit = u[:, None] < probs.cumsum(axis=1)
     hit[:, -1] = True  # argmax takes the first True: the last index only when no sum exceeds u
     pick = hit.argmax(axis=1)
@@ -999,7 +913,7 @@ def _born_failures(total) -> list:
 
 
 def _spectrum_entropy(p: np.ndarray):
-    """Von Neumann entropy of a probability spectrum, or of each row of a stack of them."""
+    """Von Neumann entropy of each row of a stack of probability spectra."""
     live = p > 1e-300
     h = -np.sum(np.where(live, p * np.log(np.where(live, p, 1.0)), 0.0), axis=-1)
     return np.maximum(h, 0.0) + 0.0

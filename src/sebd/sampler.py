@@ -14,10 +14,11 @@ onto a target bit (_block_weights). Their K trajectories split into
 ceil(K / LANE_BLOCK) blocks whose sizes differ by at most 1, so any K up
 to 256 runs as the lanes of one state. run_trajectory is the block of one
 index read out by measurement, and purification_run averages the
-reference entropies of such blocks. The reference qubit takes no lane
-state, so a block whose config attaches one runs one trajectory in a
-one-lane state, and sample and estimate_probability refuse such a config;
-every other block is a lane state.
+reference entropies of such blocks, one trajectory each; sample and
+estimate_probability refuse a config with a reference. Every block is a
+lane state, a block of one trajectory a state of one lane, and a block
+with a reference attaches it at the chain's left end before the first
+row.
 
 One failure rule: an MpsError ends its trajectory and never leaves an
 entry point. sample keeps the failed record with its error text; the
@@ -99,9 +100,11 @@ class RunConfig:
     circuit is the effective 1D circuit from compile_sebd, whose noise
     unraveling was chosen when it was compiled. mid_entropy records the
     entropy at the mid-chain cut (n_sites // 2) after every row-step;
-    reference_site attaches a Bell-pair probe to that chain site before
-    the first row and records its entropy after every row-step, one
-    trajectory per state: only run_trajectory and purification_run take it.
+    reference_site attaches a Bell-pair probe to that slot before the
+    first row, at the chain's left end, and records its entropy after
+    every row-step: only run_trajectory and purification_run take it, one
+    trajectory per block. No entry point sets both (entropy counts an
+    attached reference on the left of the cut).
     """
 
     circuit: EffectiveCircuit1D
@@ -148,8 +151,9 @@ def _uniform_tables(master_seed: int, indices, n: int) -> np.ndarray:
 def _step(psi: MatrixProductState, ev, policy: TruncationPolicy, rng, m: list) -> bool:
     """Apply a gate or noise event, appending sampled Kraus indices to m.
 
-    m is a list or a _LanePicks. Returns False, having done nothing, for a
-    readout, which each caller handles its own way.
+    m is a list or a _LanePicks; a pick holds one index per lane. Returns
+    False, having done nothing, for a readout, which each caller handles
+    its own way.
     """
     if isinstance(ev, Gate):
         if ev.j is None:
@@ -246,11 +250,11 @@ class _LanePicks:
 
     def __init__(self, psi: MatrixProductState, n_rows: int):
         self.psi = psi
-        self.table = np.full((n_rows, len(psi.live)), -1)
+        self.table = np.full((n_rows, len(psi.lanes)), -1)
         self.row = 0
 
     def append(self, pick):
-        self.table[self.row][self.psi.live] = pick  # a row view: cheaper than a 2D index
+        self.table[self.row][self.psi.lanes] = pick  # a row view: cheaper than a 2D index
         self.row += 1
 
     def extend(self, picks):
@@ -294,23 +298,18 @@ def _run_block(cfg: RunConfig, eff: EffectiveCircuit1D, indices, readout) -> _Bl
     readout(psi, ev, rng) reads out the slot of a MeasureReset event and
     returns one value per lane live afterwards; it may retire lanes. Lane r
     draws its uniforms from _trajectory_rng(master_seed, indices[r]), one
-    per noise event and per readout in event order (a lane state's drawn up
-    front); a readout that draws none leaves the table's last columns
-    unread, so the noise events read the same numbers either way. A block
-    with cfg.reference_site is one trajectory in a one-lane state, as
-    attach_reference needs; every other is a lane state. psi.live and
-    psi.lane_bonds() read both.
+    per noise event and per readout in event order, drawn up front; a
+    readout that draws none leaves the table's last columns unread, so the
+    noise events read the same numbers either way. With cfg.reference_site
+    the reference attaches to every lane before the first row.
     """
     counts = eff.counts()
     n, rows = len(indices), len(eff.rows)
-    if cfg.reference_site is None:
-        psi = MatrixProductState.new_product_state(eff.n_sites, lanes=n)
-        table = _uniform_tables(cfg.master_seed, indices, counts["noise"] + counts["measure"])
-        rng = _LaneUniforms(table)
-    else:
-        psi = MatrixProductState.new_product_state(eff.n_sites)
+    psi = MatrixProductState.new_product_state(eff.n_sites, lanes=n)
+    if cfg.reference_site is not None:
         psi.attach_reference(cfg.reference_site)
-        rng = _trajectory_rng(cfg.master_seed, indices[0])
+    table = _uniform_tables(cfg.master_seed, indices, counts["noise"] + counts["measure"])
+    rng = _LaneUniforms(table)
     picks = _LanePicks(psi, counts["noise"])
     reads = np.full((n, counts["measure"]), np.nan)
     chi = np.ones(n, dtype=int)
@@ -321,18 +320,18 @@ def _run_block(cfg: RunConfig, eff: EffectiveCircuit1D, indices, readout) -> _Bl
         for r, row in enumerate(eff.rows):
             for ev in row:
                 if not _step(psi, ev, cfg.policy, rng, picks):
-                    # the readout, which may retire lanes, runs before psi.live is read
-                    reads[psi.live, col] = readout(psi, ev, rng)
+                    # the readout, which may retire lanes, runs before psi.lanes is read
+                    reads[psi.lanes, col] = readout(psi, ev, rng)
                     col += 1
                 elif isinstance(ev, Gate) and ev.j is not None:
-                    chi[psi.live] = np.maximum(chi[psi.live], psi.lane_bonds())
-            chi[psi.live] = np.maximum(chi[psi.live], psi.lane_bonds())
+                    chi[psi.lanes] = np.maximum(chi[psi.lanes], psi.ranks.max(axis=1))
+            chi[psi.lanes] = np.maximum(chi[psi.lanes], psi.ranks.max(axis=1))
             if cfg.mid_entropy:  # so does entropy
-                entropies[psi.live, r] = psi.entropy(eff.n_sites // 2)
+                entropies[psi.lanes, r] = psi.entropy(eff.n_sites // 2)
             if cfg.reference_site is not None:
-                refs[psi.live, r] = psi.reference_entropy()
+                refs[psi.lanes, r] = psi.reference_entropy()
     except MpsError as exc:  # not a lane's own: it hits every live lane alike
-        for lane in psi.live.tolist():
+        for lane in psi.lanes.tolist():
             psi.failed[lane] = f"{type(exc).__name__}: {exc}"
     return _Block(psi, reads, picks.table.T, chi, entropies, refs)
 
@@ -368,12 +367,13 @@ def _block_weights(cfg: RunConfig, eff: EffectiveCircuit1D, target: dict, indice
 
     A lane's weight is the product of its projection probabilities in
     readout order. A lane whose projection falls below the floor has
-    weight 0; a failed lane (an MpsError) has weight NaN.
+    weight 0; a failed lane (an MpsError, a NaN projection among them) has
+    weight NaN.
     """
     block = _run_block(
         cfg, eff, indices, lambda psi, ev, rng: psi.project_onto(ev.i, target[ev.coord])
     )
-    live = block.psi.live
+    live = block.psi.lanes
     out = np.zeros(len(indices))
     out[live] = block.reads[live].prod(axis=1)
     out[list(block.psi.failed)] = np.nan
@@ -421,9 +421,13 @@ def purification_run(cfg: RunConfig) -> np.ndarray:
     """Mean reference-qubit entropy after each row-step.
 
     The Bell-pair reference attaches to cfg.reference_site before the first
-    row. Each trajectory runs alone (run_trajectory, a one-lane block), and
-    the series is the mean of their ref_entropies over the trajectories that
-    did not fail, summed in index order.
+    row, at the chain's left end. Each trajectory runs alone
+    (run_trajectory, a block of one lane), and the series is the mean of
+    their ref_entropies over the trajectories that did not fail, summed in
+    index order. Running them as the lanes of one block would be faster
+    and give the same series to roundoff; it is left for when the
+    benchmark's tau check tolerates the command seeds a faster sweep
+    reaches.
     """
     if cfg.reference_site is None:
         raise SamplerError("purification needs a reference site")

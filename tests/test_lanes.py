@@ -31,6 +31,8 @@ from sebd.sampler import (
     sample,
 )
 
+from one_lane import OneLane
+
 FAILED_RE = re.compile(r"(\d+) trajectories failed and were excluded")
 
 LATTICES = (
@@ -53,7 +55,7 @@ POLICIES = (
 
 
 def one_lane_weights(cfg: RunConfig, target: dict) -> np.ndarray:
-    """Each trajectory of cfg run alone in a one-lane state.
+    """Each trajectory of cfg replayed alone, in a state of one lane, by its own loop.
 
     Its weight is the product of its projection probabilities, 0 once a
     projection falls below the floor, NaN when it fails.
@@ -61,26 +63,22 @@ def one_lane_weights(cfg: RunConfig, target: dict) -> np.ndarray:
     eff = cfg.circuit
     out = []
     for index in range(cfg.n_trajectories):
-        rng = _trajectory_rng(cfg.master_seed, index)
+        rng = OneLane(_trajectory_rng(cfg.master_seed, index))
         psi = MatrixProductState.new_product_state(eff.n_sites)
         weight = 1.0
         try:
             for ev in eff.events():
                 if not _step(psi, ev, cfg.policy, rng, []):
-                    try:
-                        weight *= psi.project_onto(ev.i, target[ev.coord])
-                    except MpsError:
-                        weight = 0.0
-                        break
-        except MpsError:
-            weight = np.nan
+                    weight *= psi.project_onto(ev.i, target[ev.coord])[0]
+        except MpsError:  # the lane left: failed, or silently at a projection below the floor
+            weight = np.nan if psi.failed else 0.0
         out.append(weight)
     return np.array(out)
 
 
 def one_lane_records(cfg: RunConfig) -> list:
-    """Each trajectory of cfg run alone in a one-lane state, read out by
-    measurement and reset.
+    """Each trajectory of cfg replayed alone, in a state of one lane, by its
+    own loop, read out by measurement and reset.
 
     Its peak bond is read after every two-qubit gate and every row-step,
     its mid-cut entropy after every row-step (with mid_entropy), and an
@@ -89,24 +87,24 @@ def one_lane_records(cfg: RunConfig) -> list:
     eff = cfg.circuit
     out = []
     for index in range(cfg.n_trajectories):
-        rng = _trajectory_rng(cfg.master_seed, index)
+        rng = OneLane(_trajectory_rng(cfg.master_seed, index))
         psi = MatrixProductState.new_product_state(eff.n_sites)
         z, m, entropies, chi, failed = {}, [], [], 1, None
         try:
             for row in eff.rows:
                 for ev in row:
                     if not _step(psi, ev, cfg.policy, rng, m):
-                        z[ev.coord] = psi.measure_reset(ev.i, rng)
+                        z[ev.coord] = int(psi.measure_reset(ev.i, rng)[0])
                     elif isinstance(ev, Gate) and ev.j is not None:
                         chi = max(chi, psi.max_bond())
                 chi = max(chi, psi.max_bond())
                 if cfg.mid_entropy:
-                    entropies.append(float(psi.entropy(eff.n_sites // 2)))
+                    entropies.append(float(psi.entropy(eff.n_sites // 2)[0]))
         except MpsError as exc:
             failed = f"{type(exc).__name__}: {exc}"
         out.append(TrajectoryRecord(
-            seed=index, z=z, m=tuple(m), entropies=tuple(entropies), chi_max_seen=chi,
-            trunc_total=psi.trunc_log, failed=failed,
+            seed=index, z=z, m=tuple(int(q[0]) for q in m), entropies=tuple(entropies),
+            chi_max_seen=chi, trunc_total=psi.trunc_log, failed=failed,
         ))
     return out
 
@@ -240,7 +238,7 @@ def test_benchmark_square_3x3_runs_as_one_lane_state(tmp_path, monkeypatch):
     made = []
     build = MatrixProductState.__dict__["new_product_state"].__func__
 
-    def spy(cls, n, bits=None, lanes=None):
+    def spy(cls, n, bits=None, lanes=1):
         made.append(lanes)
         return build(cls, n, bits, lanes)
 
@@ -250,14 +248,14 @@ def test_benchmark_square_3x3_runs_as_one_lane_state(tmp_path, monkeypatch):
 
 
 def test_purification_runs_one_lane_states_of_one_trajectory(monkeypatch):
-    # attach_reference takes a one-lane state, so each trajectory is a block of its own
+    # purification runs each trajectory as a block of its own: a state of one lane
     cfg = config(("square", 3, 3), NOISES[0], 0.1, POLICIES[0], seed=3, k=5)
     cfg.reference_site = cfg.circuit.n_sites // 2
     made, blocks = [], []
     build = MatrixProductState.__dict__["new_product_state"].__func__
     run_block = sampler._run_block
 
-    def spy(cls, n, bits=None, lanes=None):
+    def spy(cls, n, bits=None, lanes=1):
         made.append(lanes)
         return build(cls, n, bits, lanes)
 
@@ -268,7 +266,7 @@ def test_purification_runs_one_lane_states_of_one_trajectory(monkeypatch):
     monkeypatch.setattr(MatrixProductState, "new_product_state", classmethod(spy))
     monkeypatch.setattr(sampler, "_run_block", spy_block)
     assert len(purification_run(cfg)) == len(cfg.circuit.rows)
-    assert made == [None] * 5
+    assert made == [1] * 5
     assert blocks == [[i] for i in range(5)]
 
 
@@ -338,7 +336,7 @@ def _spectra(counts, n=6, seed=0):
 
     Under a cutoff of 1e-3 lane b keeps exactly counts[b] values; a count
     of 0 gives an all-zero row and None a NaN one. Six columns keep every
-    sum a plain loop, so the lane and one-lane branches add in the same
+    sum a plain loop, so the slice and the mask branches add in the same
     order.
     """
     rng = np.random.default_rng(seed)
@@ -376,10 +374,14 @@ def test_lane_truncate_is_one_lane_truncate_per_lane(counts, policy):
         got, kept = psi._truncate(s, policy, 1)
     row = 0
     for lane, spectrum in enumerate(s):
+        # the lane replayed alone, in a state of one lane on the same chain
         one = MatrixProductState.new_product_state(3)
+        for slot in range(3):
+            one._join(slot)
+        one.ranks[:] = s.shape[1]
         try:
             with np.errstate(invalid="ignore"):
-                want, _ = one._truncate(spectrum, policy, 1)
+                (want,), _ = one._truncate(spectrum[None], policy, 1)
         except mps.TruncationOverflow as exc:
             assert psi.failed[lane] == f"TruncationOverflow: {exc}"
             assert lane not in psi.lanes
@@ -390,7 +392,7 @@ def test_lane_truncate_is_one_lane_truncate_per_lane(counts, policy):
         if spectrum.sum() > 0.0:  # an all-zero or NaN lane's padding is NaN as well
             assert not got[row, width:].any()
         assert psi.ranks[row, 2] == width
-        np.testing.assert_equal(psi.discarded[lane], one.discarded)
+        np.testing.assert_equal(psi.discarded[lane], one.discarded[0])
         row += 1
     assert row == len(psi.lanes) == got.shape[0]
     assert (kept is None) == (row == len(counts))
@@ -409,7 +411,8 @@ def _born_total(text: str) -> float:
 
 
 class _Draws:
-    """A one-lane rng that hands out the given uniforms in order."""
+    """An rng that hands out the given uniforms in order; OneLane makes it
+    one lane's."""
 
     def __init__(self, *uniforms):
         self.uniforms = iter(uniforms)
@@ -430,19 +433,18 @@ def test_joint_table_picks_like_two_site_draws(kraus, i_right):
     theta /= np.linalg.norm(theta.reshape(lanes, -1), axis=1)[:, None, None, None]
     theta[0] *= 1.5
     psi = MatrixProductState.new_product_state(2, lanes=lanes)
-    (pick_i, pick_j), branch, kept = psi._sample_pair(
-        theta, kraus, sampler._LaneUniforms(u), i_right
-    )
-    assert kept is not None and list(psi.lanes) == list(range(1, lanes))
+    (pick_i, pick_j), branch = psi._sample_pair(theta, kraus, sampler._LaneUniforms(u), i_right)
+    assert list(psi.lanes) == list(range(1, lanes))  # lane 0 left: the branch's rows are lanes 1..
     left, right = (l, 2, 2 * r), (2 * l, 2, r)
     for lane, uniforms in enumerate(u):
+        # the lane replayed alone: two one-site draws in a state of one lane
         one = MatrixProductState.new_product_state(2)
-        draws = _Draws(*uniforms)
-        x, picks = theta[lane], []
+        draws = OneLane(_Draws(*uniforms))
+        x, picks = theta[lane : lane + 1], []
         try:
             for view in ((right, left) if i_right else (left, right)):
-                pick, x = one._sample_kraus(x.reshape(view), kraus, draws)
-                picks.append(pick)
+                pick, x = one._sample_kraus(x.reshape((1,) + view), kraus, draws)
+                picks.append(pick[0])
         except MpsError as exc:  # the same failure, with a total equal to roundoff
             assert lane == 0 and psi.failed[0].startswith("MpsError: Born probabilities sum to")
             assert abs(_born_total(psi.failed[0]) - _born_total(str(exc))) <= 1e-12
@@ -465,37 +467,33 @@ def _entangled_state(lanes):
 
 
 def _set_nan(psi, row=...):
-    """Every amplitude of one lane (row), or of a one-lane state, becomes NaN."""
+    """Every amplitude of one lane (row), or of every lane, becomes NaN."""
     for t in psi.tensors:
         t[row] = np.nan
     psi.loose[:, row] = np.nan
 
 
-NAN_EVENTS = {  # event -> (run it on site s, whether a lane that leaves is recorded as failed)
-    "idle noise": (lambda psi, s, rng: psi.apply_kraus(s, KRAUS_SETS[0], rng), True),
-    "noisy gate": (
-        lambda psi, s, rng: psi.apply_2q(s, s + 1, CNOT, POLICIES[0], KRAUS_SETS[0], rng), True
-    ),
-    "measurement": (lambda psi, s, rng: psi.measure_reset(s, rng), True),
-    "projection": (lambda psi, s, rng: psi.project_onto(s, 0), False),
+NAN_EVENTS = {  # event -> run it on site s
+    "idle noise": lambda psi, s, rng: psi.apply_kraus(s, KRAUS_SETS[0], rng),
+    "noisy gate": lambda psi, s, rng: psi.apply_2q(s, s + 1, CNOT, POLICIES[0], KRAUS_SETS[0], rng),
+    "measurement": lambda psi, s, rng: psi.measure_reset(s, rng),
+    "projection": lambda psi, s, rng: psi.project_onto(s, 0),
 }
 
 
 @pytest.mark.parametrize("site", [0, 2], ids=["chain", "loose"])
 @pytest.mark.parametrize("event", list(NAN_EVENTS))
 def test_nan_lane_leaves_the_state(event, site):
-    # a NaN lane fails every Born total and probability floor, so it leaves
-    # before it can record a pick or a bit; the other lanes run on unchanged
-    run, records = NAN_EVENTS[event]
+    # a NaN lane fails every Born total, probability floor and finiteness
+    # check, so it leaves as failed before it can record a pick, a bit or a
+    # probability; the other lanes run on unchanged
+    run = NAN_EVENTS[event]
     table = np.random.default_rng(4).uniform(0.1, 0.9, (3, 16))
     clean, psi = _entangled_state(3), _entangled_state(3)
     _set_nan(psi, 1)
     want, got = (run(state, site, sampler._LaneUniforms(table)) for state in (clean, psi))
     assert psi.lanes.tolist() == [0, 2]
-    if records:
-        assert psi.failed[1].startswith("MpsError: ")
-    else:
-        assert not psi.failed
+    assert psi.failed[1].startswith("MpsError: ")
     if not isinstance(want, tuple):
         want, got = (want,), (got,)
     for w, g in zip(want, got):
@@ -507,10 +505,11 @@ def test_nan_lane_leaves_the_state(event, site):
         psi.apply_1q(s, H)
         bits = clean.measure_reset(s, rng_clean)
         assert psi.measure_reset(s, rng).tolist() == bits[[0, 2]].tolist()
-    one = _entangled_state(None)
+    one = _entangled_state(1)
     _set_nan(one)
     with pytest.raises(MpsError):
-        run(one, site, _Draws(0.5, 0.5))
+        run(one, site, OneLane(_Draws(0.5, 0.5)))
+    assert one.failed[0].startswith("MpsError: ")
 
 
 NAN_SVDS = {  # a noiseless event whose first step is an SVD of the NaN lane's block
@@ -538,8 +537,8 @@ def test_nan_lane_passes_an_svd(event):
         assert psi.measure_reset(s, rng).tolist() == bits[[0, 2]].tolist()
     assert psi.lanes.tolist() == [0, 2]
     assert psi.failed[1] == "MpsError: measurement hit a numerically null branch"
-    one = _entangled_state(None)
+    one = _entangled_state(1)
     _set_nan(one)
     run(one)
     with pytest.raises(MpsError):
-        one.measure_reset(0, _Draws(0.5))
+        one.measure_reset(0, OneLane(_Draws(0.5)))

@@ -35,6 +35,8 @@ from sebd.serialize import (
     save_circuit,
 )
 
+from one_lane import OneLane
+
 RNG = np.random.default_rng
 
 
@@ -267,7 +269,7 @@ class TestCompileAnchors:
         circ = random_instance(lat, "A", "fsim", None, seed=2)
         eff = compile_sebd(circ)
         assert eff.max_gate_range() == 1
-        rng = RNG(0)
+        rng = OneLane(RNG(0))
         psi = MatrixProductState.new_product_state(eff.n_sites)
         policy = TruncationPolicy(chi_max=64, svd_cutoff=0.0)
         for ev in eff.events():

@@ -28,12 +28,15 @@ from sebd.mps import (
 from sebd.oracles.dense import DenseVector
 from sebd.sampler import RunConfig, _LaneUniforms, run_trajectory
 
+from one_lane import OneLane
+
 LN2 = np.log(2.0)
 BIG = TruncationPolicy(chi_max=4096, svd_cutoff=0.0)
 
 
 class FakeRng:
-    """Deterministic stand-in for rng.random(), fed from a list."""
+    """Deterministic stand-in for rng.random(), fed from a list; wrap it in
+    OneLane for a state of one lane."""
 
     def __init__(self, vals):
         self.vals = list(vals)
@@ -81,7 +84,7 @@ class TestConstruction:
     def test_all_cuts_unentangled(self):
         psi = MatrixProductState.new_product_state(6, "010011")
         for cut in range(1, 6):
-            assert psi.entropy(cut) == pytest.approx(0.0, abs=1e-12)
+            assert psi.entropy(cut)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(MpsError):
@@ -128,7 +131,7 @@ class TestGates:
             dv.apply_1q(s, H)
         psi.apply_2q(0, 1, CZ, BIG)
         dv.apply_2q(0, 1, CZ)
-        assert psi.entropy(1) == pytest.approx(dv.renyi_entropy(1), abs=1e-10)
+        assert psi.entropy(1)[0] == pytest.approx(dv.renyi_entropy(1), abs=1e-10)
 
     def test_long_range_matches_dense(self):
         g = unitary_group.rvs(4, random_state=np.random.default_rng(3))
@@ -152,19 +155,19 @@ class TestGates:
 class TestKraus:
     def test_identity_only(self):
         psi = MatrixProductState.new_product_state(3)
-        out = psi.apply_kraus(1, KrausSet((np.eye(2, dtype=complex),)), FakeRng([0.3]))
-        assert out == 0
+        out = psi.apply_kraus(1, KrausSet((np.eye(2, dtype=complex),)), OneLane(FakeRng([0.3])))
+        assert out[0] == 0
         assert psi.amplitude("000") == pytest.approx(1.0)
 
     def test_projective_on_zero_probs(self):
         # Born weights on |0> are (0.8, 0.2, 0); the walk picks by cumulative sum
         k = make_dephasing(0.1, "projective")
         psi = MatrixProductState.new_product_state(1)
-        assert psi.apply_kraus(0, k, FakeRng([0.79])) == 0
+        assert psi.apply_kraus(0, k, OneLane(FakeRng([0.79])))[0] == 0
         psi = MatrixProductState.new_product_state(1)
-        assert psi.apply_kraus(0, k, FakeRng([0.81])) == 1
+        assert psi.apply_kraus(0, k, OneLane(FakeRng([0.81])))[0] == 1
         psi = MatrixProductState.new_product_state(1)
-        assert psi.apply_kraus(0, k, FakeRng([0.999999])) == 1
+        assert psi.apply_kraus(0, k, OneLane(FakeRng([0.999999])))[0] == 1
 
     def test_weak_on_plus_tilts_bloch(self):
         eps = 0.1
@@ -172,7 +175,7 @@ class TestKraus:
         for draw, sign in ((0.2, +1), (0.8, -1)):
             psi = MatrixProductState.new_product_state(1)
             psi.apply_1q(0, H)
-            psi.apply_kraus(0, k, FakeRng([draw]))
+            psi.apply_kraus(0, k, OneLane(FakeRng([draw])))
             vec = psi.to_dense()
             z = abs(vec[0]) ** 2 - abs(vec[1]) ** 2
             assert z == pytest.approx(sign * 2 * np.sqrt(eps * (1 - eps)), abs=1e-12)
@@ -182,12 +185,12 @@ class TestKraus:
         k = make_dephasing(0.23, "weak-optimal")
         base = MatrixProductState.new_product_state(1)
         base.apply_1q(0, H)
-        rng = np.random.default_rng(42)
+        rng = OneLane(np.random.default_rng(42))
         n_draws = 100_000
         hits = 0
         for _ in range(n_draws):
             psi = clone(base)
-            hits += psi.apply_kraus(0, k, rng)
+            hits += psi.apply_kraus(0, k, rng)[0]
         sigma = np.sqrt(n_draws * 0.25)
         assert abs(hits - n_draws / 2) < 4 * sigma
 
@@ -195,36 +198,36 @@ class TestKraus:
 class TestMeasureProject:
     def test_measure_one(self):
         psi = MatrixProductState.new_product_state(2, "01")
-        assert psi.measure_reset(1, FakeRng([0.5])) == 1
+        assert psi.measure_reset(1, OneLane(FakeRng([0.5])))[0] == 1
         assert psi.amplitude("00") == pytest.approx(1.0)
 
     def test_measure_plus_statistics(self):
-        rng = np.random.default_rng(11)
+        rng = OneLane(np.random.default_rng(11))
         counts = 0
         for _ in range(10_000):
             psi = MatrixProductState.new_product_state(1)
             psi.apply_1q(0, H)
-            counts += psi.measure_reset(0, rng)
+            counts += psi.measure_reset(0, rng)[0]
         # chi-square against the fair coin at the 4-sigma level
         assert abs(counts - 5000) < 4 * np.sqrt(10_000 * 0.25)
 
     def test_bell_collapse(self):
         psi = ghz(2)
-        bit = psi.measure_reset(0, FakeRng([0.9]))
+        bit = psi.measure_reset(0, OneLane(FakeRng([0.9])))[0]
         assert bit == 1
         assert abs(psi.amplitude("01")) == pytest.approx(1.0, abs=1e-12)
 
     def test_project_trivials(self):
         psi = MatrixProductState.new_product_state(1)
-        assert psi.project_onto(0, 0) == pytest.approx(1.0)
+        assert psi.project_onto(0, 0)[0] == pytest.approx(1.0)
         psi = MatrixProductState.new_product_state(1)
         psi.apply_1q(0, H)
-        assert psi.project_onto(0, 1) == pytest.approx(0.5)
+        assert psi.project_onto(0, 1)[0] == pytest.approx(0.5)
 
     def test_bell_sequential_projections(self):
         psi = ghz(2)
-        p = psi.project_onto(0, 0)
-        q = psi.project_onto(1, 0)
+        p = psi.project_onto(0, 0)[0]
+        q = psi.project_onto(1, 0)[0]
         assert p * q == pytest.approx(0.5, abs=1e-12)
 
     def test_impossible_projection_raises(self):
@@ -244,7 +247,7 @@ class TestMeasureProject:
 class TestEntropy:
     def test_bell_all_orders(self):
         psi = ghz(2)
-        assert psi.entropy(1) == pytest.approx(LN2, abs=1e-12)
+        assert psi.entropy(1)[0] == pytest.approx(LN2, abs=1e-12)
         dv = DenseVector(2)
         dv.psi = psi.to_dense().copy()
         for n in (0.5, 1.0, 2.0, 3.0):
@@ -254,7 +257,7 @@ class TestEntropy:
         psi = random_state(8, 23)
         dv = DenseVector(8)
         dv.psi = psi.to_dense().copy()
-        assert psi.entropy(4) == pytest.approx(dv.renyi_entropy(4, 1.0), abs=1e-8)
+        assert psi.entropy(4)[0] == pytest.approx(dv.renyi_entropy(4, 1.0), abs=1e-8)
 
     def test_entropy_bounded_by_bond(self):
         policy = TruncationPolicy(chi_max=4, svd_cutoff=0.0)
@@ -265,7 +268,7 @@ class TestEntropy:
             psi.apply_2q(i, i + 1, unitary_group.rvs(4, random_state=rng), policy)
         for cut in range(1, 8):
             chi = psi.bond_dims()[cut]
-            assert psi.entropy(cut) <= np.log(chi) + 1e-9
+            assert psi.entropy(cut)[0] <= np.log(chi) + 1e-9
 
     def test_subsystem_full_is_zero(self):
         psi = random_state(6, 3)
@@ -274,7 +277,7 @@ class TestEntropy:
         assert dv.subsystem_renyi(range(6)) == pytest.approx(0.0, abs=1e-10)
         product = MatrixProductState.new_product_state(6, bits=[1, 0, 1, 1, 0, 0])
         for cut in range(1, 6):
-            assert product.entropy(cut) == pytest.approx(0.0, abs=1e-12)
+            assert product.entropy(cut)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_complement_symmetry(self):
         psi = random_state(7, 19)
@@ -283,12 +286,12 @@ class TestEntropy:
         a = dv.subsystem_renyi([0, 1, 2])
         b = dv.subsystem_renyi([3, 4, 5, 6])
         assert a == pytest.approx(b, abs=1e-8)
-        assert psi.entropy(3) == pytest.approx(b, abs=1e-8)
+        assert psi.entropy(3)[0] == pytest.approx(b, abs=1e-8)
 
     def test_ghz_two_blocks(self):
         psi = ghz(8)
         for cut in range(1, 8):
-            assert psi.entropy(cut) == pytest.approx(LN2, abs=1e-10)
+            assert psi.entropy(cut)[0] == pytest.approx(LN2, abs=1e-10)
         dv = DenseVector(8)
         dv.psi = psi.to_dense().copy()
         assert dv.subsystem_renyi([1, 2, 5, 6]) == pytest.approx(LN2, abs=1e-10)
@@ -299,7 +302,7 @@ class TestEntropy:
         dv.psi = psi.to_dense().copy()
         for cut in range(1, 8):
             left, right = list(range(cut)), list(range(cut, 8))
-            s = psi.entropy(cut)
+            s = psi.entropy(cut)[0]
             assert s == pytest.approx(dv.subsystem_renyi(left, 1.0), abs=1e-6)
             assert s == pytest.approx(dv.subsystem_renyi(right, 1.0), abs=1e-6)
 
@@ -308,13 +311,13 @@ class TestReference:
     def test_attach_gives_ln2(self):
         psi = MatrixProductState.new_product_state(4)
         psi.attach_reference(1)
-        assert psi.reference_entropy() == pytest.approx(LN2, abs=1e-12)
+        assert psi.reference_entropy()[0] == pytest.approx(LN2, abs=1e-12)
 
     def test_partner_measure_kills_it(self):
         psi = MatrixProductState.new_product_state(4)
         psi.attach_reference(0)
-        psi.measure_reset(0, FakeRng([0.4]))
-        assert psi.reference_entropy() == pytest.approx(0.0, abs=1e-12)
+        psi.measure_reset(0, OneLane(FakeRng([0.4])))
+        assert psi.reference_entropy()[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_remote_unitaries_preserve_it(self):
         psi = MatrixProductState.new_product_state(5)
@@ -322,7 +325,7 @@ class TestReference:
         g = unitary_group.rvs(4, random_state=np.random.default_rng(6))
         psi.apply_2q(0, 4, g, BIG)
         psi.apply_1q(3, H)
-        assert psi.reference_entropy() == pytest.approx(LN2, abs=1e-10)
+        assert psi.reference_entropy()[0] == pytest.approx(LN2, abs=1e-10)
 
     def test_double_attach_rejected(self):
         psi = MatrixProductState.new_product_state(3)
@@ -343,7 +346,9 @@ class TestReference:
         dv = DenseVector(4)
         dv.attach_reference(1)
         dv.apply_1q(3, X)
-        np.testing.assert_allclose(psi.to_dense(), dv.to_dense(), atol=1e-12)
+        # the MPS keeps the reference at the chain's left end, axis 0; the
+        # dense oracle keeps it right after its partner
+        np.testing.assert_allclose(np.moveaxis(psi.to_dense(), 0, 2), dv.to_dense(), atol=1e-12)
 
 
 class TestTruncation:
@@ -398,7 +403,7 @@ class TestOracleLockstep:
     def test_shared_seed_trajectories(self, seed):
         n = 12
         rng_ops = np.random.default_rng(seed)
-        r1 = np.random.default_rng(seed + 1000)
+        r1 = OneLane(np.random.default_rng(seed + 1000))
         r2 = np.random.default_rng(seed + 1000)
         psi = MatrixProductState.new_product_state(n)
         dv = DenseVector(n)
@@ -422,10 +427,10 @@ class TestOracleLockstep:
             elif kind == 2:
                 s = int(rng_ops.integers(n))
                 k = chans[rng_ops.integers(len(chans))]
-                assert psi.apply_kraus(s, k, r1) == dv.apply_kraus(s, k, r2)
+                assert psi.apply_kraus(s, k, r1)[0] == dv.apply_kraus(s, k, r2)
             else:
                 s = int(rng_ops.integers(n))
-                assert psi.measure_reset(s, r1) == dv.measure_reset(s, r2)
+                assert psi.measure_reset(s, r1)[0] == dv.measure_reset(s, r2)
         np.testing.assert_allclose(psi.to_dense(), dv.to_dense(), atol=1e-8)
 
 
@@ -438,9 +443,10 @@ def test_product_state_amplitude_property(bits):
 
 
 def assert_canonical(psi):
-    """Tensors left of the centre are left isometries, right of it right isometries."""
+    """Tensors of a one-lane state left of the centre are left isometries,
+    right of it right isometries."""
     c = psi.center
-    for k, t in enumerate(psi.tensors):
+    for k, (t,) in enumerate(psi.tensors):
         l, s, r = t.shape
         if k < c:
             m = t.reshape(l * s, r)
@@ -514,8 +520,8 @@ def test_apply_2q_noise_on_block_matches_dense(seed, n, where, kraus, data):
     # the same order (site i, then j), as the dense gate plus two apply_kraus
     i, j, psi, dv = _pair_and_centred_state(seed, n, where, data)
     g = unitary_group.rvs(4, random_state=np.random.default_rng(seed))
-    picks = psi.apply_2q(i, j, g, BIG, kraus, np.random.default_rng(seed + 1))
-    assert picks == dv.apply_2q(i, j, g, kraus, np.random.default_rng(seed + 1))
+    picks = psi.apply_2q(i, j, g, BIG, kraus, OneLane(np.random.default_rng(seed + 1)))
+    assert (picks[0][0], picks[1][0]) == dv.apply_2q(i, j, g, kraus, np.random.default_rng(seed + 1))
     assert abs(np.vdot(psi.to_dense(), dv.psi)) == pytest.approx(1.0, abs=1e-9)
     assert_canonical(psi)
 
@@ -534,9 +540,9 @@ def test_kraus_weights_are_branch_norms():
     assert 0.05 < weights[1] < 0.95
     for draw, want in ((weights[0] - 1e-9, 0), (weights[0] + 1e-9, 1)):
         psi = clone(base)
-        rng = FakeRng([draw])
-        assert psi.apply_kraus(2, k, rng) == want
-        assert rng.vals == []
+        draws = FakeRng([draw])
+        assert psi.apply_kraus(2, k, OneLane(draws))[0] == want
+        assert draws.vals == []
         np.testing.assert_allclose(
             psi.to_dense(), branches[want] / np.sqrt(weights[want]), atol=1e-12
         )
@@ -587,41 +593,60 @@ LOOSE_NOISE = (make_depolarizing(0.2, "weak-tetrahedron"), make_amplitude_dampin
 
 
 def one_lane_view(psi, row):
-    """Lane `row` of a lane state as a one-lane state, each tensor cut to the lane's own ranks."""
+    """Lane `row` of a lane state as a state of one lane, each tensor cut to the lane's own ranks."""
     view = copy.copy(psi)
     r = psi.ranks[row]
-    view.tensors = [t[row][: r[k], :, : r[k + 1]] for k, t in enumerate(psi.tensors)]
-    view.loose = psi.loose[:, row]
+    view.tensors = [t[row : row + 1, : r[k], :, : r[k + 1]] for k, t in enumerate(psi.tensors)]
+    view.loose = psi.loose[:, row : row + 1]
     view._keys = list(psi._keys)
-    view.lanes = view.ranks = None
+    view.lanes, view.ranks = psi.lanes[row : row + 1], psi.ranks[row : row + 1].copy()
     return view
 
 
 def assert_reads_like_dense(psi, dv, n):
-    """The slot-order views of a one-lane state against the dense oracle's."""
+    """The slot-order views of a state of one lane against the dense oracle's.
+
+    With a reference attached, the dense oracle keeps it right after its
+    partner and the MPS at the chain's left end, left of every cut. So its
+    axis is moved first, each cut's entropy is that of the reference and
+    the slots left of the cut, and amplitudes are undefined.
+    """
+    ref = dv._ref is not None
     want = dv.to_dense()
+    if ref:
+        want = np.moveaxis(want, dv._ref, 0)
     np.testing.assert_allclose(psi.to_dense(), want, atol=1e-9)
     assert abs(np.vdot(psi.to_dense(), want)) == pytest.approx(1.0, abs=1e-9)
-    top = np.unravel_index(np.argmax(abs(want)), want.shape)
-    for bits in (top, [(s * 5 + 1) % 2 for s in range(n)]):
-        assert abs(psi.amplitude(bits) - dv.amplitude(bits)) <= 1e-9
+    if ref:
+        assert psi.reference_entropy()[0] == pytest.approx(dv.reference_entropy(), abs=1e-9)
+    else:
+        top = np.unravel_index(np.argmax(abs(want)), want.shape)
+        for bits in (top, [(s * 5 + 1) % 2 for s in range(n)]):
+            assert abs(psi.amplitude(bits) - dv.amplitude(bits)) <= 1e-9
     assert_canonical(psi)
     dims = psi.bond_dims()
-    assert len(dims) == n + 1 and dims[0] == dims[n] == 1
+    assert len(dims) == n + 1 + ref and dims[0] == dims[-1] == 1
+    dims = dims[ref:]  # the bond left of each slot, then the right end
     for s in range(n):
         # a loose slot is a product factor and reads the bond it would join at
         if psi._int(s) is None:
             assert dims[s] == dims[s + 1]
             assert dv.subsystem_renyi([s]) == pytest.approx(0.0, abs=1e-9)
     for cut in range(1, n):
-        sv = np.linalg.svd(want.reshape(1 << cut, -1), compute_uv=False)
+        sv = np.linalg.svd(want.reshape(1 << (cut + ref), -1), compute_uv=False)
         assert dims[cut] >= int(np.sum(sv > 1e-9 * sv[0]))
-        assert psi.entropy(cut) == pytest.approx(dv.renyi_entropy(cut, 1.0), abs=1e-6)
+        if ref:
+            p = sv[sv > 0.0] ** 2
+            want_s = float(-np.sum(p * np.log(p)))
+        else:
+            want_s = dv.renyi_entropy(cut, 1.0)
+        assert psi.entropy(cut)[0] == pytest.approx(want_s, abs=1e-6)
 
 
 @st.composite
 def loose_streams(draw):
-    """A slot count and an event stream whose first events find every slot loose."""
+    """A slot count, an event stream whose first events find every slot
+    loose, and the partner of a reference attached before them, or None."""
     n = draw(st.integers(5, 7))
     # a one-qubit gate on some slots first, so loose vectors carry phases
     ops = [("1q", s, draw(st.integers(0, 10_000)), 0) for s in range(n) if draw(st.booleans())]
@@ -635,7 +660,7 @@ def loose_streams(draw):
             ops.append((kind, s, s + d, draw(st.integers(0, 10_000)), draw(st.integers(-1, 1))))
         else:
             ops.append((kind, s, draw(st.integers(0, 10_000)), draw(st.integers(0, 1))))
-    return n, ops
+    return n, ops, draw(st.one_of(st.none(), st.integers(0, n - 1)))
 
 
 @given(stream=loose_streams(), seed=st.integers(0, 10_000))
@@ -645,17 +670,21 @@ def loose_streams(draw):
 # its vector lay in the padding past the lane's rank
 @example(stream=(5, [("1q", 0, 0, 0)] * 14 + [("2q", 0, 1, 0, 0)] + [("1q", 0, 0, 0)] * 3 + [
     ("2q", 0, 2, 0, 0), ("noise", 0, 0, 1), ("project", 1, 0, 0), ("2q", 1, 3, 0, 1),
-]), seed=0)
+], None), seed=0)
 def test_loose_slots_match_dense(stream, seed):
-    # one event stream through a one-lane state, a 3-lane state and one
-    # dense vector per lane; lane 0 and the one-lane state draw the same uniforms
-    n, ops = stream
+    # one event stream through a state of one lane, a 3-lane state and one
+    # dense vector per lane; lane 0 and the one-lane state draw the same
+    # uniforms. A reference, if any, attaches to every state first
+    n, ops, ref = stream
     table = np.random.default_rng(seed).random((3, 2 * len(ops)))
     psi = MatrixProductState.new_product_state(n)
     lanes = MatrixProductState.new_product_state(n, lanes=3)
     dense = [DenseVector(n) for _ in range(3)]
+    if ref is not None:
+        for state in (psi, lanes, *dense):
+            state.attach_reference(ref)
     rngs = [FakeRng(row) for row in table]
-    one_rng, lane_rng = FakeRng(table[0]), _LaneUniforms(table)
+    one_rng, lane_rng = OneLane(FakeRng(table[0])), _LaneUniforms(table)
     for kind, s, *rest in ops:
         if kind == "1q":
             g = unitary_group.rvs(2, random_state=np.random.default_rng(rest[0]))
@@ -664,32 +693,35 @@ def test_loose_slots_match_dense(stream, seed):
         elif kind == "noise":
             k = LOOSE_NOISE[rest[1]]
             want = [dv.apply_kraus(s, k, r) for dv, r in zip(dense, rngs)]
-            assert psi.apply_kraus(s, k, one_rng) == want[0]
+            assert psi.apply_kraus(s, k, one_rng)[0] == want[0]
             assert lanes.apply_kraus(s, k, lane_rng).tolist() == want
         elif kind == "2q":
             j, g_seed, noise = rest
             g = unitary_group.rvs(4, random_state=np.random.default_rng(g_seed))
             k = None if noise < 0 else LOOSE_NOISE[noise]
             want = [dv.apply_2q(s, j, g, k, r) for dv, r in zip(dense, rngs)]
-            assert psi.apply_2q(s, j, g, BIG, k, one_rng) == want[0]
+            one = psi.apply_2q(s, j, g, BIG, k, one_rng)
             got = lanes.apply_2q(s, j, g, BIG, k, lane_rng)
-            if k is not None:
+            if k is None:
+                assert one is None and got is None and want == [None] * 3
+            else:
+                assert (one[0][0], one[1][0]) == want[0]
                 assert list(zip(*(p.tolist() for p in got))) == want
         elif kind == "measure":
             want = [dv.measure_reset(s, r) for dv, r in zip(dense, rngs)]
-            assert psi.measure_reset(s, one_rng) == want[0]
+            assert psi.measure_reset(s, one_rng)[0] == want[0]
             assert lanes.measure_reset(s, lane_rng).tolist() == want
         elif kind == "project":
             # onto a bit every lane reaches with weight, so no lane leaves
             bit = rest[1]
-            weights = [np.linalg.norm(np.take(dv.psi, bit, axis=s)) ** 2 for dv in dense]
+            weights = [np.linalg.norm(np.take(dv.psi, bit, axis=dv._int(s))) ** 2 for dv in dense]
             if min(weights) < 1e-6:
                 bit = 1 - bit
                 weights = [1.0 - w for w in weights]
             if min(weights) < 1e-6:
                 continue
             want = [dv.project_onto(s, bit) for dv in dense]
-            assert psi.project_onto(s, bit) == pytest.approx(want[0], abs=1e-9)
+            assert psi.project_onto(s, bit)[0] == pytest.approx(want[0], abs=1e-9)
             np.testing.assert_allclose(lanes.project_onto(s, bit), want, atol=1e-9)
         elif psi._int(s) is not None:  # "centre": put it on a chain slot of either state
             psi._move_center(psi._int(s))
@@ -701,3 +733,6 @@ def test_loose_slots_match_dense(stream, seed):
     assert (lanes.ranks[:, 0] == 1).all() and (lanes.ranks[:, -1] == 1).all()
     for row, dv in enumerate(dense):
         assert_reads_like_dense(one_lane_view(lanes, row), dv, n)
+    if ref is not None:  # and read off the lane state itself
+        want = [dv.reference_entropy() for dv in dense]
+        np.testing.assert_allclose(lanes.reference_entropy(), want, rtol=0.0, atol=1e-9)

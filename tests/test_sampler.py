@@ -16,11 +16,13 @@ import scipy.stats
 import sebd
 from sebd.channels import NoiseModel
 from sebd.experiments import config_from_mapping
-from sebd.gates import fsim
+from sebd.gates import X, Y, Z, fsim
 from sebd.lightcone import (
     Circuit2D,
+    Gate,
     Lattice2D,
     LayerGates,
+    Noise,
     build_lattice,
     compile_sebd,
     random_instance,
@@ -28,10 +30,11 @@ from sebd.lightcone import (
 from sebd.mps import TruncationPolicy
 from sebd.oracles.dense import DenseDensity, dense_evolve
 from sebd.oracles.mpo import mpo_evolve
-from sebd.oracles.tableau import tableau_evolve
+from sebd.oracles.tableau import Tableau, tableau_evolve
 from sebd.sampler import (
     RunConfig,
     SamplerError,
+    _run_block,
     estimate_probability,
     purification_run,
     run_trajectory,
@@ -408,6 +411,99 @@ class TestTableauAtWorkloadScale:
         for rec in sample(cfg):
             assert rec.ok
             assert np.isfinite(tab.probability_log2([rec.z[site] for site in lat.sites]))
+
+
+# the pauli-mix form's Kraus operators are scaled I, X, Y, Z, in this order
+PAULIS = (None, X, Y, Z)
+
+
+def tableau_replay_log2(eff, target: dict, picks) -> tuple:
+    """One trajectory's weight, replayed on a tableau: log2 w and its readouts.
+
+    The compiled events act on the slots: each gate, then the Pauli of each
+    Kraus pick (a noisy gate's on its slot i, then on j), and each readout
+    as a Z measurement forced onto the target bit, then reset to |0>. Under
+    pauli-mix noise the Kraus weights do not depend on the state, so a
+    lane's weight given its picks is the product of the readouts'
+    likelihoods. Returns (log2 w, readouts), and (-inf, k) at the first
+    readout k that the tableau gives probability 0.
+    """
+    tab = Tableau(eff.n_sites)
+    picks = iter(picks)
+
+    def pauli(site):
+        p = PAULIS[next(picks)]
+        if p is not None:
+            tab.apply_unitary(p, (site,))
+
+    log2w, col = 0.0, 0
+    for ev in eff.events():
+        if isinstance(ev, Gate):
+            tab.apply_unitary(ev.matrix, (ev.i,) if ev.j is None else (ev.i, ev.j))
+            if ev.kraus is not None:
+                pauli(ev.i)
+                pauli(ev.j)
+        elif isinstance(ev, Noise):
+            pauli(ev.i)
+        else:
+            bit, likelihood = tab.measure(ev.i, None, force=target[ev.coord])
+            if likelihood == 0.0:
+                return -np.inf, col
+            log2w += np.log2(likelihood)
+            if bit:
+                tab.pauli_x(ev.i)
+            col += 1
+    return log2w, col
+
+
+class TestNoisyTableauAtWorkloadScale:
+    """Noisy Clifford circuits of the sample workloads' sizes against a tableau replay.
+
+    Under pauli-mix depolarizing noise every Kraus operator is a scaled
+    Pauli, so each trajectory of a clifford-iswap-swap circuit stays a
+    stabilizer state and its Born weights do not depend on the state. A
+    test-side tableau then replays each lane's compiled events and Kraus
+    picks and gives its exact weight. That checks the lanes, loose slots,
+    noise on the gate's block (_sample_pair), routing and projection
+    together, at 108 and 65 qubits, with the tableau code independent of
+    the MPS code.
+    """
+
+    POLICY = TruncationPolicy(chi_max=256, svd_cutoff=1e-12)
+
+    @pytest.mark.parametrize(
+        "lattice", [("square", 6, 18), ("heavy-hex", 11, None)], ids=["square-6x18", "heavy-hex-11"]
+    )
+    def test_lane_weights_are_tableau_weights(self, lattice):
+        c = random_instance(
+            build_lattice(*lattice), "ABCD", "clifford-iswap-swap",
+            NoiseModel("depolarizing", 0.005), seed=5,
+        )
+        eff = compile_sebd(c, "pauli-mix")
+        cfg = RunConfig(eff, policy=self.POLICY, n_trajectories=3, master_seed=5)
+        # sampled z has positive probability given the record's own picks
+        records = sample(cfg)
+        for rec in records:
+            assert rec.ok and np.isfinite(tableau_replay_log2(eff, rec.z, rec.m)[0])
+        finite = zero = 0
+        for rec in records:  # each sample's z as a target of 16 lanes with other picks
+            block = _run_block(
+                cfg, eff, range(16), lambda psi, ev, rng: psi.project_onto(ev.i, rec.z[ev.coord])
+            )
+            assert not block.psi.failed
+            for lane in range(16):
+                picks = block.picks[lane]
+                want, col = tableau_replay_log2(eff, rec.z, picks[picks >= 0])
+                reads = block.reads[lane]
+                if np.isfinite(want):
+                    assert lane in block.psi.lanes
+                    assert abs(np.log2(reads).sum() - want) <= 1e-12
+                    finite += 1
+                else:  # the lane left silently at the readout the tableau zeroes
+                    assert lane not in block.psi.lanes
+                    assert np.isfinite(reads[:col]).all() and np.isnan(reads[col:]).all()
+                    zero += 1
+        assert finite and zero
 
 
 class TestPurification:
