@@ -59,8 +59,7 @@ from .experiments import (
     purification_point,
     sweep_rng,
 )
-from .lightcone import compile_sebd
-from .sampler import RunConfig, sample
+from .sampler import sample
 from .statmech import critical_x, predicted_phase
 from .serialize import (
     BENCHMARK_SCHEMA,
@@ -118,18 +117,11 @@ def _eps_tag(epsilon: float) -> str:
 def cmd_sample(args) -> int:
     cfg = _one_instance(_resolved_config(args), "sample")
     out = _outdir(cfg)
-    policy = cfg.policy()
     entropy = "entropy" in cfg.telemetry
     for eps in cfg.epsilons:
         circuit = cfg.instance(eps, cfg.lx_list[0], cfg.ly, cfg.seeds[0])
-        run = RunConfig(
-            compile_sebd(circuit, cfg.form(eps)),
-            policy=policy,
-            n_trajectories=cfg.n_trajectories,
-            master_seed=cfg.seeds[0],
-            mid_entropy=entropy,
-        )
-        records = sample(run, workers=args.workers)
+        run = cfg.run_config(circuit, eps, cfg.seeds[0])
+        records = sample(run, workers=args.workers, mid_entropy=entropy)
         tag = _eps_tag(eps)
         stream_path = out / f"samples_eps{tag}.txt"
         with stream_path.open("w") as fh:

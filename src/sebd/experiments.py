@@ -104,8 +104,6 @@ class ExperimentConfig:
         if self.aspect < 3:
             # fit_tau fits rows [L_x, 2*L_x], so a strip needs more than 2*L_x rows
             raise ConfigError("aspect must be at least 3 to hold the fit window [L_x, 2*L_x]")
-        if self.chi_max < 1 or self.svd_cutoff < 0:
-            raise ConfigError("invalid truncation policy")
         if self.n_bitstrings < 1:
             raise ConfigError("n_bitstrings must be positive")
         if self.reference not in REFERENCES:
@@ -113,6 +111,15 @@ class ExperimentConfig:
         bad = set(self.telemetry) - set(TELEMETRY_FIELDS)
         if bad:
             raise ConfigError(f"unknown telemetry fields {sorted(bad)}")
+        # the truncation policy and every channel are built here once, so a
+        # value they refuse stops the run before any output is written
+        try:
+            self.policy()
+            for e in self.epsilons:
+                if e > 0:
+                    self.noise(e).kraus(self.form(e))
+        except ValueError as exc:  # ChannelError among them
+            raise ConfigError(str(exc)) from exc
 
     def policy(self) -> TruncationPolicy:
         return TruncationPolicy(chi_max=self.chi_max, svd_cutoff=self.svd_cutoff)
@@ -134,6 +141,16 @@ class ExperimentConfig:
             l_y = l_x
         lat = build_lattice(self.lattice, l_x, l_y)
         return random_instance(lat, self.schedule, self.gate_family, self.noise(epsilon), seed)
+
+    def run_config(self, circuit: Circuit2D, epsilon: float, seed: int) -> RunConfig:
+        """The sampler's run of circuit: compiled with this config's unraveling
+        at epsilon, under its truncation policy, n_trajectories from seed."""
+        return RunConfig(
+            compile_sebd(circuit, self.form(epsilon)),
+            policy=self.policy(),
+            n_trajectories=self.n_trajectories,
+            master_seed=seed,
+        )
 
 
 _COERCE = {
@@ -205,15 +222,8 @@ def purification_point(cfg: ExperimentConfig, epsilon: float, l_x: int, seed: in
     (volume-law phase at this size) is reported with tau = inf rather than
     raising, so sweep tables stay rectangular.
     """
-    eff = compile_sebd(cfg.instance(epsilon, l_x, cfg.aspect * l_x, seed), cfg.form(epsilon))
-    run = RunConfig(
-        eff,
-        policy=cfg.policy(),
-        n_trajectories=cfg.n_trajectories,
-        master_seed=seed,
-        reference_site=eff.n_sites // 2,
-    )
-    series = purification_run(run)
+    circuit = cfg.instance(epsilon, l_x, cfg.aspect * l_x, seed)
+    series = purification_run(cfg.run_config(circuit, epsilon, seed))
     row = {
         "epsilon": epsilon,
         "L_x": l_x,
@@ -253,12 +263,7 @@ def benchmark_ratios(cfg: ExperimentConfig, epsilon: float, circuit: Circuit2D, 
         def p_of(bits):
             return mpo_evolve(plain, policy=ORACLE_POLICY, z=list(bits)).trace()
 
-    run = RunConfig(
-        compile_sebd(circuit, cfg.form(epsilon)),
-        policy=cfg.policy(),
-        n_trajectories=cfg.n_trajectories,
-        master_seed=cfg.seeds[0],
-    )
+    run = cfg.run_config(circuit, epsilon, cfg.seeds[0])
     rows = []
     for z in z_list:
         bits = [int(b) for b in z]

@@ -49,8 +49,8 @@ The reference qubit of the purification probe attaches to an empty chain
 (``attach_reference``), as the Bell pair [reference, partner], and stays at
 the chain's left end, order key -1: left of every slot, so no gate routes
 past it and it widens no bond between slots. ``entropy(cut)`` counts it on
-the left of every cut; no entry point sets both RunConfig.mid_entropy and
-reference_site.
+the left of every cut. No entry point reads both: sample never attaches
+a reference, and purification reads no mid-cut entropy.
 
 Noise on the block: a noise channel that follows a two-qubit gate on both
 of its sites (``apply_2q(..., kraus, rng)``) is sampled on the gate's

@@ -8,17 +8,19 @@ measure and reset their slot. Each trajectory's (z, m) pair is a valid
 joint sample, so the z marginal samples the noisy output distribution.
 
 One loop interprets the event stream: _run_block runs a block of
-trajectory indices and takes the readout as an argument. sample measures
-and resets each slot (_sample_block), estimate_probability projects it
-onto a target bit (_block_weights). Their K trajectories split into
-ceil(K / LANE_BLOCK) blocks whose sizes differ by at most 1, so any K up
-to 256 runs as the lanes of one state. run_trajectory is the block of one
-index read out by measurement, and purification_run averages the
-reference entropies of such blocks, one trajectory each; sample and
-estimate_probability refuse a config with a reference. Every block is a
-lane state, a block of one trajectory a state of one lane, and a block
-with a reference attaches it at the chain's left end before the first
-row.
+trajectory indices and takes the readout as an argument, with an optional
+probe it reads after every row-step and an optional reference qubit.
+RunConfig holds only the run (circuit, policy, trajectory count, master
+seed); each probe belongs to the one entry point that reads it. sample
+measures and resets each slot (_sample_block) and, with mid_entropy,
+probes the mid-chain entropy; estimate_probability projects each slot
+onto a target bit (_block_weights) and probes nothing. Their K
+trajectories split into ceil(K / LANE_BLOCK) blocks whose sizes differ by
+at most 1, so any K up to 256 runs as the lanes of one state.
+run_trajectory is sample's block of one index. purification_run attaches
+the reference to the middle slot, at the chain's left end, and probes its
+entropy, one trajectory per block. Every block is a lane state, a block
+of one trajectory a state of one lane.
 
 One failure rule: an MpsError ends its trajectory and never leaves an
 entry point. sample keeps the failed record with its error text; the
@@ -70,17 +72,15 @@ class TrajectoryRecord:
     z maps each readout's 2D coordinate to its bit (one entry per lattice
     site). m lists the sampled Kraus index of every noise event in stream
     order. entropies holds the von Neumann entropy at the mid-chain cut
-    after every row-step, when the run asks for it; ref_entropies likewise
-    tracks the attached reference qubit. A failed trajectory carries the
-    error text in `failed` and partial telemetry; it is never silently
-    dropped.
+    after every row-step, when sample is asked for it. A failed trajectory
+    carries the error text in `failed` and partial telemetry; it is never
+    silently dropped.
     """
 
     seed: int
     z: dict
     m: tuple
     entropies: tuple = ()
-    ref_entropies: tuple = ()
     chi_max_seen: int = 1
     trunc_total: float = 0.0
     failed: str | None = None
@@ -95,24 +95,18 @@ class TrajectoryRecord:
 
 @dataclass(eq=False)
 class RunConfig:
-    """Shared immutable configuration for a batch of trajectories.
+    """Shared immutable configuration for a batch of trajectories: the run only.
 
     circuit is the effective 1D circuit from compile_sebd, whose noise
-    unraveling was chosen when it was compiled. mid_entropy records the
-    entropy at the mid-chain cut (n_sites // 2) after every row-step;
-    reference_site attaches a Bell-pair probe to that slot before the
-    first row, at the chain's left end, and records its entropy after
-    every row-step: only run_trajectory and purification_run take it, one
-    trajectory per block. No entry point sets both (entropy counts an
-    attached reference on the left of the cut).
+    unraveling was chosen when it was compiled. What a run reads besides
+    its samples is up to its entry point: sample's mid_entropy, and the
+    reference qubit of purification_run.
     """
 
     circuit: EffectiveCircuit1D
     policy: TruncationPolicy = DEFAULT_POLICY
     n_trajectories: int = 1
     master_seed: int = 0
-    mid_entropy: bool = False
-    reference_site: int | None = None
 
     def __post_init__(self):
         if self.n_trajectories < 1:
@@ -177,27 +171,28 @@ def run_trajectory(cfg: RunConfig, index: int) -> TrajectoryRecord:
     return _sample_block(cfg, range(index, index + 1))[0]
 
 
-def sample(cfg: RunConfig, workers: int = 1) -> list:
+def sample(cfg: RunConfig, workers: int = 1, mid_entropy: bool = False) -> list:
     """All n_trajectories records, ordered by trajectory index.
 
     The trajectories run as the lanes of one state per block of
     _lane_blocks. Each lane draws from its own stream, so a record holds
     the bits, Kraus indices, peak chi and failure text of its trajectory
     run alone, with trunc_total and entropies agreeing to roundoff. With
-    workers > 1 the blocks, whose split does not depend on the worker count,
-    are mapped over a process pool. Memory: `sebd sample` on a square 8x24
-    (16 slots, chi 32, epsilon 0.02) peaked at 91 MB resident with K = 256,
-    one block, against 43 MB with K = 1. A config with reference_site is
-    refused: its trajectories belong to purification_run.
+    mid_entropy each record's entropies hold the entropy at the mid-chain
+    cut (n_sites // 2) after every row-step. With workers > 1 the blocks,
+    whose split does not depend on the worker count, are mapped over a
+    process pool. Memory: `sebd sample` on a square 8x24 (16 slots, chi
+    32, epsilon 0.02) peaked at 91 MB resident with K = 256, one block,
+    against 43 MB with K = 1.
     """
-    if cfg.reference_site is not None:
-        raise SamplerError("sample runs no reference qubit; purification_run reads it")
     blocks = _lane_blocks(cfg.n_trajectories)
     if workers <= 1 or len(blocks) == 1:
-        parts = [_sample_block(cfg, b) for b in blocks]
+        parts = [_sample_block(cfg, b, mid_entropy) for b in blocks]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            parts = list(pool.map(_sample_block, [cfg] * len(blocks), blocks))
+            parts = list(pool.map(
+                _sample_block, [cfg] * len(blocks), blocks, [mid_entropy] * len(blocks)
+            ))
     return [rec for part in parts for rec in part]
 
 
@@ -268,19 +263,17 @@ class _Block:
 
     reads holds each readout's value, NaN once the lane has left the state;
     picks the Kraus indices, -1 once it has left; chi each lane's peak bond
-    dimension; entropies the mid-cut entropy after each row-step, NaN once
-    it has left (no columns without RunConfig.mid_entropy); refs likewise
-    the reference's entropy (no columns without RunConfig.reference_site).
-    psi is the final state: its live lanes, the failed lanes' error texts
-    and each lane's discarded weight.
+    dimension; probes the probe's value after each row-step, NaN once the
+    lane has left (no columns without a probe). psi is the final state:
+    its live lanes, the failed lanes' error texts and each lane's
+    discarded weight.
     """
 
     psi: MatrixProductState
     reads: np.ndarray
     picks: np.ndarray
     chi: np.ndarray
-    entropies: np.ndarray
-    refs: np.ndarray
+    probes: np.ndarray
 
 
 def _lane_blocks(k: int) -> list:
@@ -292,7 +285,7 @@ def _lane_blocks(k: int) -> list:
     return [range(a, b) for a, b in zip(starts, starts[1:])]
 
 
-def _run_block(cfg: RunConfig, eff: EffectiveCircuit1D, indices, readout) -> _Block:
+def _run_block(cfg: RunConfig, indices, readout, probe=None, reference: bool = False) -> _Block:
     """Run the trajectories in indices as the lanes of one state.
 
     readout(psi, ev, rng) reads out the slot of a MeasureReset event and
@@ -300,21 +293,23 @@ def _run_block(cfg: RunConfig, eff: EffectiveCircuit1D, indices, readout) -> _Bl
     draws its uniforms from _trajectory_rng(master_seed, indices[r]), one
     per noise event and per readout in event order, drawn up front; a
     readout that draws none leaves the table's last columns unread, so the
-    noise events read the same numbers either way. With cfg.reference_site
-    the reference attaches to every lane before the first row.
+    noise events read the same numbers either way. probe(psi), when given,
+    returns one value per live lane and is read after every row-step. With
+    reference, a Bell-pair reference qubit attaches to the middle slot
+    (n_sites // 2) of every lane before the first row.
     """
+    eff = cfg.circuit
     counts = eff.counts()
     n, rows = len(indices), len(eff.rows)
     psi = MatrixProductState.new_product_state(eff.n_sites, lanes=n)
-    if cfg.reference_site is not None:
-        psi.attach_reference(cfg.reference_site)
+    if reference:
+        psi.attach_reference(eff.n_sites // 2)
     table = _uniform_tables(cfg.master_seed, indices, counts["noise"] + counts["measure"])
     rng = _LaneUniforms(table)
     picks = _LanePicks(psi, counts["noise"])
     reads = np.full((n, counts["measure"]), np.nan)
     chi = np.ones(n, dtype=int)
-    entropies = np.full((n, rows if cfg.mid_entropy else 0), np.nan)
-    refs = np.full((n, 0 if cfg.reference_site is None else rows), np.nan)
+    probes = np.full((n, 0 if probe is None else rows), np.nan)
     col = 0
     try:
         for r, row in enumerate(eff.rows):
@@ -326,35 +321,37 @@ def _run_block(cfg: RunConfig, eff: EffectiveCircuit1D, indices, readout) -> _Bl
                 elif isinstance(ev, Gate) and ev.j is not None:
                     chi[psi.lanes] = np.maximum(chi[psi.lanes], psi.ranks.max(axis=1))
             chi[psi.lanes] = np.maximum(chi[psi.lanes], psi.ranks.max(axis=1))
-            if cfg.mid_entropy:  # so does entropy
-                entropies[psi.lanes, r] = psi.entropy(eff.n_sites // 2)
-            if cfg.reference_site is not None:
-                refs[psi.lanes, r] = psi.reference_entropy()
+            if probe is not None:  # so does the probe
+                probes[psi.lanes, r] = probe(psi)
     except MpsError as exc:  # not a lane's own: it hits every live lane alike
         for lane in psi.lanes.tolist():
             psi.failed[lane] = f"{type(exc).__name__}: {exc}"
-    return _Block(psi, reads, picks.table.T, chi, entropies, refs)
+    return _Block(psi, reads, picks.table.T, chi, probes)
 
 
-def _sample_block(cfg: RunConfig, indices) -> list:
+def _measure_reset(psi: MatrixProductState, ev: MeasureReset, rng) -> np.ndarray:
+    return psi.measure_reset(ev.i, rng)
+
+
+def _sample_block(cfg: RunConfig, indices, mid_entropy: bool = False) -> list:
     """sample's records of the trajectories in indices, run as one lane block.
 
     Each readout measures and resets its slot; a failed lane's record holds
     what it recorded before the event it failed in.
     """
     eff = cfg.circuit
-    block = _run_block(cfg, eff, indices, lambda psi, ev, rng: psi.measure_reset(ev.i, rng))
+    cut = eff.n_sites // 2
+    probe = (lambda psi: psi.entropy(cut)) if mid_entropy else None
+    block = _run_block(cfg, indices, _measure_reset, probe)
     coords = eff.coords()
     records = []
     for lane, index in enumerate(indices):
-        bits, picks = block.reads[lane], block.picks[lane]
-        entropies, refs = block.entropies[lane], block.refs[lane]
+        bits, picks, entropies = block.reads[lane], block.picks[lane], block.probes[lane]
         records.append(TrajectoryRecord(
             seed=index,
             z={c: int(b) for c, b in zip(coords, bits[~np.isnan(bits)])},
             m=tuple(picks[picks >= 0].tolist()),
             entropies=tuple(entropies[~np.isnan(entropies)].tolist()),
-            ref_entropies=tuple(refs[~np.isnan(refs)].tolist()),
             chi_max_seen=int(block.chi[lane]),
             trunc_total=float(block.psi.discarded[lane]),
             failed=block.psi.failed.get(lane),
@@ -362,7 +359,7 @@ def _sample_block(cfg: RunConfig, indices) -> list:
     return records
 
 
-def _block_weights(cfg: RunConfig, eff: EffectiveCircuit1D, target: dict, indices) -> np.ndarray:
+def _block_weights(cfg: RunConfig, target: dict, indices) -> np.ndarray:
     """Projection weights of the trajectories in indices, run as the lanes of one state.
 
     A lane's weight is the product of its projection probabilities in
@@ -370,9 +367,7 @@ def _block_weights(cfg: RunConfig, eff: EffectiveCircuit1D, target: dict, indice
     weight 0; a failed lane (an MpsError, a NaN projection among them) has
     weight NaN.
     """
-    block = _run_block(
-        cfg, eff, indices, lambda psi, ev, rng: psi.project_onto(ev.i, target[ev.coord])
-    )
+    block = _run_block(cfg, indices, lambda psi, ev, rng: psi.project_onto(ev.i, target[ev.coord]))
     live = block.psi.lanes
     out = np.zeros(len(indices))
     out[live] = block.reads[live].prod(axis=1)
@@ -400,17 +395,12 @@ def estimate_probability(cfg: RunConfig, z_target) -> tuple:
     at most 2688 bytes a lane on the 6 slots of a square 3x3, where no bond
     exceeds 8; a two-site update's temporaries, the gate and Kraus
     intermediates, LAPACK workspace and each lane's uniform table (8 bytes
-    per noise event and per readout) come on top. A config with
-    reference_site is refused, as sample refuses it.
+    per noise event and per readout) come on top. No probe runs: neither
+    the mid-cut entropy nor a reference qubit.
     """
-    if cfg.reference_site is not None:
-        raise SamplerError(
-            "estimate_probability runs no reference qubit; purification_run reads it"
-        )
-    eff = cfg.circuit
-    target = _bits_by_coord(eff, z_target)
+    target = _bits_by_coord(cfg.circuit, z_target)
     weights = np.concatenate([
-        _block_weights(cfg, eff, target, b) for b in _lane_blocks(cfg.n_trajectories)
+        _block_weights(cfg, target, b) for b in _lane_blocks(cfg.n_trajectories)
     ])
     arr = np.array(_drop_failed(weights, np.isnan(weights)))
     se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
@@ -420,19 +410,24 @@ def estimate_probability(cfg: RunConfig, z_target) -> tuple:
 def purification_run(cfg: RunConfig) -> np.ndarray:
     """Mean reference-qubit entropy after each row-step.
 
-    The Bell-pair reference attaches to cfg.reference_site before the first
-    row, at the chain's left end. Each trajectory runs alone
-    (run_trajectory, a block of one lane), and the series is the mean of
-    their ref_entropies over the trajectories that did not fail, summed in
-    index order. Running them as the lanes of one block would be faster
-    and give the same series to roundoff; it is left for when the
-    benchmark's tau check tolerates the command seeds a faster sweep
-    reaches.
+    The Bell-pair reference attaches to the middle slot (n_sites // 2)
+    before the first row, at the chain's left end, and each slot is
+    measured and reset at its readout. Each trajectory runs alone, a
+    _run_block of one lane that probes the reference's entropy after every
+    row-step, and the series is the mean of those probes over the
+    trajectories that did not fail, summed in index order. Running them
+    as the lanes of one block would be faster and give the same series to
+    roundoff; it is left for when the benchmark's tau check tolerates the
+    command seeds a faster sweep reaches.
     """
-    if cfg.reference_site is None:
-        raise SamplerError("purification needs a reference site")
-    recs = [run_trajectory(cfg, i) for i in range(cfg.n_trajectories)]
-    series = _drop_failed([r.ref_entropies for r in recs], [not r.ok for r in recs])
+    blocks = [
+        _run_block(
+            cfg, range(i, i + 1), _measure_reset, MatrixProductState.reference_entropy,
+            reference=True,
+        )
+        for i in range(cfg.n_trajectories)
+    ]
+    series = _drop_failed([b.probes[0] for b in blocks], [bool(b.psi.failed) for b in blocks])
     acc = np.zeros(len(series[0]))
     for s in series:
         acc += s

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,28 @@ def test_zero_bitstrings_rejected_before_any_output(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 1
     assert "n_bitstrings must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, text",
+    [
+        ("svd_cutoff", 1.0, "svd_cutoff must lie in [0, 1)"),
+        ("epsilons", (0.01, 0.9), "depolarizing strength 0.9 outside [0, 3/4]"),
+    ],
+    ids=["svd_cutoff", "epsilon"],
+)
+def test_bad_policy_or_channel_rejected_before_any_output(tmp_path, capsys, key, value, text):
+    # the truncation policy and the channels used to refuse these only once a
+    # run built them, after the output directory was made (and, for the
+    # epsilons, after the files of 0.01 were written)
+    with pytest.raises(ConfigError, match=re.escape(text)):
+        ExperimentConfig(**{key: value})
+    config = tmp_path / "config.yaml"
+    config.write_text(f"lx_list: [2]\nly: 2\n{key}: {json.dumps(value)}\n")
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(config), "--out", str(out)]) == 1
+    assert text in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -76,7 +76,7 @@ def one_lane_weights(cfg: RunConfig, target: dict) -> np.ndarray:
     return np.array(out)
 
 
-def one_lane_records(cfg: RunConfig) -> list:
+def one_lane_records(cfg: RunConfig, mid_entropy: bool) -> list:
     """Each trajectory of cfg replayed alone, in a state of one lane, by its
     own loop, read out by measurement and reset.
 
@@ -98,7 +98,7 @@ def one_lane_records(cfg: RunConfig) -> list:
                     elif isinstance(ev, Gate) and ev.j is not None:
                         chi = max(chi, psi.max_bond())
                 chi = max(chi, psi.max_bond())
-                if cfg.mid_entropy:
+                if mid_entropy:
                     entropies.append(float(psi.entropy(eff.n_sites // 2)[0]))
         except MpsError as exc:
             failed = f"{type(exc).__name__}: {exc}"
@@ -136,7 +136,7 @@ def test_lane_weights_match_one_lane(lattice, noise, epsilon, policy, seed, clos
     with pytest.MonkeyPatch.context() as patch:
         if closed_form:  # every thin stack of the 16 lanes takes the closed-form SVD
             patch.setattr(mps, "THIN_SVD_MIN_LANES", {1: 1, 2: 1})
-        got = _block_weights(cfg, eff, target, range(cfg.n_trajectories))
+        got = _block_weights(cfg, target, range(cfg.n_trajectories))
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     np.testing.assert_array_equal(got == 0.0, want == 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
@@ -167,12 +167,11 @@ def test_lane_records_match_one_lane(
     lattice, noise, epsilon, policy, seed, closed_form, mid_entropy
 ):
     cfg = config(lattice, noise, epsilon, policy, seed, k=16)
-    cfg.mid_entropy = mid_entropy
-    want = one_lane_records(cfg)
+    want = one_lane_records(cfg, mid_entropy)
     with pytest.MonkeyPatch.context() as patch:
         if closed_form:
             patch.setattr(mps, "THIN_SVD_MIN_LANES", {1: 1, 2: 1})
-        got = sample(cfg)
+        got = sample(cfg, mid_entropy=mid_entropy)
     for g, w in zip(got, want, strict=True):
         assert (g.seed, g.z, g.m, g.chi_max_seen) == (w.seed, w.z, w.m, w.chi_max_seen)
         assert (g.ok, g.failed) == (w.ok, w.failed)
@@ -250,7 +249,6 @@ def test_benchmark_square_3x3_runs_as_one_lane_state(tmp_path, monkeypatch):
 def test_purification_runs_one_lane_states_of_one_trajectory(monkeypatch):
     # purification runs each trajectory as a block of its own: a state of one lane
     cfg = config(("square", 3, 3), NOISES[0], 0.1, POLICIES[0], seed=3, k=5)
-    cfg.reference_site = cfg.circuit.n_sites // 2
     made, blocks = [], []
     build = MatrixProductState.__dict__["new_product_state"].__func__
     run_block = sampler._run_block
@@ -259,9 +257,9 @@ def test_purification_runs_one_lane_states_of_one_trajectory(monkeypatch):
         made.append(lanes)
         return build(cls, n, bits, lanes)
 
-    def spy_block(cfg, eff, indices, readout):
+    def spy_block(cfg, indices, readout, probe=None, reference=False):
         blocks.append(list(indices))
-        return run_block(cfg, eff, indices, readout)
+        return run_block(cfg, indices, readout, probe, reference)
 
     monkeypatch.setattr(MatrixProductState, "new_product_state", classmethod(spy))
     monkeypatch.setattr(sampler, "_run_block", spy_block)
@@ -308,7 +306,7 @@ def test_svd_fallback_retries_lane_by_lane(monkeypatch):
     cfg = config(("square", 3, 3), NOISES[0], 0.1, POLICIES[1], seed=5, k=12)
     eff = cfg.circuit
     target = _bits_by_coord(eff, [1, 0, 0, 1, 1, 0, 1, 0, 0])
-    want = _block_weights(cfg, eff, target, range(12))
+    want = _block_weights(cfg, target, range(12))
     svd = np.linalg.svd
     gesvd = scipy.linalg.svd
     calls = {"stacked": 0}
@@ -326,7 +324,7 @@ def test_svd_fallback_retries_lane_by_lane(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", stacked_fails)
     monkeypatch.setattr(scipy.linalg, "svd", single_only)
-    got = _block_weights(cfg, eff, target, range(12))
+    got = _block_weights(cfg, target, range(12))
     assert calls["stacked"] > 0
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 

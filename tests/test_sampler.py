@@ -6,7 +6,6 @@ import json
 import pkgutil
 import re
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +26,16 @@ from sebd.lightcone import (
     compile_sebd,
     random_instance,
 )
-from sebd.mps import TruncationPolicy
-from sebd.oracles.dense import DenseDensity, dense_evolve
+from sebd.mps import MatrixProductState, TruncationPolicy
+from sebd.oracles.dense import DenseVector, dense_evolve
 from sebd.oracles.mpo import mpo_evolve
 from sebd.oracles.tableau import Tableau, tableau_evolve
 from sebd.sampler import (
     RunConfig,
     SamplerError,
+    _measure_reset,
     _run_block,
+    _trajectory_rng,
     estimate_probability,
     purification_run,
     run_trajectory,
@@ -86,7 +87,7 @@ class TestRunConfig:
 class TestRunTrajectory:
     def test_determinism_and_stream_independence(self):
         c = small_noisy_circuit()
-        cfg = RunConfig(circuit=compile_sebd(c), master_seed=9, mid_entropy=True)
+        cfg = RunConfig(circuit=compile_sebd(c), master_seed=9)
         a = run_trajectory(cfg, 3)
         b = run_trajectory(cfg, 3)
         assert a == b
@@ -94,8 +95,8 @@ class TestRunTrajectory:
 
     def test_record_invariants(self):
         c = small_noisy_circuit()
-        cfg = RunConfig(circuit=compile_sebd(c), master_seed=0, mid_entropy=True)
-        rec = run_trajectory(cfg, 0)
+        cfg = RunConfig(circuit=compile_sebd(c), master_seed=0)
+        (rec,) = sample(cfg, mid_entropy=True)
         assert rec.ok
         assert set(rec.z) == set(c.lattice.sites)
         assert len(rec.z) == c.lattice.n_sites
@@ -180,17 +181,12 @@ class TestSample:
     def test_worker_invariance(self):
         # K = 300 runs as two lane blocks, one per worker with workers=2
         eff = compile_sebd(small_noisy_circuit())
+        cfg = RunConfig(eff, n_trajectories=300, master_seed=1)
         for mid_entropy in (False, True):
-            cfg = RunConfig(eff, n_trajectories=300, master_seed=1, mid_entropy=mid_entropy)
-            one = sample(cfg)
+            one = sample(cfg, mid_entropy=mid_entropy)
             assert [r.seed for r in one] == list(range(300))
             assert len(one[0].entropies) == (len(eff.rows) if mid_entropy else 0)
-            assert one == sample(cfg, workers=2)
-
-    def test_reference_site_refused(self):
-        cfg = RunConfig(compile_sebd(small_noisy_circuit()), n_trajectories=2, reference_site=1)
-        with pytest.raises(SamplerError, match="purification_run"):
-            sample(cfg)
+            assert one == sample(cfg, workers=2, mid_entropy=mid_entropy)
 
     def test_failures_marked_not_dropped(self):
         c = small_noisy_circuit()
@@ -276,10 +272,7 @@ class TestGoldenSeed:
         )
         for seed, want in self.fixture("purification_square_6").items():
             eff = compile_sebd(cfg.instance(0.05, 6, 18, int(seed)), cfg.form(0.05))
-            run = RunConfig(
-                eff, policy=cfg.policy(), n_trajectories=8, master_seed=int(seed),
-                reference_site=eff.n_sites // 2,
-            )
+            run = RunConfig(eff, policy=cfg.policy(), n_trajectories=8, master_seed=int(seed))
             np.testing.assert_allclose(purification_run(run), want, rtol=1e-9, atol=1e-13)
 
     def test_estimates_match_fixture(self):
@@ -360,11 +353,6 @@ class TestEstimateProbability:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 estimate_probability(cfg, (0,) * 6)
-
-    def test_reference_site_refused(self):
-        cfg = RunConfig(compile_sebd(small_noisy_circuit()), n_trajectories=2, reference_site=1)
-        with pytest.raises(SamplerError, match="purification_run"):
-            estimate_probability(cfg, (0,) * 6)
 
 
 class TestTableauAtWorkloadScale:
@@ -488,7 +476,7 @@ class TestNoisyTableauAtWorkloadScale:
         finite = zero = 0
         for rec in records:  # each sample's z as a target of 16 lanes with other picks
             block = _run_block(
-                cfg, eff, range(16), lambda psi, ev, rng: psi.project_onto(ev.i, rec.z[ev.coord])
+                cfg, range(16), lambda psi, ev, rng: psi.project_onto(ev.i, rec.z[ev.coord])
             )
             assert not block.psi.failed
             for lane in range(16):
@@ -512,7 +500,7 @@ class TestPurification:
         # vanish once that dimer's sites are measured out
         lat = build_lattice("square", 2, 2)
         c = random_instance(lat, "A", "fsim", None, seed=2)
-        cfg = RunConfig(circuit=compile_sebd(c), n_trajectories=4, master_seed=0, reference_site=0)
+        cfg = RunConfig(circuit=compile_sebd(c), n_trajectories=4, master_seed=0)
         series = purification_run(cfg)
         assert series[0] > 0.0 or series[-1] == 0.0
         assert series[-1] < 1e-10
@@ -525,10 +513,10 @@ class TestPurification:
         clean = random_instance(lat, "ABCD", "fsim", None, seed=5)
         k = 12
         s_noisy = purification_run(
-            RunConfig(circuit=compile_sebd(noisy), n_trajectories=k, master_seed=1, reference_site=2)
+            RunConfig(circuit=compile_sebd(noisy), n_trajectories=k, master_seed=1)
         )
         s_clean = purification_run(
-            RunConfig(circuit=compile_sebd(clean), n_trajectories=k, master_seed=1, reference_site=2)
+            RunConfig(circuit=compile_sebd(clean), n_trajectories=k, master_seed=1)
         )
         # after the last row every system qubit is measured, so both
         # entropies vanish; the row before it is where noise must show
@@ -536,25 +524,49 @@ class TestPurification:
         assert s_noisy[-2] < 0.2
         assert s_noisy[-1] < 1e-10 and s_clean[-1] < 1e-10
 
-    def test_requires_reference(self):
-        cfg = RunConfig(circuit=compile_sebd(small_noisy_circuit()), n_trajectories=1)
-        with pytest.raises(SamplerError):
-            purification_run(cfg)
+    def test_series_matches_dense_replay(self):
+        # 6 slots and the reference: 7 qubits, which the dense oracle holds. It
+        # replays each trajectory from its own stream with the reference on the
+        # middle slot; the mean per row-step must be purification_run's series
+        lat = build_lattice("square", 3, 9)
+        noise = NoiseModel(kind="depolarizing", epsilon=0.02)
+        eff = compile_sebd(random_instance(lat, "ABCD", "fsim", noise, seed=8), "weak-tetrahedron")
+        assert eff.n_sites == 6
+        cfg = RunConfig(eff, n_trajectories=6, master_seed=3)
+        acc = np.zeros(len(eff.rows))
+        for i in range(cfg.n_trajectories):
+            rng = _trajectory_rng(cfg.master_seed, i)
+            dv = DenseVector(eff.n_sites)
+            dv.attach_reference(eff.n_sites // 2)
+            for r, row in enumerate(eff.rows):
+                for ev in row:
+                    if isinstance(ev, Noise):
+                        dv.apply_kraus(ev.i, ev.kraus, rng)
+                    elif not isinstance(ev, Gate):
+                        dv.measure_reset(ev.i, rng)
+                    elif ev.j is None:
+                        dv.apply_1q(ev.i, ev.matrix)
+                    else:
+                        dv.apply_2q(ev.i, ev.j, ev.matrix, ev.kraus, rng)
+                acc[r] += dv.reference_entropy()
+        want = acc / cfg.n_trajectories
+        assert (want[:4] > 1e-3).all()  # the reference stays entangled for rows
+        np.testing.assert_allclose(purification_run(cfg), want, rtol=0.0, atol=1e-9)
 
     def partly_failing(self, hard_fail_chi):
         # projective dephasing on 3x4 needs bond 4 in some trajectories only
         lat = build_lattice("square", 3, 4)
         c = random_instance(lat, "ABCD", "fsim", NoiseModel(kind="dephasing", epsilon=0.15), seed=4)
         policy = TruncationPolicy(chi_max=64, svd_cutoff=1e-12, hard_fail_chi=hard_fail_chi)
-        return RunConfig(
-            compile_sebd(c, "projective"), policy=policy, n_trajectories=8, master_seed=1,
-            reference_site=1,
-        )
+        return RunConfig(compile_sebd(c, "projective"), policy=policy, n_trajectories=8, master_seed=1)
 
     def test_failed_trajectories_excluded_and_counted(self):
         cfg = self.partly_failing(hard_fail_chi=2)
-        recs = [run_trajectory(cfg, i) for i in range(cfg.n_trajectories)]
-        ok = [rec for rec in recs if rec.ok]
+        blocks = [  # each trajectory alone, with the reference and its entropy probed
+            _run_block(cfg, [i], _measure_reset, MatrixProductState.reference_entropy, reference=True)
+            for i in range(cfg.n_trajectories)
+        ]
+        ok = [b.probes[0] for b in blocks if not b.psi.failed]
         n_failed = cfg.n_trajectories - len(ok)
         assert 0 < n_failed < cfg.n_trajectories
         with pytest.warns(UserWarning) as caught:
@@ -562,9 +574,9 @@ class TestPurification:
         assert [str(w.message) for w in caught] == [
             f"{n_failed} trajectories failed and were excluded"
         ]
-        acc = np.zeros(len(ok[0].ref_entropies))
-        for rec in ok:  # index order
-            acc += rec.ref_entropies
+        acc = np.zeros(len(ok[0]))
+        for probes in ok:  # index order
+            acc += probes
         np.testing.assert_array_equal(series, acc / len(ok))
 
     def test_all_failed_raises(self):
@@ -609,12 +621,8 @@ class TestUnravelingInvariance:
         means = {}
         for form in ("weak-optimal", "projective"):
             recs = sample(
-                RunConfig(
-                    circuit=compile_sebd(c, form),
-                    n_trajectories=k,
-                    master_seed=4,
-                    mid_entropy=True,
-                )
+                RunConfig(circuit=compile_sebd(c, form), n_trajectories=k, master_seed=4),
+                mid_entropy=True,
             )
             means[form] = np.mean([s for rec in recs for s in rec.entropies])
         assert means["weak-optimal"] <= means["projective"]
@@ -645,9 +653,9 @@ def test_runs_leave_module_state_unchanged():
         LayerGates(lg.rotations, tuple((a, b, haar) for a, b, _ in lg.gates)) for lg in base.layers
     )
     c = Circuit2D(lattice=lat, schedule="AB", layers=layers, noise=base.noise)
-    cfg = RunConfig(circuit=compile_sebd(c), n_trajectories=3, master_seed=5, reference_site=1)
+    cfg = RunConfig(circuit=compile_sebd(c), n_trajectories=3, master_seed=5)
     before = _module_state()
-    assert all(rec.ok for rec in sample(replace(cfg, reference_site=None)))
-    estimate_probability(replace(cfg, reference_site=None), (0,) * lat.n_sites)
+    assert all(rec.ok for rec in sample(cfg))
+    estimate_probability(cfg, (0,) * lat.n_sites)
     purification_run(cfg)
     assert _module_state() == before
