@@ -9,22 +9,26 @@ Subcommands
     collapse          scaling collapse of an existing tau table
     unravel-optimize  unraveling cost report for channels or a Kraus file
 
-Every command reads one YAML config file (--config) holding a flat,
-documented key set into an ExperimentConfig (sebd.experiments), the one
-description of a run that the sweep drivers read too; unknown keys are
-hard errors so a typo cannot silently corrupt a sweep. sample, phase-sweep
-and benchmark compile each 2D instance with compile_sebd before any
-trajectory runs; the sampler takes only compiled circuits. All randomness
-flows from the config seeds, so reruns with the same config produce
-byte-identical outputs. --workers parallelizes sample over its lane
-blocks of up to 256 trajectories, and phase-sweep over sweep cells;
-results are reduced in deterministic order either way. Each subcommand
-takes only the flags it reads (benchmark also
+sample, phase-sweep and benchmark read one YAML config file (--config),
+and unravel-optimize reads one or a Kraus file. A config holds a flat,
+documented key set and loads into an ExperimentConfig (sebd.experiments),
+the one description of a run that the sweep drivers read too; unknown keys
+are hard errors so a typo cannot silently corrupt a sweep, and every
+value, each lattice of lx_list included, is checked as the config loads,
+before any output is written. sample, phase-sweep and benchmark compile
+each 2D instance with compile_sebd before any trajectory runs; the sampler
+takes only compiled circuits. All randomness flows from the config seeds,
+so reruns with the same config produce byte-identical outputs. --workers
+parallelizes sample over its lane blocks of up to 256 trajectories, and
+phase-sweep over sweep cells; results are reduced in deterministic order
+either way. Each subcommand takes only the flags it reads (benchmark also
 accepts --workers, which it ignores). sample and benchmark run one
 instance, so a config whose lx_list or seeds holds more than one entry is
 refused before any output is written (--seed-override replaces seeds with
-one seed). phase-sweep runs on the square lattice only, whose strips of
-aspect*L_x rows (aspect >= 3) hold tau's fit window of rows [L_x, 2*L_x].
+one seed). benchmark refuses reference dense on more qubits than the dense
+oracle takes, also before any output. phase-sweep runs on the square
+lattice only, whose strips of aspect*L_x rows (aspect >= 3) hold tau's fit
+window of rows [L_x, 2*L_x].
 
 Config keys (defaults in parentheses):
     lattice (square), ly (optional), schedule (ABCD), gate_family (fsim),
@@ -34,8 +38,9 @@ Config keys (defaults in parentheses):
     reference (auto), telemetry ([]), output_dir (out)
 
 The scaling collapse is its own command, run on a written tau table
-(sebd collapse TABLE [--grid]). collapse and collapse_grid are not config
-keys: a file that sets them fails as unknown config keys.
+(sebd collapse TABLE [--grid] [--out DIR], DIR defaulting to out); it
+reads no config. collapse and collapse_grid are not config keys: a file
+that sets them fails as unknown config keys.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from .experiments import (
     purification_point,
     sweep_rng,
 )
+from .oracles.dense import DENSE_MAX_QUBITS
 from .sampler import sample
 from .statmech import critical_x, predicted_phase
 from .serialize import (
@@ -204,6 +210,9 @@ _BENCH_HEADER = ["z", "K", "p_hat", "se_hat", "p_ref", "reference", "ratio", "ra
 
 def cmd_benchmark(args) -> int:
     cfg = _one_instance(_resolved_config(args), "benchmark")
+    n = cfg.lattice_at(cfg.lx_list[0], cfg.ly).n_sites
+    if cfg.reference == "dense" and n > DENSE_MAX_QUBITS:
+        raise ConfigError(f"dense evolution capped at {DENSE_MAX_QUBITS} qubits, got {n}")
     out = _outdir(cfg)
     for eps in cfg.epsilons:
         circuit = cfg.instance(eps, cfg.lx_list[0], cfg.ly, cfg.seeds[0])
@@ -234,8 +243,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_collapse(args) -> int:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    out = Path(args.out) if args.out else Path(cfg.output_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _, header, rows = read_csv(args.table, expect_schema=TAU_SCHEMA)
     i_eps, i_lx, i_y = (header.index(name) for name in ("epsilon", "L_x", "tau_over_lx"))
@@ -352,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("collapse", help="scaling collapse of an existing tau CSV")
-    config_and_out(p)
+    p.add_argument("--out", default="out", help="output directory")
     p.add_argument("table", help="tau CSV from phase-sweep")
     p.add_argument("--grid", action="store_true", help="also dump the R grid")
     p.set_defaults(func=cmd_collapse)

@@ -26,12 +26,13 @@ from .lightcone import (
     GATE_FAMILIES,
     LAYER_LABELS,
     Circuit2D,
+    Lattice2D,
     build_lattice,
     compile_sebd,
     random_instance,
 )
 from .mps import TruncationPolicy
-from .oracles.dense import dense_evolve
+from .oracles.dense import DENSE_MAX_QUBITS, dense_evolve
 from .oracles.mpo import ORACLE_POLICY, mpo_evolve
 from .sampler import SEED_LIMIT, RunConfig, estimate_probability, purification_run
 
@@ -97,8 +98,6 @@ class ExperimentConfig:
             raise ConfigError("seeds must lie in [0, 2**63)")
         if any(e < 0 for e in self.epsilons):
             raise ConfigError("epsilons must be non-negative")
-        if any(l < 2 for l in self.lx_list):
-            raise ConfigError("lx_list entries must be at least 2")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories must be positive")
         if self.aspect < 3:
@@ -111,14 +110,17 @@ class ExperimentConfig:
         bad = set(self.telemetry) - set(TELEMETRY_FIELDS)
         if bad:
             raise ConfigError(f"unknown telemetry fields {sorted(bad)}")
-        # the truncation policy and every channel are built here once, so a
-        # value they refuse stops the run before any output is written
+        # the truncation policy, every lattice and every channel are built
+        # here once, so a value they refuse stops the run before any output
+        # is written
         try:
             self.policy()
+            for l_x in self.lx_list:
+                self.lattice_at(l_x, self.ly)
             for e in self.epsilons:
                 if e > 0:
                     self.noise(e).kraus(self.form(e))
-        except ValueError as exc:  # ChannelError among them
+        except ValueError as exc:  # LatticeError and ChannelError among them
             raise ConfigError(str(exc)) from exc
 
     def policy(self) -> TruncationPolicy:
@@ -132,14 +134,18 @@ class ExperimentConfig:
             return None
         return self.unravel_form or NoiseModel(self.noise_kind, epsilon).forms()[0]
 
-    def instance(self, epsilon: float, l_x: int, l_y: int | None, seed: int) -> Circuit2D:
-        """Random circuit on an l_x-wide lattice of this config's kind.
+    def lattice_at(self, l_x: int, l_y: int | None) -> Lattice2D:
+        """The l_x-wide lattice of this config's kind.
 
         A square lattice without l_y is l_x by l_x; heavy-hex derives its rows.
         """
         if l_y is None and self.lattice == "square":
             l_y = l_x
-        lat = build_lattice(self.lattice, l_x, l_y)
+        return build_lattice(self.lattice, l_x, l_y)
+
+    def instance(self, epsilon: float, l_x: int, l_y: int | None, seed: int) -> Circuit2D:
+        """Random circuit on lattice_at(l_x, l_y)."""
+        lat = self.lattice_at(l_x, l_y)
         return random_instance(lat, self.schedule, self.gate_family, self.noise(epsilon), seed)
 
     def run_config(self, circuit: Circuit2D, epsilon: float, seed: int) -> RunConfig:
@@ -249,12 +255,12 @@ def benchmark_ratios(cfg: ExperimentConfig, epsilon: float, circuit: Circuit2D, 
 
     The sampler runs cfg.n_trajectories trajectories from cfg.seeds[0]
     with cfg.form(epsilon). Reference 'auto' picks the dense oracle up to
-    8 qubits and the MPO oracle beyond; rows carry the ratio p_hat/p_ref
-    with its standard error scaled by the same reference.
+    DENSE_MAX_QUBITS qubits and the MPO oracle beyond; rows carry the ratio
+    p_hat/p_ref with its standard error scaled by the same reference.
     """
     reference = cfg.reference
     if reference == "auto":
-        reference = "dense" if circuit.lattice.n_sites <= 8 else "mpo"
+        reference = "dense" if circuit.lattice.n_sites <= DENSE_MAX_QUBITS else "mpo"
     if reference == "dense":
         p_of = dense_evolve(circuit).probability
     else:

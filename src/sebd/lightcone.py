@@ -320,98 +320,79 @@ class EffectiveCircuit1D:
 # compilation
 
 
-def _abstract_stream(circuit: Circuit2D, with_noise: bool):
-    """Emit per-output-row batches of abstract events in causal order.
+def _cone_rows(circuit: Circuit2D, kraus: KrausSet | None):
+    """The strip's events on lattice sites, per output row, in causal order.
 
-    Readouts are processed in scan order; each qubit's not-yet-emitted past
-    cone goes out right before its own MeasureReset.  Interleaving the
-    measurements with the gates this way (rather than measuring a full row
-    at once) is what lets a slot freed early in a row be recycled while the
-    row is still being read out, keeping the strip at its minimal width.
+    Each layer holds a rotation Gate(s, None, m) on every site, then a
+    Gate(a, b, m, kraus) for each two-qubit gate, carrying the layer's noise
+    on both of its sites, then a Noise(s, kraus) on each site the layer
+    leaves idle (no noise when kraus is None). Readouts go in scan order;
+    each site's not-yet-emitted past cone goes out right before its
+    MeasureReset(s, coord). Interleaving the measurements with the gates
+    this way (rather than measuring a full row at once) is what lets a slot
+    freed early in a row be recycled while the row is still being read out,
+    keeping the strip at its minimal width.
 
-    Returns one list per output row, in row order; each abstract event is
-    one of ('r', t, site, matrix), ('g', t, a, b, matrix), ('n', t, site),
-    ('m', site).
+    Returns one list of (layer, event) pairs per output row, in row order;
+    a readout's layer is depth + 1.
     """
     lat = circuit.lattice
     n = lat.n_sites
-    ev_time, ev_phase, ev_sites, ev_abs = [], [], [], []
-    preds = []
+    events, keys, preds = [], [], []
     tail = [-1] * n
 
-    def add(t, phase, ss, abstract):
-        eid = len(ev_time)
-        ev_time.append(t)
-        ev_phase.append(phase)
-        ev_sites.append(ss)
-        ev_abs.append(abstract)
+    def add(t, phase, ss, ev):
         preds.append(tuple(tail[s] for s in ss if tail[s] >= 0))
         for s in ss:
-            tail[s] = eid
-        return eid
+            tail[s] = len(events)
+        keys.append((t, phase, ss))
+        events.append((t, ev))
 
     for t, lg in enumerate(circuit.layers, start=1):
         for s in range(n):
-            add(t, 0, (s,), ("r", t, s, lg.rotations[s]))
+            add(t, 0, (s,), Gate(s, None, lg.rotations[s]))
         for a, b, m in lg.gates:
-            add(t, 1, (a, b), ("g", t, a, b, m))
-        if with_noise:
+            add(t, 1, (a, b), Gate(a, b, m, kraus))
+        if kraus is not None:
             for s in range(n):
-                add(t, 2, (s,), ("n", t, s))
+                if keys[tail[s]][1] == 0:  # the site's last event is its rotation: idle
+                    add(t, 2, (s,), Noise(s, kraus))
 
-    rows_y = sorted({y for _, y in lat.sites})
-    by_row = {y: [] for y in rows_y}
-    for i, (x, y) in enumerate(lat.sites):
-        by_row[y].append(i)
-
-    done = [False] * len(ev_time)
-    rows_abstract = []
-    for y in rows_y:
-        batch = []
-        for s in by_row[y]:
-            cone = []
-            stack = [tail[s]]
-            while stack:
-                e = stack.pop()
-                if e < 0 or done[e]:
-                    continue
-                done[e] = True
-                cone.append(e)
-                stack.extend(preds[e])
-            cone.sort(key=lambda e: (ev_time[e], ev_phase[e], ev_sites[e]))
-            batch.extend(ev_abs[e] for e in cone)
-            batch.append(("m", s))
-        rows_abstract.append(batch)
+    done = [False] * len(events)
+    rows = {}
+    for s, (_, y) in enumerate(lat.sites):  # in scan order, so row by row
+        cone = []
+        stack = [tail[s]]
+        while stack:
+            e = stack.pop()
+            if e < 0 or done[e]:
+                continue
+            done[e] = True
+            cone.append(e)
+            stack.extend(preds[e])
+        cone.sort(key=keys.__getitem__)
+        row = rows.setdefault(y, [])
+        row.extend(events[e] for e in cone)
+        row.append((circuit.depth + 1, MeasureReset(s, lat.sites[s])))
     if not all(done):
         raise CompileError("event stream failed to cover the circuit")
-    return rows_abstract
+    return list(rows.values())
 
 
-def _event_sites(ev) -> tuple:
-    if ev[0] == "g":
-        return (ev[2], ev[3])
-    if ev[0] == "m":
-        return (ev[1],)
-    return (ev[2],)
-
-
-def _site_intervals(rows_abstract, n: int):
+def _site_intervals(events, n: int):
     """First and last flat position at which each lattice site is touched."""
     first = [None] * n
     last = [None] * n
     partners = [[] for _ in range(n)]
-    pos = 0
-    for batch in rows_abstract:
-        for ev in batch:
-            ss = _event_sites(ev)
-            for s in ss:
-                if first[s] is None:
-                    first[s] = pos
-                last[s] = pos
-            if ev[0] == "g":
-                partners[ev[2]].append((pos, ev[3]))
-                partners[ev[3]].append((pos, ev[2]))
-            pos += 1
+    for pos, ev in enumerate(events):
+        two = isinstance(ev, Gate) and ev.j is not None
+        for s in (ev.i, ev.j) if two else (ev.i,):
+            if first[s] is None:
+                first[s] = pos
+            last[s] = pos
+        if two:
+            partners[ev.i].append((pos, ev.j))
+            partners[ev.j].append((pos, ev.i))
     return first, last, partners
 
 
@@ -427,23 +408,16 @@ def _map_ok(assign, first, last) -> bool:
     return True
 
 
-def _compress(assign):
-    used = sorted(set(assign))
-    rank = {k: i for i, k in enumerate(used)}
-    return [rank[k] for k in assign], len(used)
+def _map_score(assign, events):
+    """assign relabelled onto slots 0..n_used-1, and its (n_used, gate range)."""
+    rank = {k: i for i, k in enumerate(sorted(set(assign)))}
+    assign = [rank[k] for k in assign]
+    gates = [ev for ev in events if isinstance(ev, Gate) and ev.j is not None]
+    r = max((abs(assign[ev.i] - assign[ev.j]) for ev in gates), default=0)
+    return assign, (len(rank), r)
 
 
-def _map_score(assign, rows_abstract):
-    assign, n_used = _compress(assign)
-    r = 0
-    for batch in rows_abstract:
-        for ev in batch:
-            if ev[0] == "g":
-                r = max(r, abs(assign[ev[2]] - assign[ev[3]]))
-    return assign, (n_used, r)
-
-
-def _periodic_slots(lat: Lattice2D, rows_abstract, first, last):
+def _periodic_slots(lat: Lattice2D, events, first, last):
     """Search strided slot maps; these recycle each slot every W rows."""
     best = None
     for W in (2, 3, 4):
@@ -455,13 +429,13 @@ def _periodic_slots(lat: Lattice2D, rows_abstract, first, last):
                 assign = [fn(x, y) for x, y in lat.sites]
                 if not _map_ok(assign, first, last):
                     continue
-                assign, score = _map_score(assign, rows_abstract)
+                assign, score = _map_score(assign, events)
                 if best is None or score < best[1]:
                     best = (assign, score)
     return best
 
 
-def _dynamic_slots(lat: Lattice2D, rows_abstract, first, last, partners):
+def _dynamic_slots(lat: Lattice2D, events, first, last, partners):
     """Fallback interval allocation: nearest free slot to the earliest
     already-placed gate partner, else the most recently freed slot."""
     order = sorted(range(lat.n_sites), key=lambda s: first[s])
@@ -484,7 +458,16 @@ def _dynamic_slots(lat: Lattice2D, rows_abstract, first, last, partners):
             release.append(-1)
         assign[s] = k
         release[k] = last[s]
-    return _map_score(assign, rows_abstract)
+    return _map_score(assign, events)
+
+
+def _on_slots(ev, slot):
+    """ev with its lattice sites relabelled to their slots."""
+    if isinstance(ev, Gate):
+        return Gate(slot[ev.i], None if ev.j is None else slot[ev.j], ev.matrix, ev.kraus)
+    if isinstance(ev, Noise):
+        return Noise(slot[ev.i], ev.kraus)
+    return MeasureReset(slot[ev.i], ev.coord)
 
 
 def compile_sebd(circuit: Circuit2D, unraveling=None) -> EffectiveCircuit1D:
@@ -492,11 +475,17 @@ def compile_sebd(circuit: Circuit2D, unraveling=None) -> EffectiveCircuit1D:
 
     ``unraveling`` selects the Kraus form attached to the noise events:
     a form name understood by the circuit's NoiseModel, an explicit
-    KrausSet, or None for the model's default form. The noise on the two
-    sites of a layer's gate rides on that Gate (its ``kraus``); only idle
-    sites get a Noise event. Nothing touches either site between the gate
-    and its noise, so this is the same channel. Slots are assigned on the
-    stream with all noise events separate, which is at least as tight.
+    KrausSet, or None for the model's default form. The events come from
+    _cone_rows on lattice sites; slots are chosen from each site's first and
+    last touch, and one pass then moves the events onto them.
+
+    The noise on the two sites of a layer's gate rides on that Gate (its
+    ``kraus``): nothing touches either site between the gate and its noise,
+    so this is the same channel. Only idle sites get a Noise event. The slot
+    map is the one a separate noise event per site would give: such an event
+    is never a site's first touch (the layer's rotation comes before it) nor
+    its last (the readout comes after), and leaving it out keeps the order
+    of the other events, so every interval comparison comes out the same.
     """
     lat = circuit.lattice
     kraus = None
@@ -510,29 +499,13 @@ def compile_sebd(circuit: Circuit2D, unraveling=None) -> EffectiveCircuit1D:
     elif unraveling is not None:
         raise CompileError("unraveling given but the circuit is noiseless")
 
-    rows_abstract = _abstract_stream(circuit, with_noise=kraus is not None)
-    first, last, partners = _site_intervals(rows_abstract, lat.n_sites)
-    chosen = _periodic_slots(lat, rows_abstract, first, last)
+    rows = _cone_rows(circuit, kraus)
+    events = [ev for row in rows for _, ev in row]
+    first, last, partners = _site_intervals(events, lat.n_sites)
+    chosen = _periodic_slots(lat, events, first, last)
     if chosen is None:
-        chosen = _dynamic_slots(lat, rows_abstract, first, last, partners)
-    assign, (n_used, _) = chosen
-
-    # (layer, site) pairs whose noise rides on that layer's gate
-    gated = {
-        (ev[1], s) for batch in rows_abstract for ev in batch if ev[0] == "g" for s in ev[2:4]
-    }
-    rows = []
-    for batch in rows_abstract:
-        out = []
-        for ev in batch:
-            if ev[0] == "r":
-                out.append(Gate(assign[ev[2]], None, ev[3]))
-            elif ev[0] == "g":
-                out.append(Gate(assign[ev[2]], assign[ev[3]], ev[4], kraus))
-            elif ev[0] == "n":
-                if (ev[1], ev[2]) not in gated:
-                    out.append(Noise(assign[ev[2]], kraus))
-            else:
-                out.append(MeasureReset(assign[ev[1]], lat.sites[ev[1]]))
-        rows.append(tuple(out))
-    return EffectiveCircuit1D(n_sites=n_used, rows=tuple(rows))
+        chosen = _dynamic_slots(lat, events, first, last, partners)
+    slot, (n_used, _) = chosen
+    return EffectiveCircuit1D(
+        n_sites=n_used, rows=tuple(tuple(_on_slots(ev, slot) for _, ev in row) for row in rows)
+    )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 PROB_FLOOR = 1e-14
+DENSE_MAX_QUBITS = 8  # largest circuit dense_evolve takes: its density matrix has 4^n entries
 _E0 = np.array([1.0, 0.0], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CNOT = np.array(
@@ -241,8 +242,8 @@ def dense_evolve(circuit, form: str | None = None) -> DenseDensity:
     only picks which Kraus representation is summed.
     """
     n = circuit.lattice.n_sites
-    if n > 8:
-        raise ValueError(f"dense evolution capped at 8 qubits, got {n}")
+    if n > DENSE_MAX_QUBITS:
+        raise ValueError(f"dense evolution capped at {DENSE_MAX_QUBITS} qubits, got {n}")
     kraus = None if circuit.noise is None else circuit.noise.kraus(form)
     rho = DenseDensity(n)
     for lg in circuit.layers:

@@ -195,6 +195,27 @@ def test_bad_policy_or_channel_rejected_before_any_output(tmp_path, capsys, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, keys, text",
+    [
+        ("sample", "lattice: heavy-hex\nlx_list: [9]\n", "heavy-hex linear size must be 4k+3"),
+        ("benchmark", "lx_list: [3]\nly: 1\n", "square lattice needs L_x, L_y >= 2"),
+        ("benchmark", "lx_list: [3]\nly: 4\nreference: dense\n", "dense evolution capped at 8 qubits, got 12"),
+    ],
+    ids=["heavy-hex-size", "ly", "dense-reference"],
+)
+def test_bad_lattice_or_reference_rejected_before_any_output(tmp_path, capsys, command, keys, text):
+    # the lattice used to be built, and the dense reference refused, only
+    # once the output directory was made (for dense, after the instance
+    # file was written)
+    config = tmp_path / "config.yaml"
+    config.write_text(keys + "epsilons: [0.05]\nn_trajectories: 2\nn_bitstrings: 1\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert text in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", (-1, 2**63, 2**64 - 1))
 def test_seeds_outside_philox_key_range_rejected(tmp_path, capsys, seed):
     with pytest.raises(ConfigError, match="seeds"):
@@ -282,6 +303,7 @@ def test_one_instance_commands_refuse_sweep_axes(tmp_path, capsys, command, axis
         ["collapse", "tau.csv", "--workers", "2"],
         ["collapse", "tau.csv", "--seed-override", "3"],
         ["unravel-optimize", "--config", "c.yaml", "--workers", "2"],
+        ["collapse", "tau.csv", "--config", "c.yaml"],
     ),
 )
 def test_flags_a_command_does_not_read_are_rejected(argv, capsys):

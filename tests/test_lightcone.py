@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -24,7 +25,7 @@ from sebd.lightcone import (
     iswap,
     random_instance,
 )
-from sebd.lightcone import _abstract_stream
+from sebd.lightcone import _cone_rows
 from sebd.mps import MatrixProductState, TruncationPolicy
 from sebd.sampler import RunConfig, sample
 from sebd.serialize import (
@@ -316,6 +317,50 @@ class TestCompileAnchors:
                 assert ev.kraus is custom
 
 
+def _strip_digest(eff) -> str:
+    """sha256 prefix of a strip: each event's class, slots, coordinate, Kraus
+    label and matrix, rounded to 12 digits so libm roundoff cannot move it."""
+    h = hashlib.sha256(f"{eff.n_sites}|{[len(row) for row in eff.rows]}".encode())
+    for ev in eff.events():
+        kraus = getattr(ev, "kraus", None)
+        parts = [type(ev).__name__, ev.i, getattr(ev, "j", None), getattr(ev, "coord", None)]
+        parts.append(None if kraus is None else kraus.label)
+        if isinstance(ev, Gate):
+            m = np.round(ev.matrix, 12) + 0.0  # + 0.0 turns -0.0 into 0.0
+            parts.append(" ".join(f"{v:.12f}" for v in m.view(float).ravel()))
+        h.update(repr(parts).encode())
+    return h.hexdigest()[:16]
+
+
+def test_compiled_strips_are_pinned():
+    # a change to the compiler that moves, adds or drops an event, or changes
+    # a slot, coordinate, Kraus set or matrix in these strips changes a digest
+    dep = NoiseModel("depolarizing", 0.05)  # the workloads' noise and unraveling
+    cases = {
+        "square-6x18": (("square", 6, 18), "ABCD", "fsim", dep, "weak-tetrahedron", 1000),
+        "square-3x3": (("square", 3, 3), "ABCD", "fsim", dep, "weak-tetrahedron", 1000),
+        "heavy-hex-11": (("heavy-hex", 11), "ABCD", "fsim", dep, "weak-tetrahedron", 1000),
+        # no periodic slot map fits: the dynamic fallback compiles it
+        "square-2x6-dynamic": (("square", 2, 6), "ABCDABCDABCDA", "fsim", dep, None, 6),
+        "clifford-4x4-dephasing": (
+            ("square", 4, 4), "ABCD", "clifford-iswap-swap", NoiseModel("dephasing", 0.1), None, 3,
+        ),
+        "square-5x5-abcdb-noiseless": (("square", 5, 5), "ABCDB", "fsim", None, None, 4),
+    }
+    got = {}
+    for name, (lattice, schedule, family, noise, form, seed) in cases.items():
+        circ = random_instance(build_lattice(*lattice), schedule, family, noise, seed)
+        got[name] = _strip_digest(compile_sebd(circ, form))
+    assert got == {
+        "square-6x18": "b392a6aebd337316",
+        "square-3x3": "927e4e6e1ca6173e",
+        "heavy-hex-11": "9e82a720aba8febf",
+        "square-2x6-dynamic": "ae9ea6490ab30561",
+        "clifford-4x4-dephasing": "ab021431e73d773a",
+        "square-5x5-abcdb-noiseless": "d7dec24c729d3d93",
+    }
+
+
 # -- hand-built lightcone fixture -------------------------------------------
 # The fixture below re-derives, with plain dictionaries and recursion and no
 # code shared with the compiler, which events belong to each readout's past
@@ -351,9 +396,10 @@ def _fixture_rows(L, schedule, with_noise):
         for a, b in bonds_for(label):
             chain[a].append(("g", t, a, b))
             chain[b].append(("g", t, a, b))
-        if with_noise:
+        if with_noise:  # a gated site's noise rides on its gate
             for s in sites:
-                chain[s].append(("n", t, s))
+                if chain[s][-1][0] == "r":
+                    chain[s].append(("n", t, s))
 
     pred = {}
     for s in sites:
@@ -382,20 +428,20 @@ def _fixture_rows(L, schedule, with_noise):
 
 
 def _strip_compiled(circuit):
-    rows_abstract = _abstract_stream(circuit, with_noise=circuit.noise is not None)
+    kraus = None if circuit.noise is None else circuit.noise.kraus()
     coord = circuit.lattice.sites
     rows = []
-    for batch in rows_abstract:
+    for batch in _cone_rows(circuit, kraus):
         out = []
-        for ev in batch:
-            if ev[0] == "r":
-                out.append(("r", ev[1], coord[ev[2]]))
-            elif ev[0] == "g":
-                out.append(("g", ev[1], coord[ev[2]], coord[ev[3]]))
-            elif ev[0] == "n":
-                out.append(("n", ev[1], coord[ev[2]]))
+        for t, ev in batch:
+            if isinstance(ev, MeasureReset):
+                out.append(("m", ev.coord))
+            elif isinstance(ev, Noise):
+                out.append(("n", t, coord[ev.i]))
+            elif ev.j is None:
+                out.append(("r", t, coord[ev.i]))
             else:
-                out.append(("m", coord[ev[1]]))
+                out.append(("g", t, coord[ev.i], coord[ev.j]))
         rows.append(out)
     return rows
 

@@ -444,6 +444,45 @@ def tableau_replay_log2(eff, target: dict, picks) -> tuple:
     return log2w, col
 
 
+def tableau_reference_entropies(eff, picks, bits) -> np.ndarray:
+    """One purification lane replayed on a tableau: the reference's entropy
+    after each row-step.
+
+    The slots are qubits 0..n-1 and the reference is qubit n, Bell-paired
+    with slot n // 2 before the first row. Gates and Kraus picks act as in
+    tableau_replay_log2; each readout is forced onto the lane's recorded bit,
+    then reset to |0>.
+    """
+    n = eff.n_sites
+    tab = Tableau(n + 1)
+    tab.h(n)
+    tab.cnot(n, n // 2)
+    picks, bits = iter(picks), iter(bits)
+
+    def pauli(site):
+        p = PAULIS[next(picks)]
+        if p is not None:
+            tab.apply_unitary(p, (site,))
+
+    out = []
+    for row in eff.rows:
+        for ev in row:
+            if isinstance(ev, Gate):
+                tab.apply_unitary(ev.matrix, (ev.i,) if ev.j is None else (ev.i, ev.j))
+                if ev.kraus is not None:
+                    pauli(ev.i)
+                    pauli(ev.j)
+            elif isinstance(ev, Noise):
+                pauli(ev.i)
+            else:
+                bit, likelihood = tab.measure(ev.i, None, force=int(next(bits)))
+                assert likelihood > 0, "the lane read a bit of probability 0"
+                if bit:
+                    tab.pauli_x(ev.i)
+        out.append(tab.entropy([n]))
+    return np.array(out)
+
+
 class TestNoisyTableauAtWorkloadScale:
     """Noisy Clifford circuits of the sample workloads' sizes against a tableau replay.
 
@@ -492,6 +531,31 @@ class TestNoisyTableauAtWorkloadScale:
                     assert np.isfinite(reads[:col]).all() and np.isnan(reads[col:]).all()
                     zero += 1
         assert finite and zero
+
+    @pytest.mark.parametrize("epsilon", [0.005, 0.05])
+    @pytest.mark.parametrize(
+        "lattice", [("square", 6, 18), ("heavy-hex", 11, None)], ids=["square-6x18", "heavy-hex-11"]
+    )
+    def test_reference_entropy_is_tableau_entropy(self, lattice, epsilon):
+        # a purification block of 16 lanes: with the reference attached every
+        # lane stays a stabilizer state, so its reference entropy after each
+        # row-step is 0 or ln 2, exactly as the tableau replay reads it
+        c = random_instance(
+            build_lattice(*lattice), "ABCD", "clifford-iswap-swap",
+            NoiseModel("depolarizing", epsilon), seed=5,
+        )
+        eff = compile_sebd(c, "pauli-mix")
+        cfg = RunConfig(eff, policy=self.POLICY, n_trajectories=16, master_seed=5)
+        block = _run_block(
+            cfg, range(16), _measure_reset, MatrixProductState.reference_entropy, reference=True
+        )
+        assert not block.psi.failed
+        entangled = 0
+        for lane in range(16):
+            want = tableau_reference_entropies(eff, block.picks[lane], block.reads[lane])
+            assert np.abs(block.probes[lane] - want).max() <= 1e-12
+            entangled += int((want > 0).sum())
+        assert entangled  # some probes read ln 2, so the check is not all zeros
 
 
 class TestPurification:
