@@ -28,7 +28,11 @@ refused before any output is written (--seed-override replaces seeds with
 one seed). benchmark refuses reference dense on more qubits than the dense
 oracle takes, also before any output. phase-sweep runs on the square
 lattice only, whose strips of aspect*L_x rows (aspect >= 3) hold tau's fit
-window of rows [L_x, 2*L_x].
+window of rows [L_x, 2*L_x]; it sets each strip's length itself, so it
+refuses a config that sets ly. Integer keys (ly, n_trajectories, aspect,
+chi_max, n_bitstrings, the entries of lx_list and seeds) refuse a value
+that int() would change, such as 2.5, and every numeric key refuses a
+bool.
 
 Config keys (defaults in parentheses):
     lattice (square), ly (optional), schedule (ABCD), gate_family (fsim),
@@ -182,6 +186,10 @@ def cmd_phase_sweep(args) -> int:
         raise ConfigError(
             f"phase-sweep needs lattice square: a {cfg.lattice} strip of width L_x "
             "has L_x - 2 rows, too few for the fit window [L_x, 2*L_x]"
+        )
+    if cfg.ly is not None:
+        raise ConfigError(
+            f"phase-sweep reads no ly (got {cfg.ly}): its strips are aspect*L_x rows long"
         )
     out = _outdir(cfg)
     jobs = [

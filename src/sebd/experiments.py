@@ -160,6 +160,7 @@ class ExperimentConfig:
 
 
 _COERCE = {
+    "ly": int,
     "n_trajectories": int,
     "aspect": int,
     "chi_max": int,
@@ -174,6 +175,20 @@ _TUPLES = {
 }
 
 
+def _cast(key: str, value, kind: type):
+    """value as kind; ConfigError for a value the cast refuses or would hide:
+    a bool (true as 1), or a number int() would change (2.5 as 2)."""
+    hidden = isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    )
+    try:
+        if not hidden:
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key} takes {kind.__name__} values, got {value!r}")
+
+
 def config_from_mapping(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a key: value mapping")
@@ -186,11 +201,9 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
         if key in _TUPLES:
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{key} must be a list")
-            kwargs[key] = tuple(_TUPLES[key](v) for v in value)
-        elif key == "ly":
-            kwargs[key] = None if value is None else int(value)
-        elif key in _COERCE:
-            kwargs[key] = _COERCE[key](value)
+            kwargs[key] = tuple(_cast(key, v, _TUPLES[key]) for v in value)
+        elif key in _COERCE and not (key == "ly" and value is None):
+            kwargs[key] = _cast(key, value, _COERCE[key])
         else:
             kwargs[key] = value
     try:

@@ -81,7 +81,13 @@ own rank are zeroed and its kept ones renormalized; when every lane keeps
 the same count, the common case, the values are cut by one slice and no
 mask is built. ``ranks`` holds every lane's own dimensions of the chain's
 bonds, ``bond_dims()`` the padded ones, ``discarded`` each lane's
-discarded weight by lane id, and ``trunc_log`` their sum. ``rng.random()``
+discarded weight by lane id, and ``trunc_log`` their sum. ``peak`` holds
+each lane's peak bond dimension by lane id. apply_2q raises it to the
+lane's largest rank on return, after its routing swaps back, so a rank a
+swap passes through on its way does not count, and a lane that fails
+inside the gate keeps the peak it had. Only apply_2q's truncations raise a
+rank (attach_reference's Bell pair aside, which sample never attaches), so
+no other kernel touches peak. ``rng.random()``
 returns one uniform for every lane id of the block, and each lane makes
 its own Born pick and its own measurement: its bit is 0 when its uniform
 falls below its own p0. ``entropy`` and ``reference_entropy`` return one
@@ -294,7 +300,9 @@ class MatrixProductState:
     position's order key, 2 * slot, or -1 for the reference, so ``_int``
     finds a slot's position by bisection. ``lanes`` lists the ids of the
     live lanes in tensor order, and ``ranks`` (B, chain bonds) each live
-    lane's own bond dimensions.
+    lane's own bond dimensions. By lane id, ``discarded`` holds each lane's
+    discarded weight, ``peak`` its largest rank on return from apply_2q and
+    ``failed`` the error text of a lane that failed.
     """
 
     def __init__(self, loose: np.ndarray):
@@ -308,6 +316,7 @@ class MatrixProductState:
         self.lanes = np.arange(n)
         self.ranks = np.ones((n, 1), dtype=int)
         self.discarded = np.zeros(n)  # discarded weight so far, by lane id
+        self.peak = np.ones(n, dtype=int)  # largest own bond after any apply_2q, by lane id
         self.failed: dict = {}  # lane id -> "ErrorType: text"
 
     # -- construction ------------------------------------------------------
@@ -487,7 +496,7 @@ class MatrixProductState:
         apply_kraus (one rng.random() per site) on the gate's two-site
         block before it is split; the pair of sampled indices is
         returned, each an array over the lanes live on return, otherwise
-        None.
+        None. On return each live lane's peak is raised to its largest rank.
         """
         if i == j:
             raise MpsError("two-qubit gate needs distinct sites")
@@ -504,6 +513,8 @@ class MatrixProductState:
         drawn = self.lanes
         for k in range(a + 1, b):
             self._apply_adjacent(k, None, policy)
+        # read after the swaps back: the ranks the routing passes through do not count
+        self.peak[self.lanes] = np.maximum(self.peak[self.lanes], self.ranks.max(axis=1))
         if picks is not None and self.lanes is not drawn:  # a swap back retired lanes
             kept = np.isin(drawn, self.lanes)
             picks = tuple(q[kept] for q in picks)

@@ -8,8 +8,11 @@ measure and reset their slot. Each trajectory's (z, m) pair is a valid
 joint sample, so the z marginal samples the noisy output distribution.
 
 One loop interprets the event stream: _run_block runs a block of
-trajectory indices and takes the readout as an argument, with an optional
-probe it reads after every row-step and an optional reference qubit.
+trajectory indices, dispatches each event to its kernel and records the
+Kraus picks, and takes the readout as an argument, with an optional probe
+it reads after every row-step and an optional reference qubit. The state
+keeps by lane id what a record reads besides: its discarded weight, its
+peak bond dimension and its failure text.
 RunConfig holds only the run (circuit, policy, trajectory count, master
 seed); each probe belongs to the one entry point that reads it. sample
 measures and resets each slot (_sample_block) and, with mid_entropy,
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lightcone import EffectiveCircuit1D, Gate, MeasureReset, Noise
+from .lightcone import EffectiveCircuit1D, MeasureReset, Noise
 from .mps import DEFAULT_POLICY, MatrixProductState, MpsError, TruncationPolicy
 
 __all__ = [
@@ -72,9 +75,11 @@ class TrajectoryRecord:
     z maps each readout's 2D coordinate to its bit (one entry per lattice
     site). m lists the sampled Kraus index of every noise event in stream
     order. entropies holds the von Neumann entropy at the mid-chain cut
-    after every row-step, when sample is asked for it. A failed trajectory
-    carries the error text in `failed` and partial telemetry; it is never
-    silently dropped.
+    after every row-step, when sample is asked for it. chi_max_seen is the
+    largest bond dimension of the trajectory's state as each two-qubit
+    gate, its routing swaps included, leaves it (MatrixProductState.peak).
+    A failed trajectory carries the error text in `failed` and partial
+    telemetry; it is never silently dropped.
     """
 
     seed: int
@@ -140,29 +145,6 @@ def _uniform_tables(master_seed: int, indices, n: int) -> np.ndarray:
         bitgen.state = state
         raw[row] = bitgen.random_raw(n)
     return (raw >> np.uint64(11)) * 2.0**-53
-
-
-def _step(psi: MatrixProductState, ev, policy: TruncationPolicy, rng, m: list) -> bool:
-    """Apply a gate or noise event, appending sampled Kraus indices to m.
-
-    m is a list or a _LanePicks; a pick holds one index per lane. Returns
-    False, having done nothing, for a readout, which each caller handles
-    its own way.
-    """
-    if isinstance(ev, Gate):
-        if ev.j is None:
-            psi.apply_1q(ev.i, ev.matrix)
-        else:
-            picks = psi.apply_2q(ev.i, ev.j, ev.matrix, policy, ev.kraus, rng)
-            if picks is not None:
-                m.extend(picks)
-        return True
-    if isinstance(ev, Noise):
-        m.append(psi.apply_kraus(ev.i, ev.kraus, rng))
-        return True
-    if isinstance(ev, MeasureReset):
-        return False
-    raise SamplerError(f"unknown event {ev!r}")
 
 
 def run_trajectory(cfg: RunConfig, index: int) -> TrajectoryRecord:
@@ -237,42 +219,21 @@ class _LaneUniforms:
         return self.table[:, self.col - 1]
 
 
-class _LanePicks:
-    """The m list _step fills in _run_block: a row of Kraus indices per
-    noise event, a column per lane id. Each pick holds one index per lane
-    live when _step hands it over, so a lane's column holds -1 from the
-    event in which it left the state on."""
-
-    def __init__(self, psi: MatrixProductState, n_rows: int):
-        self.psi = psi
-        self.table = np.full((n_rows, len(psi.lanes)), -1)
-        self.row = 0
-
-    def append(self, pick):
-        self.table[self.row][self.psi.lanes] = pick  # a row view: cheaper than a 2D index
-        self.row += 1
-
-    def extend(self, picks):
-        for pick in picks:
-            self.append(pick)
-
-
 @dataclass
 class _Block:
     """What the lanes of one block recorded, one row per lane id.
 
     reads holds each readout's value, NaN once the lane has left the state;
-    picks the Kraus indices, -1 once it has left; chi each lane's peak bond
-    dimension; probes the probe's value after each row-step, NaN once the
-    lane has left (no columns without a probe). psi is the final state:
-    its live lanes, the failed lanes' error texts and each lane's
-    discarded weight.
+    picks the Kraus indices, -1 once it has left; probes the probe's value
+    after each row-step, NaN once the lane has left (no columns without a
+    probe). psi is the final state: its live lanes, and by lane id the
+    failed lanes' error texts, each lane's discarded weight and its peak
+    bond dimension.
     """
 
     psi: MatrixProductState
     reads: np.ndarray
     picks: np.ndarray
-    chi: np.ndarray
     probes: np.ndarray
 
 
@@ -297,6 +258,12 @@ def _run_block(cfg: RunConfig, indices, readout, probe=None, reference: bool = F
     returns one value per live lane and is read after every row-step. With
     reference, a Bell-pair reference qubit attaches to the middle slot
     (n_sites // 2) of every lane before the first row.
+
+    The loop dispatches each event itself: a readout to readout, a noise
+    event to apply_kraus, a gate to apply_1q or apply_2q, whose noise picks
+    (site i's, then site j's) take two rows. This is the one place picks
+    are recorded. Each lane's peak bond dimension is kept by the state
+    (psi.peak, raised by apply_2q), beside its discarded weight.
     """
     eff = cfg.circuit
     counts = eff.counts()
@@ -306,27 +273,35 @@ def _run_block(cfg: RunConfig, indices, readout, probe=None, reference: bool = F
         psi.attach_reference(eff.n_sites // 2)
     table = _uniform_tables(cfg.master_seed, indices, counts["noise"] + counts["measure"])
     rng = _LaneUniforms(table)
-    picks = _LanePicks(psi, counts["noise"])
+    picks = np.full((counts["noise"], n), -1)  # a row per noise event, a column per lane id
     reads = np.full((n, counts["measure"]), np.nan)
-    chi = np.ones(n, dtype=int)
     probes = np.full((n, 0 if probe is None else rows), np.nan)
-    col = 0
+    k = col = 0
     try:
         for r, row in enumerate(eff.rows):
             for ev in row:
-                if not _step(psi, ev, cfg.policy, rng, picks):
-                    # the readout, which may retire lanes, runs before psi.lanes is read
+                # the right-hand side runs before psi.lanes is read, so a kernel
+                # that retires lanes records against the lanes it leaves; picks
+                # go in through a row view, cheaper than a 2D index
+                if isinstance(ev, MeasureReset):
                     reads[psi.lanes, col] = readout(psi, ev, rng)
                     col += 1
-                elif isinstance(ev, Gate) and ev.j is not None:
-                    chi[psi.lanes] = np.maximum(chi[psi.lanes], psi.ranks.max(axis=1))
-            chi[psi.lanes] = np.maximum(chi[psi.lanes], psi.ranks.max(axis=1))
+                elif isinstance(ev, Noise):
+                    picks[k][psi.lanes] = psi.apply_kraus(ev.i, ev.kraus, rng)
+                    k += 1
+                elif ev.j is None:
+                    psi.apply_1q(ev.i, ev.matrix)
+                else:
+                    pair = psi.apply_2q(ev.i, ev.j, ev.matrix, cfg.policy, ev.kraus, rng)
+                    if pair is not None:  # site i's picks, then site j's
+                        picks[k][psi.lanes], picks[k + 1][psi.lanes] = pair
+                        k += 2
             if probe is not None:  # so does the probe
                 probes[psi.lanes, r] = probe(psi)
     except MpsError as exc:  # not a lane's own: it hits every live lane alike
         for lane in psi.lanes.tolist():
             psi.failed[lane] = f"{type(exc).__name__}: {exc}"
-    return _Block(psi, reads, picks.table.T, chi, probes)
+    return _Block(psi, reads, picks.T, probes)
 
 
 def _measure_reset(psi: MatrixProductState, ev: MeasureReset, rng) -> np.ndarray:
@@ -352,7 +327,7 @@ def _sample_block(cfg: RunConfig, indices, mid_entropy: bool = False) -> list:
             z={c: int(b) for c, b in zip(coords, bits[~np.isnan(bits)])},
             m=tuple(picks[picks >= 0].tolist()),
             entropies=tuple(entropies[~np.isnan(entropies)].tolist()),
-            chi_max_seen=int(block.chi[lane]),
+            chi_max_seen=int(block.psi.peak[lane]),
             trunc_total=float(block.psi.discarded[lane]),
             failed=block.psi.failed.get(lane),
         ))

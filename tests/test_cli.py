@@ -216,6 +216,23 @@ def test_bad_lattice_or_reference_rejected_before_any_output(tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    (
+        ("n_trajectories", 2.5), ("lx_list", [4.7]), ("seeds", [1.9]), ("aspect", 3.99),
+        ("chi_max", True), ("ly", 2.5), ("svd_cutoff", True), ("epsilons", [False]),
+    ),
+)
+def test_numbers_a_cast_would_change_rejected_before_any_output(tmp_path, capsys, key, value):
+    # int() used to truncate them silently (2.5 ran 2 trajectories, true a chi_max of 1)
+    config = tmp_path / "config.yaml"
+    config.write_text(json.dumps({"lx_list": [2], "ly": 2, "n_trajectories": 2, key: value}))
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} takes")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", (-1, 2**63, 2**64 - 1))
 def test_seeds_outside_philox_key_range_rejected(tmp_path, capsys, seed):
     with pytest.raises(ConfigError, match="seeds"):
@@ -268,6 +285,8 @@ def test_phase_sweep_table_matches_pointwise_for_any_worker_count(tmp_path):
         ("lattice: heavy-hex\nlx_list: [7]\n", "phase-sweep needs lattice square"),
         # 2*L_x rows end where the fit window [L_x, 2*L_x] does
         ("lx_list: [3]\naspect: 2\n", "aspect must be at least 3"),
+        # the strip is aspect*L_x rows long: it used to run 12 rows for ly 5
+        ("lx_list: [4]\nly: 5\n", "phase-sweep reads no ly"),
     ),
 )
 def test_phase_sweep_refuses_strips_without_the_fit_window(tmp_path, capsys, strip, why):

@@ -534,14 +534,23 @@ class TestNoisyTableauAtWorkloadScale:
 
     @pytest.mark.parametrize("epsilon", [0.005, 0.05])
     @pytest.mark.parametrize(
-        "lattice", [("square", 6, 18), ("heavy-hex", 11, None)], ids=["square-6x18", "heavy-hex-11"]
+        "lattice, schedule",
+        [
+            (("square", 6, 18), "ABCD"),
+            (("heavy-hex", 11, None), "ABCD"),
+            # under ABCD every lane's reference purifies within rows 0-2; the
+            # deeper circuit keeps it entangled through row 7 of 9, so 128 of
+            # the 144 lane-rows read ln 2 (32 under ABCD)
+            (("heavy-hex", 11, None), "ABCDABCD"),
+        ],
+        ids=["square-6x18", "heavy-hex-11", "heavy-hex-11-ABCDABCD"],
     )
-    def test_reference_entropy_is_tableau_entropy(self, lattice, epsilon):
+    def test_reference_entropy_is_tableau_entropy(self, lattice, schedule, epsilon):
         # a purification block of 16 lanes: with the reference attached every
         # lane stays a stabilizer state, so its reference entropy after each
         # row-step is 0 or ln 2, exactly as the tableau replay reads it
         c = random_instance(
-            build_lattice(*lattice), "ABCD", "clifford-iswap-swap",
+            build_lattice(*lattice), schedule, "clifford-iswap-swap",
             NoiseModel("depolarizing", epsilon), seed=5,
         )
         eff = compile_sebd(c, "pauli-mix")
