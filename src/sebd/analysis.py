@@ -135,11 +135,14 @@ def data_collapse(points, return_grid: bool = False):
 
     import scipy.optimize  # lazy: importing sebd loads no scipy
 
+    # nu_grid's last step can overshoot NU_RANGE by roundoff; the start is
+    # clipped into the bounds, as scipy would after warning
+    bounds = [(eps_grid[0], eps_grid[-1]), NU_RANGE]
     best = scipy.optimize.minimize(
         lambda p: collapse_objective(arrs, p[0], p[1]),
-        x0=[eps_grid[i0], nu_grid[j0]],
+        x0=np.clip([eps_grid[i0], nu_grid[j0]], *np.transpose(bounds)),
         method="Nelder-Mead",
-        bounds=[(eps_grid[0], eps_grid[-1]), NU_RANGE],
+        bounds=bounds,
     )
     eps_c, nu = float(best.x[0]), float(best.x[1])
     r_min = float(best.fun)

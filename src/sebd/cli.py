@@ -10,29 +10,31 @@ Subcommands
     unravel-optimize  unraveling cost report for channels or a Kraus file
 
 sample, phase-sweep and benchmark read one YAML config file (--config),
-and unravel-optimize reads one or a Kraus file. A config holds a flat,
-documented key set and loads into an ExperimentConfig (sebd.experiments),
-the one description of a run that the sweep drivers read too; unknown keys
-are hard errors so a typo cannot silently corrupt a sweep, and every
-value, each lattice of lx_list included, is checked as the config loads,
-before any output is written. sample, phase-sweep and benchmark compile
-each 2D instance with compile_sebd before any trajectory runs; the sampler
-takes only compiled circuits. All randomness flows from the config seeds,
-so reruns with the same config produce byte-identical outputs. --workers
-parallelizes sample over its lane blocks of up to 256 trajectories, and
-phase-sweep over sweep cells; results are reduced in deterministic order
-either way. Each subcommand takes only the flags it reads (benchmark also
-accepts --workers, which it ignores). sample and benchmark run one
-instance, so a config whose lx_list or seeds holds more than one entry is
-refused before any output is written (--seed-override replaces seeds with
-one seed). benchmark refuses reference dense on more qubits than the dense
-oracle takes, also before any output. phase-sweep runs on the square
-lattice only, whose strips of aspect*L_x rows (aspect >= 3) hold tau's fit
-window of rows [L_x, 2*L_x]; it sets each strip's length itself, so it
-refuses a config that sets ly. Integer keys (ly, n_trajectories, aspect,
-chi_max, n_bitstrings, the entries of lx_list and seeds) refuse a value
-that int() would change, such as 2.5, and every numeric key refuses a
-bool.
+and unravel-optimize reads one or a Kraus file, and refuses both at once.
+A config holds a flat, documented key set and loads into an
+ExperimentConfig (sebd.experiments), the one description of a run that the
+sweep drivers read too; unknown keys are hard errors so a typo cannot
+silently corrupt a sweep, and every value, each lattice of lx_list
+included, is checked as the config loads, before any output is written.
+sample, phase-sweep and benchmark compile each 2D instance with
+compile_sebd before any trajectory runs; the sampler takes only compiled
+circuits. All randomness flows from the config seeds, so reruns with the
+same config produce byte-identical outputs. --workers parallelizes sample
+over its lane blocks of up to 256 trajectories, and phase-sweep over sweep
+cells; results are reduced in deterministic order either way. Each
+subcommand takes only the flags it reads (benchmark also accepts
+--workers, which it ignores). sample and benchmark run one instance, so a
+config whose lx_list or seeds holds more than one entry is refused before
+any output is written (--seed-override replaces seeds with one seed).
+benchmark refuses reference dense on more qubits than the dense oracle
+takes, also before any output. phase-sweep runs on the square lattice
+only, whose strips of aspect*L_x rows (aspect >= 3) hold tau's fit window
+of rows [L_x, 2*L_x]; it sets each strip's length itself, so it refuses a
+config that sets ly. Each key takes the type of its ExperimentConfig
+field: integer keys (ly, n_trajectories, aspect, chi_max, n_bitstrings,
+the entries of lx_list and seeds) refuse a value that int() would change,
+such as 2.5, every numeric key refuses a bool, string keys refuse a
+non-string, and an epsilon must be >= 0 (NaN is refused).
 
 Config keys (defaults in parentheses):
     lattice (square), ly (optional), schedule (ABCD), gate_family (fsim),
@@ -43,8 +45,13 @@ Config keys (defaults in parentheses):
 
 The scaling collapse is its own command, run on a written tau table
 (sebd collapse TABLE [--grid] [--out DIR], DIR defaulting to out); it
-reads no config. collapse and collapse_grid are not config keys: a file
-that sets them fails as unknown config keys.
+reads no config, and makes DIR only once the fit succeeds. collapse and
+collapse_grid are not config keys: a file that sets them fails as unknown
+config keys.
+
+Every CSV table a command writes or reads is stated in sebd.serialize (its
+schema tag, columns and number formats); the commands hand it rows keyed
+by column, as the drivers in sebd.experiments return them.
 """
 
 from __future__ import annotations
@@ -72,12 +79,13 @@ from .oracles.dense import DENSE_MAX_QUBITS
 from .sampler import sample
 from .statmech import critical_x, predicted_phase
 from .serialize import (
-    BENCHMARK_SCHEMA,
-    COLLAPSE_GRID_SCHEMA,
-    COLLAPSE_SCHEMA,
-    TAU_SCHEMA,
-    TELEMETRY_SCHEMA,
-    UNRAVEL_SCHEMA,
+    BENCHMARK,
+    COLLAPSE,
+    COLLAPSE_GRID,
+    TAU,
+    TELEMETRY,
+    UNRAVEL,
+    SerializeError,
     format_sample_record,
     kraus_from_dict,
     read_csv,
@@ -138,19 +146,17 @@ def cmd_sample(args) -> int:
             for rec in records:
                 if rec.ok:
                     fh.write(format_sample_record(rec) + "\n")
-        header = ["trajectory", "seed", "ok", "chi_max", "trunc_total"]
-        if entropy:
-            header.append("s_mid_max")
         rows = []
         for i, rec in enumerate(records):
-            row = [i, rec.seed, int(rec.ok), rec.chi_max_seen, f"{rec.trunc_total:.8e}"]
+            row = {
+                "trajectory": i, "seed": rec.seed, "ok": rec.ok,
+                "chi_max": rec.chi_max_seen, "trunc_total": rec.trunc_total,
+            }
             if entropy:
                 # the last row-step reads out every slot, so the state ends a product
-                s = max(rec.entropies) if rec.entropies else float("nan")
-                row.append(f"{s:.8e}")
+                row["s_mid_max"] = max(rec.entropies) if rec.entropies else float("nan")
             rows.append(row)
-        telemetry_path = out / f"telemetry_eps{tag}.csv"
-        write_csv(telemetry_path, TELEMETRY_SCHEMA, header, rows)
+        write_csv(out / f"telemetry_eps{tag}.csv", TELEMETRY, rows)
         n_fail = sum(not r.ok for r in records)
         print(f"eps={tag}: {len(records)} trajectories ({n_fail} failed) -> {stream_path}")
     return 0
@@ -160,24 +166,8 @@ def cmd_sample(args) -> int:
 # phase-sweep
 
 
-_TAU_HEADER = [
-    "epsilon", "L_x", "seed", "n_trajectories", "n_rows",
-    "s_final", "tau", "tau_over_lx", "residual", "status",
-]
-
-
 def _sweep_cell(job):
     return purification_point(*job)
-
-
-def _tau_row(point: dict) -> list:
-    return [
-        _eps_tag(point["epsilon"]), point["L_x"], point["seed"],
-        point["n_trajectories"], point["n_rows"],
-        f"{point['s_final']:.8e}", f"{point['tau']:.8e}",
-        f"{point['tau_over_lx']:.8e}", f"{point['residual']:.8e}",
-        point["status"],
-    ]
 
 
 def cmd_phase_sweep(args) -> int:
@@ -204,16 +194,13 @@ def cmd_phase_sweep(args) -> int:
     else:
         points = [_sweep_cell(j) for j in jobs]
     tau_path = out / "tau.csv"
-    write_csv(tau_path, TAU_SCHEMA, _TAU_HEADER, [_tau_row(p) for p in points])
+    write_csv(tau_path, TAU, points)
     print(f"{len(points)} sweep cells -> {tau_path}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # benchmark
-
-
-_BENCH_HEADER = ["z", "K", "p_hat", "se_hat", "p_ref", "reference", "ratio", "ratio_se"]
 
 
 def cmd_benchmark(args) -> int:
@@ -232,16 +219,8 @@ def cmd_benchmark(args) -> int:
             for _ in range(cfg.n_bitstrings)
         ]
         rows = benchmark_ratios(cfg, eps, circuit, z_list)
-        table = [
-            [
-                r["z"], r["K"], f"{r['p_hat']:.10e}", f"{r['se_hat']:.4e}",
-                f"{r['p_ref']:.10e}", r["reference"],
-                f"{r['ratio']:.8f}", f"{r['ratio_se']:.4e}",
-            ]
-            for r in rows
-        ]
         path = out / f"benchmark_eps{tag}.csv"
-        write_csv(path, BENCHMARK_SCHEMA, _BENCH_HEADER, table)
+        write_csv(path, BENCHMARK, rows)
         print(f"eps={tag}: {len(rows)} bitstrings vs {rows[0]['reference']} -> {path}")
     return 0
 
@@ -251,36 +230,29 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_collapse(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _, header, rows = read_csv(args.table, expect_schema=TAU_SCHEMA)
-    i_eps, i_lx, i_y = (header.index(name) for name in ("epsilon", "L_x", "tau_over_lx"))
     by_cell: dict = {}
-    for r in rows:
-        if np.isfinite(float(r[i_y])):
-            by_cell.setdefault((float(r[i_eps]), int(r[i_lx])), []).append(float(r[i_y]))
+    try:
+        for r in read_csv(args.table, TAU):
+            if np.isfinite(y := float(r["tau_over_lx"])):
+                by_cell.setdefault((float(r["epsilon"]), int(r["L_x"])), []).append(y)
+    except KeyError as exc:
+        raise SerializeError(f"{args.table}: no column {exc}") from exc
     pts = [(eps, l_x, float(np.mean(ys))) for (eps, l_x), ys in sorted(by_cell.items())]
     result = data_collapse(pts, return_grid=args.grid)
     fit, grid = result if args.grid else (result, None)
-    write_csv(
-        out / "collapse.csv",
-        COLLAPSE_SCHEMA,
-        ["eps_c", "nu", "r_min", "eps_lo", "eps_hi", "nu_lo", "nu_hi", "identifiable"],
-        [[
-            f"{fit.eps_c:.6f}", f"{fit.nu:.4f}", f"{fit.r_min:.8e}",
-            f"{fit.box[0]:.6f}", f"{fit.box[1]:.6f}",
-            f"{fit.box[2]:.4f}", f"{fit.box[3]:.4f}",
-            int(fit.identifiable),
-        ]],
-    )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    box = dict(zip(("eps_lo", "eps_hi", "nu_lo", "nu_hi"), fit.box))
+    row = {"eps_c": fit.eps_c, "nu": fit.nu, "r_min": fit.r_min, **box, "identifiable": fit.identifiable}
+    write_csv(out / "collapse.csv", COLLAPSE, [row])
     if grid is not None:
         eps_grid, nu_grid, r = grid
         rows = [
-            [f"{e:.6f}", f"{n:.4f}", f"{r[i, j]:.8e}"]
+            {"eps_c": e, "nu": n, "r": r[i, j]}
             for i, e in enumerate(eps_grid)
             for j, n in enumerate(nu_grid)
         ]
-        write_csv(out / "collapse_grid.csv", COLLAPSE_GRID_SCHEMA, ["eps_c", "nu", "r"], rows)
+        write_csv(out / "collapse_grid.csv", COLLAPSE_GRID, rows)
     print(
         f"eps_c={fit.eps_c:.4f} nu={fit.nu:.3f} r_min={fit.r_min:.3e} "
         f"identifiable={fit.identifiable} -> {out / 'collapse.csv'}"
@@ -292,42 +264,43 @@ def cmd_collapse(args) -> int:
 # unravel-optimize
 
 
-_UNRAVEL_HEADER = ["channel", "epsilon", "form", "method", "x_cost", "x_crit", "phase_mf"]
-
-
-def _unravel_row(label, eps_text, form, method, k) -> list:
-    return [
-        label, eps_text, form, method,
-        f"{unraveling_cost_x(k):.12f}", f"{critical_x(k.d):.12f}", predicted_phase(k),
-    ]
-
-
 def cmd_unravel_optimize(args) -> int:
-    rows = []
     out_dir = Path(args.out) if args.out else None
     if args.kraus:
-        rec = json.loads(Path(args.kraus).read_text())
-        k = kraus_from_dict(rec)
+        if args.config is not None:
+            raise ConfigError("unravel-optimize reads --config or a Kraus file, not both")
+        k = kraus_from_dict(json.loads(Path(args.kraus).read_text()))
         seed = int(args.seed_override) if args.seed_override is not None else 0
         best, _ = optimize_unraveling(k, seed=seed)
-        rows.append(_unravel_row(k.label or Path(args.kraus).name, "", "file", "numeric", best))
+        cases = [(k.label or Path(args.kraus).name, None, "file", "numeric", best)]
     elif args.config:
         cfg = _resolved_config(args)
         if out_dir is None:
             out_dir = Path(cfg.output_dir)
+        cases = []
         for eps in cfg.epsilons:
             model = NoiseModel(cfg.noise_kind, eps)
             form = cfg.unravel_form or model.forms()[0]
-            k = model.kraus(form)
-            rows.append(_unravel_row(cfg.noise_kind, _eps_tag(eps), form, "analytic", k))
+            cases.append((cfg.noise_kind, eps, form, "analytic", model.kraus(form)))
     else:
         raise ConfigError("unravel-optimize needs --config or a Kraus JSON file")
-    for r in rows:
-        print(f"{r[0]} eps={r[1] or '-'} [{r[3]}] x={r[4]} x_c={r[5]} phase={r[6]}")
+    rows = [
+        {
+            "channel": channel, "epsilon": eps, "form": form, "method": method,
+            "x_cost": unraveling_cost_x(k), "x_crit": critical_x(k.d), "phase_mf": predicted_phase(k),
+        }
+        for channel, eps, form, method, k in cases
+    ]
+    for row in rows:
+        c = UNRAVEL.cells(row)
+        print(
+            f"{c['channel']} eps={c['epsilon'] or '-'} [{c['method']}] "
+            f"x={c['x_cost']} x_c={c['x_crit']} phase={c['phase_mf']}"
+        )
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "unravel.csv"
-        write_csv(path, UNRAVEL_SCHEMA, _UNRAVEL_HEADER, rows)
+        write_csv(path, UNRAVEL, rows)
         print(f"wrote {path}")
     return 0
 

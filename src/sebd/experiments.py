@@ -1,12 +1,14 @@
 """The experiment config and the sweep drivers behind phase-sweep and benchmark.
 
 ExperimentConfig is the one description of a run, from the YAML file down
-to the drivers. Two kinds of cells:
+to the drivers: its field annotations are the config keys' types, which
+config_from_mapping casts each value to. Two kinds of cells, each returned
+as a dict row keyed by the columns of its sebd.serialize table:
 
-* purification points: reference-qubit entropy decay along the sweep
+* purification points (TAU): reference-qubit entropy decay along the sweep
   direction, fitted to tau per (epsilon, L_x, seed),
-* benchmark ratio tables: sampler estimates against reference values on
-  identical serialized instances.
+* benchmark ratio tables (BENCHMARK): sampler estimates against reference
+  values on identical serialized instances.
 
 All randomness flows from a master seed through SeedSequence spawn keys, so
 sweep results are independent of evaluation order and worker scheduling.
@@ -14,7 +16,8 @@ sweep results are independent of evaluation order and worker scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,16 +67,16 @@ class ExperimentConfig:
     gate_family: str = "fsim"
     noise_kind: str = "depolarizing"
     unravel_form: str | None = None
-    epsilons: tuple = (0.0,)
-    lx_list: tuple = (4,)
-    seeds: tuple = (0,)
+    epsilons: tuple[float, ...] = (0.0,)
+    lx_list: tuple[int, ...] = (4,)
+    seeds: tuple[int, ...] = (0,)
     n_trajectories: int = 100
     aspect: int = 3
     chi_max: int = 256
     svd_cutoff: float = 1e-12
     n_bitstrings: int = 10
     reference: str = "auto"
-    telemetry: tuple = ()
+    telemetry: tuple[str, ...] = ()
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -96,7 +99,7 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep axis {name} must be non-empty")
         if any(not 0 <= s < SEED_LIMIT for s in self.seeds):
             raise ConfigError("seeds must lie in [0, 2**63)")
-        if any(e < 0 for e in self.epsilons):
+        if any(not e >= 0 for e in self.epsilons):  # NaN among them
             raise ConfigError("epsilons must be non-negative")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories must be positive")
@@ -159,27 +162,23 @@ class ExperimentConfig:
         )
 
 
-_COERCE = {
-    "ly": int,
-    "n_trajectories": int,
-    "aspect": int,
-    "chi_max": int,
-    "svd_cutoff": float,
-    "n_bitstrings": int,
-}
-_TUPLES = {
-    "epsilons": float,
-    "lx_list": int,
-    "seeds": int,
-    "telemetry": str,
-}
-
-
-def _cast(key: str, value, kind: type):
-    """value as kind; ConfigError for a value the cast refuses or would hide:
-    a bool (true as 1), or a number int() would change (2.5 as 2)."""
-    hidden = isinstance(value, bool) or (
-        kind is int and isinstance(value, float) and not value.is_integer()
+def _cast(key: str, value, kind):
+    """value as kind, the type of key's ExperimentConfig field; ConfigError
+    for a value the cast refuses or would hide: a bool (true as 1), a number
+    int() would change (2.5 as 2), or a non-string for a str key."""
+    args = typing.get_args(kind)
+    if type(None) in args:  # T | None
+        if value is None:
+            return None
+        kind = args[0]
+    elif args:  # tuple[T, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list")
+        return tuple(_cast(key, v, args[0]) for v in value)
+    hidden = (
+        isinstance(value, bool)
+        or (kind is int and isinstance(value, float) and not value.is_integer())
+        or (kind is str and not isinstance(value, str))
     )
     try:
         if not hidden:
@@ -190,28 +189,15 @@ def _cast(key: str, value, kind: type):
 
 
 def config_from_mapping(raw: dict) -> ExperimentConfig:
+    """ExperimentConfig from a key: value mapping, each value cast to its
+    field's type; an unknown key is a ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a key: value mapping")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    kinds = typing.get_type_hints(ExperimentConfig)
+    unknown = set(raw) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _TUPLES:
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{key} must be a list")
-            kwargs[key] = tuple(_cast(key, v, _TUPLES[key]) for v in value)
-        elif key in _COERCE and not (key == "ly" and value is None):
-            kwargs[key] = _cast(key, value, _COERCE[key])
-        else:
-            kwargs[key] = value
-    try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**{key: _cast(key, value, kinds[key]) for key, value in raw.items()})
 
 
 def load_config(path) -> ExperimentConfig:

@@ -2,17 +2,20 @@
 Kraus-set JSON. Every format the package reads or writes lives here.
 
 Every CSV starts with a schema comment line ``# schema=<name>`` followed by a
-standard header row. Sample records are one line per trajectory: seed, output
-bits grouped by lattice row (ASCII 0/1, scan order within a row), the
-accumulated truncation log, and the peak bond dimension. Circuits
-(tagged CIRCUIT_FORMAT) and Kraus sets are JSON, complex entries as
-[re, im] pairs.
+standard header row. Each table (TELEMETRY, TAU, BENCHMARK, COLLAPSE,
+COLLAPSE_GRID, UNRAVEL) is stated once, as its tag and its ordered columns,
+each with the format spec its values are written with; rows are dicts keyed
+by column. Sample records are one line per trajectory: seed, output bits
+grouped by lattice row (ASCII 0/1, scan order within a row), the
+accumulated truncation log, and the peak bond dimension. Circuits (tagged
+CIRCUIT_FORMAT) and Kraus sets are JSON, complex entries as [re, im] pairs.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +25,13 @@ from .lightcone import Circuit2D, LayerGates, build_lattice
 
 __all__ = [
     "SerializeError",
-    "TELEMETRY_SCHEMA",
-    "BENCHMARK_SCHEMA",
-    "TAU_SCHEMA",
-    "COLLAPSE_SCHEMA",
-    "COLLAPSE_GRID_SCHEMA",
-    "UNRAVEL_SCHEMA",
+    "Table",
+    "TELEMETRY",
+    "TAU",
+    "BENCHMARK",
+    "COLLAPSE",
+    "COLLAPSE_GRID",
+    "UNRAVEL",
     "write_csv",
     "read_csv",
     "format_sample_record",
@@ -40,13 +44,6 @@ __all__ = [
     "kraus_from_dict",
 ]
 
-TELEMETRY_SCHEMA = "sebd.telemetry.v1"
-BENCHMARK_SCHEMA = "sebd.benchmark.v1"
-TAU_SCHEMA = "sebd.tau.v1"
-COLLAPSE_SCHEMA = "sebd.collapse.v1"
-COLLAPSE_GRID_SCHEMA = "sebd.collapse-grid.v1"
-UNRAVEL_SCHEMA = "sebd.unravel.v1"
-
 CIRCUIT_FORMAT = "sebd-circuit2d/1"
 
 
@@ -54,31 +51,88 @@ class SerializeError(ValueError):
     pass
 
 
-def write_csv(path, schema: str, header, rows):
-    """Write rows (iterables matching header) under a schema comment line."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(f"# schema={schema}\n")
+@dataclass(frozen=True)
+class Table:
+    """One CSV schema: its tag, then its columns in order, each mapped to
+    the format spec its values are written with ('' writes str(value))."""
+
+    schema: str
+    columns: dict
+
+    def cells(self, row: dict) -> dict:
+        """row's values as written, in column order; None writes as ''."""
+        unknown = set(row) - set(self.columns)
+        if unknown:
+            raise SerializeError(f"{self.schema} has no columns {sorted(unknown)}")
+        return {
+            name: "" if row[name] is None else format(row[name], spec)
+            for name, spec in self.columns.items()
+            if name in row
+        }
+
+
+TELEMETRY = Table("sebd.telemetry.v1", {
+    "trajectory": "", "seed": "", "ok": "d", "chi_max": "", "trunc_total": ".8e",
+    "s_mid_max": ".8e",  # only with telemetry: [entropy]
+})
+TAU = Table("sebd.tau.v1", {
+    "epsilon": "g", "L_x": "", "seed": "", "n_trajectories": "", "n_rows": "",
+    "s_final": ".8e", "tau": ".8e", "tau_over_lx": ".8e", "residual": ".8e", "status": "",
+})
+BENCHMARK = Table("sebd.benchmark.v1", {
+    "z": "", "K": "", "p_hat": ".10e", "se_hat": ".4e", "p_ref": ".10e",
+    "reference": "", "ratio": ".8f", "ratio_se": ".4e",
+})
+COLLAPSE = Table("sebd.collapse.v1", {
+    "eps_c": ".6f", "nu": ".4f", "r_min": ".8e", "eps_lo": ".6f", "eps_hi": ".6f",
+    "nu_lo": ".4f", "nu_hi": ".4f", "identifiable": "d",
+})
+COLLAPSE_GRID = Table("sebd.collapse-grid.v1", {"eps_c": ".6f", "nu": ".4f", "r": ".8e"})
+UNRAVEL = Table("sebd.unravel.v1", {
+    "channel": "", "epsilon": "g", "form": "", "method": "",
+    "x_cost": ".12f", "x_crit": ".12f", "phase_mf": "",
+})
+
+
+def write_csv(path, table: Table, rows):
+    """Write dict rows under table's schema line.
+
+    The header lists the table's columns that the rows hold (all of them
+    when there are none); a row holding other columns raises SerializeError
+    before the file is opened.
+    """
+    lines = [table.cells(row) for row in rows]
+    header = list(lines[0]) if lines else list(table.columns)
+    for cells in lines:
+        if list(cells) != header:
+            raise SerializeError(f"{table.schema}: row holds {list(cells)}, header {header}")
+    with Path(path).open("w", newline="") as fh:
+        fh.write(f"# schema={table.schema}\n")
         w = csv.writer(fh)
-        w.writerow(list(header))
-        for row in rows:
-            w.writerow(list(row))
+        w.writerow(header)
+        w.writerows(cells.values() for cells in lines)
 
 
-def read_csv(path, expect_schema: str | None = None):
-    """Read a schema-headed CSV; returns (schema, header, rows of str lists)."""
+def read_csv(path, table: Table) -> list:
+    """Rows of a table write_csv wrote, as dicts of str keyed by column.
+
+    Raises SerializeError on a missing or different schema line, a header
+    naming a column the table does not have, or a row of another length.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         first = fh.readline().strip()
-        if not first.startswith("# schema="):
-            raise SerializeError(f"{path}: missing schema line")
-        schema = first.removeprefix("# schema=")
-        if expect_schema is not None and schema != expect_schema:
-            raise SerializeError(f"{path}: schema {schema!r}, expected {expect_schema!r}")
+        if first != f"# schema={table.schema}":
+            raise SerializeError(f"{path}: schema line {first!r}, expected {table.schema!r}")
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, [])
         rows = [row for row in r if row]
-    return schema, header, rows
+    unknown = set(header) - set(table.columns)
+    if unknown:
+        raise SerializeError(f"{path}: {table.schema} has no columns {sorted(unknown)}")
+    if any(len(row) != len(header) for row in rows):
+        raise SerializeError(f"{path}: a row's length differs from the header's")
+    return [dict(zip(header, row)) for row in rows]
 
 
 def format_sample_record(record) -> str:

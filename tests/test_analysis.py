@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sebd.analysis import (
+    NU_RANGE,
     AnalysisError,
     collapse_objective,
     data_collapse,
@@ -108,3 +110,18 @@ class TestDataCollapse:
         assert r.min() >= 0.0
         assert fit.r_min <= r.min() + 1e-15
 
+
+    def test_grid_minimum_at_the_top_nu_edge_warns_nothing(self):
+        # size-independent data collapse best at the largest nu; the grid's
+        # last nu, 2.000000000000001, lies past NU_RANGE, and a Nelder-Mead
+        # start there used to make scipy warn OptimizeWarning on every fit
+        pts = [
+            (0.01 * k, ell, math.tanh(0.1 * k - 0.3) + 0.001 * k * k)
+            for ell in (4, 8)
+            for k in range(1, 7)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit, (_, nu_grid, r) = data_collapse(pts, return_grid=True)
+        assert nu_grid[np.unravel_index(np.argmin(r), r.shape)[1]] > NU_RANGE[1]
+        assert fit.nu == NU_RANGE[1]

@@ -1,5 +1,6 @@
 """Command line: import cost and end-to-end runs of every subcommand."""
 
+import hashlib
 import json
 import math
 import os
@@ -12,14 +13,14 @@ import pytest
 
 import sebd
 from sebd.channels import NoiseModel, unraveling_cost_x
-from sebd.cli import _TAU_HEADER, ConfigError, ExperimentConfig, load_config, main
+from sebd.cli import ConfigError, ExperimentConfig, load_config, main
 from sebd.experiments import purification_point
 from sebd.serialize import (
-    COLLAPSE_GRID_SCHEMA,
-    COLLAPSE_SCHEMA,
-    TAU_SCHEMA,
-    TELEMETRY_SCHEMA,
-    UNRAVEL_SCHEMA,
+    COLLAPSE,
+    COLLAPSE_GRID,
+    TAU,
+    TELEMETRY,
+    UNRAVEL,
     kraus_to_dict,
     parse_sample_record,
     read_csv,
@@ -58,11 +59,10 @@ def test_sample_writes_one_record_per_trajectory(tmp_path):
     out = tmp_path / "out"
     assert main(["sample", "--config", str(config), "--out", str(out)]) == 0
 
-    schema, header, rows = read_csv(out / "telemetry_eps0.05.csv")
-    assert schema == TELEMETRY_SCHEMA
-    assert header[:3] == ["trajectory", "seed", "ok"]
-    assert [row[0] for row in rows] == ["0", "1", "2"]
-    assert all(row[2] == "1" for row in rows)
+    rows = read_csv(out / "telemetry_eps0.05.csv", TELEMETRY)
+    assert list(rows[0])[:3] == ["trajectory", "seed", "ok"]
+    assert [row["trajectory"] for row in rows] == ["0", "1", "2"]
+    assert all(row["ok"] == "1" for row in rows)
 
     lines = (out / "samples_eps0.05.txt").read_text().splitlines()
     assert len(lines) == 3
@@ -88,12 +88,10 @@ def test_sample_entropy_telemetry_reads_the_peak(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["sample", "--config", str(config), "--out", str(out)]) == 0
-    schema, header, rows = read_csv(out / "telemetry_eps0.02.csv")
-    assert schema == TELEMETRY_SCHEMA
-    assert header[-1] == "s_mid_max"
+    rows = read_csv(out / "telemetry_eps0.02.csv", TELEMETRY)
+    assert list(rows[0])[-1] == "s_mid_max"
     assert len(rows) == 4
-    chi = header.index("chi_max")
-    assert all(0.0 < float(row[-1]) <= math.log(int(row[chi])) + 1e-9 for row in rows)
+    assert all(0.0 < float(row["s_mid_max"]) <= math.log(int(row["chi_max"])) + 1e-9 for row in rows)
 
 
 def test_collapse_of_a_written_tau_table(tmp_path):
@@ -103,24 +101,43 @@ def test_collapse_of_a_written_tau_table(tmp_path):
         for k in range(9):
             eps = 0.01 + 0.01 * k
             y = math.tanh((eps - 0.05) * l_x ** (1 / 1.3)) + 2.0
-            rows.append([f"{eps:g}", l_x, 1, 8, 3 * l_x, "0", y * l_x, y, "0", "ok"])
+            rows.append(dict(zip(TAU.columns, [eps, l_x, 1, 8, 3 * l_x, 0.0, y * l_x, y, 0.0, "ok"])))
     table = tmp_path / "tau.csv"
-    write_csv(table, TAU_SCHEMA, _TAU_HEADER, rows)
+    write_csv(table, TAU, rows)
     out = tmp_path / "out"
     assert main(["collapse", str(table), "--out", str(out), "--grid"]) == 0
 
-    schema, header, fit = read_csv(out / "collapse.csv")
-    assert schema == COLLAPSE_SCHEMA
-    assert header == ["eps_c", "nu", "r_min", "eps_lo", "eps_hi", "nu_lo", "nu_hi", "identifiable"]
+    fit = read_csv(out / "collapse.csv", COLLAPSE)
+    assert list(fit[0]) == ["eps_c", "nu", "r_min", "eps_lo", "eps_hi", "nu_lo", "nu_hi", "identifiable"]
     assert len(fit) == 1
-    row = dict(zip(header, fit[0]))
+    row = fit[0]
     assert abs(float(row["eps_c"]) - 0.05) < 0.005
     assert float(row["eps_lo"]) <= float(row["eps_c"]) <= float(row["eps_hi"])
     assert row["identifiable"] == "1"
-    schema, header, grid = read_csv(out / "collapse_grid.csv")
-    assert schema == COLLAPSE_GRID_SCHEMA
-    assert header == ["eps_c", "nu", "r"]
-    assert len(grid) > 1 and min(float(r[2]) for r in grid) >= 0.0
+    grid = read_csv(out / "collapse_grid.csv", COLLAPSE_GRID)
+    assert list(grid[0]) == ["eps_c", "nu", "r"]
+    assert len(grid) > 1 and min(float(r["r"]) for r in grid) >= 0.0
+
+
+@pytest.mark.parametrize(
+    "table, why",
+    (
+        ("missing.csv", "No such file"),
+        # two points: too few to fit
+        ("# schema=sebd.tau.v1\nepsilon,L_x,tau_over_lx\n0.1,4,1.0\n0.2,8,2.0\n", "need at least three points"),
+        ("# schema=sebd.tau.v1\nepsilon,L_x\n0.1,4\n", "no column 'tau_over_lx'"),
+    ),
+    ids=["missing", "too-few-points", "no-column"],
+)
+def test_collapse_writes_nothing_for_a_table_it_cannot_fit(tmp_path, capsys, table, why):
+    # the output directory used to be made before the table was read
+    path = tmp_path / "tau.csv"
+    if table != "missing.csv":
+        path.write_text(table)
+    out = tmp_path / "out"
+    assert main(["collapse", str(path), "--out", str(out)]) == 1
+    assert why in capsys.readouterr().err
+    assert not out.exists()
 
 
 _UNRAVEL_HEADER = ["channel", "epsilon", "form", "method", "x_cost", "x_crit", "phase_mf"]
@@ -131,18 +148,17 @@ def test_unravel_optimize_config_channels(tmp_path):
     config.write_text("noise_kind: dephasing\nepsilons: [0.05, 0.1]\n")
     out = tmp_path / "out"
     assert main(["unravel-optimize", "--config", str(config), "--out", str(out)]) == 0
-    schema, header, rows = read_csv(out / "unravel.csv")
-    assert schema == UNRAVEL_SCHEMA
-    assert header == _UNRAVEL_HEADER
+    rows = read_csv(out / "unravel.csv", UNRAVEL)
+    assert list(rows[0]) == _UNRAVEL_HEADER
     form = NoiseModel("dephasing", 0.05).forms()[0]
-    assert [r[:4] for r in rows] == [
+    assert [list(r.values())[:4] for r in rows] == [
         ["dephasing", "0.05", form, "analytic"],
         ["dephasing", "0.1", form, "analytic"],
     ]
     for r, eps in zip(rows, (0.05, 0.1)):
         want = unraveling_cost_x(NoiseModel("dephasing", eps).kraus(form))
-        assert float(r[4]) == pytest.approx(want, abs=1e-12)
-        assert r[6] in ("ordered", "disordered")
+        assert float(r["x_cost"]) == pytest.approx(want, abs=1e-12)
+        assert r["phase_mf"] in ("ordered", "disordered")
 
 
 def test_unravel_optimize_kraus_file(tmp_path):
@@ -151,14 +167,25 @@ def test_unravel_optimize_kraus_file(tmp_path):
     path.write_text(json.dumps(kraus_to_dict(kraus)))
     out = tmp_path / "out"
     assert main(["unravel-optimize", str(path), "--out", str(out)]) == 0
-    schema, header, rows = read_csv(out / "unravel.csv")
-    assert schema == UNRAVEL_SCHEMA
-    assert header == _UNRAVEL_HEADER
+    rows = read_csv(out / "unravel.csv", UNRAVEL)
+    assert list(rows[0]) == _UNRAVEL_HEADER
     assert len(rows) == 1
-    label, eps, form, method, x_cost = rows[0][:5]
+    label, eps, form, method, x_cost = list(rows[0].values())[:5]
     assert (label, eps, form, method) == (kraus.label or path.name, "", "file", "numeric")
     # the gauge search starts from the file's own unraveling and only improves on it
     assert float(x_cost) >= unraveling_cost_x(kraus) - 1e-12
+
+
+def test_unravel_optimize_refuses_config_and_kraus_file_together(tmp_path, capsys):
+    # the Kraus file used to win and --config was silently ignored
+    config = tmp_path / "config.yaml"
+    config.write_text("noise_kind: dephasing\nepsilons: [0.05]\n")
+    path = tmp_path / "kraus.json"
+    path.write_text(json.dumps(kraus_to_dict(NoiseModel("dephasing", 0.1).kraus("projective"))))
+    out = tmp_path / "out"
+    assert main(["unravel-optimize", "--config", str(config), str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: unravel-optimize reads --config or a Kraus file, not both\n"
+    assert not out.exists()
 
 
 def test_zero_bitstrings_rejected_before_any_output(tmp_path, capsys):
@@ -221,15 +248,29 @@ def test_bad_lattice_or_reference_rejected_before_any_output(tmp_path, capsys, c
     (
         ("n_trajectories", 2.5), ("lx_list", [4.7]), ("seeds", [1.9]), ("aspect", 3.99),
         ("chi_max", True), ("ly", 2.5), ("svd_cutoff", True), ("epsilons", [False]),
+        ("output_dir", 5), ("output_dir", None),
     ),
 )
 def test_numbers_a_cast_would_change_rejected_before_any_output(tmp_path, capsys, key, value):
-    # int() used to truncate them silently (2.5 ran 2 trajectories, true a chi_max of 1)
+    # int() used to truncate them silently (2.5 ran 2 trajectories, true a
+    # chi_max of 1); a str key took any value, and output_dir 5 or null
+    # crashed with a TypeError traceback
     config = tmp_path / "config.yaml"
     config.write_text(json.dumps({"lx_list": [2], "ly": 2, "n_trajectories": 2, key: value}))
     out = tmp_path / "out"
     assert main(["sample", "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key} takes")
+    assert not out.exists()
+
+
+def test_nan_epsilon_rejected_before_any_output(tmp_path, capsys):
+    # NaN < 0 is False, so it used to pass, and sample wrote the files of
+    # 0.01 before failing on the NaN circuit
+    config = tmp_path / "config.yaml"
+    config.write_text("lx_list: [2]\nly: 2\nn_trajectories: 2\nepsilons: [0.01, .nan]\n")
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: epsilons must be non-negative\n"
     assert not out.exists()
 
 
@@ -266,16 +307,15 @@ def test_phase_sweep_table_matches_pointwise_for_any_worker_count(tmp_path):
         tables.append((out / "tau.csv").read_bytes())
     assert tables[0] == tables[1]
 
-    schema, header, rows = read_csv(tmp_path / "out1" / "tau.csv")
-    assert schema == TAU_SCHEMA
-    assert [row[header.index("seed")] for row in rows] == ["1", "2"]
+    rows = read_csv(tmp_path / "out1" / "tau.csv", TAU)
+    assert [row["seed"] for row in rows] == ["1", "2"]
     for row in rows:
-        seed = int(row[header.index("seed")])
+        seed = int(row["seed"])
         point = purification_point(load_config(config), 0.25, 4, seed)
-        assert row[header.index("n_rows")] == str(point["n_rows"])
+        assert row["n_rows"] == str(point["n_rows"])
         for key in ("s_final", "tau", "tau_over_lx", "residual"):
-            assert row[header.index(key)] == f"{point[key]:.8e}"
-        assert row[header.index("status")] == point["status"]
+            assert row[key] == f"{point[key]:.8e}"
+        assert row["status"] == point["status"]
 
 
 @pytest.mark.parametrize(
@@ -330,3 +370,97 @@ def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
         main(argv)
     assert stop.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_PINNED_TAU_TABLE = """\
+# schema=sebd.tau.v1
+epsilon,L_x,seed,n_trajectories,n_rows,s_final,tau,tau_over_lx,residual,status
+0.02,8,1,8,24,0.00000000e+00,1.48995925e+01,1.86244906e+00,1.00000000e-01,ok
+0.035,8,1,8,24,0.00000000e+00,1.53269819e+01,1.91587274e+00,1.00000000e-01,ok
+0.05,8,1,8,24,0.00000000e+00,1.60792486e+01,2.00990607e+00,1.00000000e-01,ok
+0.065,8,1,8,24,0.00000000e+00,1.65161070e+01,2.06451338e+00,1.00000000e-01,ok
+0.08,8,1,8,24,0.00000000e+00,1.72525918e+01,2.15657397e+00,1.00000000e-01,ok
+0.02,16,1,8,48,0.00000000e+00,2.79879890e+01,1.74924931e+00,1.00000000e-01,ok
+0.035,16,1,8,48,0.00000000e+00,3.00095752e+01,1.87559845e+00,1.00000000e-01,ok
+0.05,16,1,8,48,0.00000000e+00,3.19985838e+01,1.99991149e+00,1.00000000e-01,ok
+0.065,16,1,8,48,0.00000000e+00,3.39932288e+01,2.12457680e+00,1.00000000e-01,ok
+0.08,16,1,8,48,0.00000000e+00,3.60092914e+01,2.25058071e+00,1.00000000e-01,ok
+"""
+
+
+def test_command_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    # a change to a table's columns, their order or number formats, to the
+    # sample records, the instance JSON or a command's stdout changes a
+    # digest. The cases keep their printed digits clear of roundoff:
+    # chi_max 2 truncates for real, so trunc_total sums weights of order
+    # 0.1, and the purification cells fit entropies above 1e-4.
+    monkeypatch.chdir(tmp_path)
+    base = "unravel_form: weak-tetrahedron\nseeds: [3]\n"
+    sample = base + "lx_list: [3]\nly: 4\nepsilons: [0.0, 0.05]\nn_trajectories: 6\nchi_max: 2\n"
+    bench = base + "epsilons: [0.05]\nn_trajectories: 20\nn_bitstrings: 3\n"
+    files = {
+        "sample.yaml": sample,
+        "entropy.yaml": sample + "telemetry: [entropy]\n",
+        "sweep.yaml": base + "lx_list: [4]\nschedule: ABCDABCD\nepsilons: [0.02, 0.1]\nn_trajectories: 2\n",
+        "dense.yaml": bench + "lx_list: [2]\nly: 4\nreference: dense\n",
+        "mpo.yaml": bench + "lx_list: [3]\nreference: mpo\n",
+        "unravel.yaml": "noise_kind: dephasing\nepsilons: [0.05, 0.1]\n",
+        "tau.csv": _PINNED_TAU_TABLE,
+        "kraus.json": json.dumps(kraus_to_dict(NoiseModel("dephasing", 0.1).kraus("projective"))),
+    }
+    for name, text in files.items():
+        Path(name).write_text(text)
+    commands = {
+        "sample": ["sample", "--config", "sample.yaml", "--out", "sample"],
+        "sample-entropy": ["sample", "--config", "entropy.yaml", "--out", "entropy"],
+        "phase-sweep": ["phase-sweep", "--config", "sweep.yaml", "--out", "sweep"],
+        "benchmark-dense": ["benchmark", "--config", "dense.yaml", "--out", "dense"],
+        "benchmark-mpo": ["benchmark", "--config", "mpo.yaml", "--out", "mpo"],
+        "collapse-grid": ["collapse", "tau.csv", "--grid", "--out", "collapse"],
+        "unravel-config": ["unravel-optimize", "--config", "unravel.yaml", "--out", "unravel"],
+        "unravel-kraus": ["unravel-optimize", "kraus.json", "--out", "kraus"],
+    }
+    got = {}
+    for name, argv in commands.items():
+        assert main(argv) == 0
+        got[f"{name} stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    for path in sorted(tmp_path.glob("*/*")):
+        data = path.read_bytes()
+        if path.name == "tau.csv":
+            # s_final is the entropy after the last row-step, which reads out
+            # every slot: roundoff, whose digits move with the BLAS thread
+            # count, so only its format is checked
+            lines = data.decode().splitlines(keepends=True)
+            for k in range(2, len(lines)):
+                cells = lines[k].split(",")
+                assert re.fullmatch(r"\d\.\d{8}e[+-]\d\d", cells[5]), lines[k]
+                lines[k] = ",".join([*cells[:5], "s_final", *cells[6:]])
+            data = "".join(lines).encode()
+        got[path.relative_to(tmp_path).as_posix()] = hashlib.sha256(data).hexdigest()[:16]
+    assert got == {
+        "sample stdout": "7bb1261421d0d66f",
+        "sample/samples_eps0.txt": "a3f3d9223de6c74b",
+        "sample/samples_eps0.05.txt": "102efab5470246a0",
+        "sample/telemetry_eps0.csv": "d3c09c80bb784164",
+        "sample/telemetry_eps0.05.csv": "b981c5bbc7b7376e",
+        "sample-entropy stdout": "12c1888185b2a507",
+        "entropy/samples_eps0.txt": "a3f3d9223de6c74b",
+        "entropy/samples_eps0.05.txt": "102efab5470246a0",
+        "entropy/telemetry_eps0.csv": "64f778d4f867faff",
+        "entropy/telemetry_eps0.05.csv": "4c144b1a1a60276c",
+        "phase-sweep stdout": "5ca6c90c4d0521cd",
+        "sweep/tau.csv": "9ace0204cc4420f8",
+        "benchmark-dense stdout": "fdf17d00c1b1b564",
+        "dense/instance_eps0.05.json": "3c6ca655839366e7",
+        "dense/benchmark_eps0.05.csv": "3e9c2f6e233a9acb",
+        "benchmark-mpo stdout": "8e69db21d22ef292",
+        "mpo/instance_eps0.05.json": "858606999a73f38e",
+        "mpo/benchmark_eps0.05.csv": "cafeadde85a2e02d",
+        "collapse-grid stdout": "8fc3ac54b1a0de06",
+        "collapse/collapse.csv": "a0a6bc9a19735e0f",
+        "collapse/collapse_grid.csv": "52e7251752e2bf4c",
+        "unravel-config stdout": "da1aa197740f8cff",
+        "unravel/unravel.csv": "44646525ecb53e79",
+        "unravel-kraus stdout": "c298e348573aaef6",
+        "kraus/unravel.csv": "fc9162b00ecfee88",
+    }

@@ -6,8 +6,11 @@ from sebd.channels import NoiseModel
 from sebd.lightcone import CompileError, build_lattice, compile_sebd, random_instance
 from sebd.sampler import RunConfig, run_trajectory
 from sebd.serialize import (
-    TAU_SCHEMA,
+    TAU,
+    TELEMETRY,
+    UNRAVEL,
     SerializeError,
+    Table,
     format_sample_record,
     load_circuit,
     parse_sample_record,
@@ -26,27 +29,56 @@ def small_circuit(seed=0):
 class TestCsv:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "t.csv"
-        rows = [[0.02, 8, "1.5"], [0.05, 12, "0.7"]]
-        write_csv(p, TAU_SCHEMA, ["epsilon", "L_x", "value"], rows)
-        schema, header, back = read_csv(p, expect_schema=TAU_SCHEMA)
-        assert schema == TAU_SCHEMA
-        assert header == ["epsilon", "L_x", "value"]
-        assert back == [["0.02", "8", "1.5"], ["0.05", "12", "0.7"]]
+        rows = [{"epsilon": 0.02, "L_x": 8, "status": "1.5"}, {"epsilon": 0.05, "L_x": 12, "status": "0.7"}]
+        write_csv(p, TAU, rows)
+        back = read_csv(p, TAU)
+        assert [list(row) for row in back] == [["epsilon", "L_x", "status"]] * 2
+        assert [list(row.values()) for row in back] == [["0.02", "8", "1.5"], ["0.05", "12", "0.7"]]
 
     def test_schema_line_first(self, tmp_path):
         p = tmp_path / "t.csv"
-        write_csv(p, "sebd.x.v1", ["a"], [[1]])
+        write_csv(p, Table("sebd.x.v1", {"a": ""}), [{"a": 1}])
         assert p.read_text().splitlines()[0] == "# schema=sebd.x.v1"
 
     def test_schema_mismatch_and_missing(self, tmp_path):
         p = tmp_path / "t.csv"
-        write_csv(p, "sebd.x.v1", ["a"], [[1]])
+        write_csv(p, Table("sebd.x.v1", {"a": ""}), [{"a": 1}])
         with pytest.raises(SerializeError, match="expected"):
-            read_csv(p, expect_schema="sebd.y.v1")
+            read_csv(p, Table("sebd.y.v1", {"a": ""}))
         q = tmp_path / "plain.csv"
         q.write_text("a,b\n1,2\n")
         with pytest.raises(SerializeError, match="schema"):
-            read_csv(q)
+            read_csv(q, Table("sebd.x.v1", {"a": "", "b": ""}))
+
+    def test_header_lists_the_columns_rows_hold_in_table_order(self, tmp_path):
+        p = tmp_path / "t.csv"
+        row = {"trunc_total": 1.5e-3, "ok": True, "trajectory": 0, "chi_max": 4, "seed": 7}
+        write_csv(p, TELEMETRY, [row])
+        assert p.read_text().splitlines()[1:] == [
+            "trajectory,seed,ok,chi_max,trunc_total",
+            "0,7,1,4,1.50000000e-03",
+        ]
+        write_csv(p, TELEMETRY, [{**row, "s_mid_max": 0.25}])
+        assert p.read_text().splitlines()[1].endswith(",s_mid_max")
+        write_csv(p, UNRAVEL, [{"channel": "k.json", "epsilon": None}])
+        assert p.read_text().splitlines()[2] == "k.json,"
+
+    def test_rows_that_differ_from_the_header_raise_before_writing(self, tmp_path):
+        p = tmp_path / "t.csv"
+        with pytest.raises(SerializeError, match="header"):
+            write_csv(p, TAU, [{"epsilon": 0.1, "L_x": 4}, {"epsilon": 0.2}])
+        with pytest.raises(SerializeError, match="no columns"):
+            write_csv(p, TAU, [{"epsilon": 0.1, "chi": 4}])
+        assert not p.exists()
+
+    def test_read_refuses_unknown_columns_and_ragged_rows(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("# schema=sebd.tau.v1\nepsilon,chi\n0.1,4\n")
+        with pytest.raises(SerializeError, match="no columns"):
+            read_csv(p, TAU)
+        p.write_text("# schema=sebd.tau.v1\nepsilon,L_x\n0.1,4,5\n")
+        with pytest.raises(SerializeError, match="length"):
+            read_csv(p, TAU)
 
 
 class TestSampleRecords:
