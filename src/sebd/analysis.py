@@ -113,8 +113,10 @@ def _as_point_arrays(points) -> tuple:
     return eps, ell, y
 
 
-def data_collapse(points, return_grid: bool = False):
-    """Grid minimization of the collapse objective, then local refinement.
+def data_collapse(points):
+    """Grid minimization of the collapse objective, then local refinement;
+    returns (fit, (eps_grid, nu_grid, r)) with r[i, j] the objective at
+    (eps_grid[i], nu_grid[j]).
 
     The eps_c grid spans the swept epsilon range at EPS_RES; nu runs over
     NU_RANGE at NU_RES. The error box is the bounding rectangle of grid
@@ -159,7 +161,5 @@ def data_collapse(points, return_grid: bool = False):
     else:
         box = (eps_c, eps_c, nu, nu)
     fit = CollapseFit(eps_c=eps_c, nu=nu, r_min=r_min, box=box, identifiable=identifiable)
-    if return_grid:
-        return fit, (eps_grid, nu_grid, r)
-    return fit
+    return fit, (eps_grid, nu_grid, r)
 

@@ -21,7 +21,9 @@ compile_sebd before any trajectory runs; the sampler takes only compiled
 circuits. All randomness flows from the config seeds, so reruns with the
 same config produce byte-identical outputs. --workers parallelizes sample
 over its lane blocks of up to 256 trajectories, and phase-sweep over sweep
-cells; results are reduced in deterministic order either way. Each
+cells; a pool never holds more processes than there are blocks or cells,
+and one block or cell runs in-process. Results are reduced in
+deterministic order either way. Each
 subcommand takes only the flags it reads (benchmark also accepts
 --workers, which it ignores). sample and benchmark run one instance, so a
 config whose lx_list or seeds holds more than one entry is refused before
@@ -188,8 +190,9 @@ def cmd_phase_sweep(args) -> int:
         for l_x in cfg.lx_list
         for seed in cfg.seeds
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_sweep_cell, jobs))
     else:
         points = [_sweep_cell(j) for j in jobs]
@@ -238,15 +241,13 @@ def cmd_collapse(args) -> int:
     except KeyError as exc:
         raise SerializeError(f"{args.table}: no column {exc}") from exc
     pts = [(eps, l_x, float(np.mean(ys))) for (eps, l_x), ys in sorted(by_cell.items())]
-    result = data_collapse(pts, return_grid=args.grid)
-    fit, grid = result if args.grid else (result, None)
+    fit, (eps_grid, nu_grid, r) = data_collapse(pts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     box = dict(zip(("eps_lo", "eps_hi", "nu_lo", "nu_hi"), fit.box))
     row = {"eps_c": fit.eps_c, "nu": fit.nu, "r_min": fit.r_min, **box, "identifiable": fit.identifiable}
     write_csv(out / "collapse.csv", COLLAPSE, [row])
-    if grid is not None:
-        eps_grid, nu_grid, r = grid
+    if args.grid:
         rows = [
             {"eps_c": e, "nu": n, "r": r[i, j]}
             for i, e in enumerate(eps_grid)
@@ -293,10 +294,8 @@ def cmd_unravel_optimize(args) -> int:
     ]
     for row in rows:
         c = UNRAVEL.cells(row)
-        print(
-            f"{c['channel']} eps={c['epsilon'] or '-'} [{c['method']}] "
-            f"x={c['x_cost']} x_c={c['x_crit']} phase={c['phase_mf']}"
-        )
+        eps = f" eps={c['epsilon']}" if c["epsilon"] else ""
+        print(f"{c['channel']}{eps} [{c['method']}] x={c['x_cost']} x_c={c['x_crit']} phase={c['phase_mf']}")
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "unravel.csv"

@@ -1,6 +1,15 @@
-"""Fixed gate matrices and the single-qubit gate sets used by circuit families."""
+"""Fixed gate matrices and the single-qubit gate sets used by circuit families.
+
+The Clifford group lives here once: clifford_table enumerates the one- and
+two-qubit groups breadth first. CLIFFORD_1Q, the circuits' one-qubit
+Clifford set, is the one-qubit table's matrices, and the tableau oracle
+(sebd.oracles.tableau) reads both tables' step sequences to decompose
+Clifford gates into H, S and CNOT.
+"""
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -58,30 +67,54 @@ ROTATION_SET = tuple(
 )
 
 
-def _canon_key(m: np.ndarray) -> bytes:
-    # canonical form up to global phase, for deduplication; adding 0.0
-    # collapses IEEE negative zeros so equal matrices give equal bytes
+def canon_key(m: np.ndarray) -> bytes:
+    """m's entries up to global phase, to 6 digits, as bytes: equal for two
+    unitaries that differ by a phase. Adding 0.0 collapses IEEE negative
+    zeros so equal matrices give equal bytes."""
     idx = np.argmax(np.abs(m) > 1e-6)
     ph = m.flat[idx] / abs(m.flat[idx])
     return (np.round(m / ph, 6) + 0.0).tobytes()
 
 
-def _enumerate_1q_cliffords() -> tuple[np.ndarray, ...]:
-    found: dict[bytes, np.ndarray] = {_canon_key(I2): I2}
-    frontier = [I2]
+@cache
+def clifford_table(n_qubits: int) -> dict[bytes, tuple[np.ndarray, tuple]]:
+    """The n-qubit Clifford group (n = 1 or 2) up to global phase, by one
+    breadth-first search from the identity under left multiplication by
+    H and S on each qubit (and CNOT both ways on two).
+
+    Maps each element's canon_key to its matrix and the sequence of steps
+    ("H", q), ("S", q), ("CNOT", control, target) whose product, first step
+    applied first, it is; entries are in discovery order. Built on first
+    use: the two-qubit table (11520 elements) takes about a second.
+    """
+    if n_qubits == 1:
+        gens = ((("H", 0), H), (("S", 0), S))
+    else:
+        cnot_ba = CNOT.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+        gens = (
+            (("H", 0), np.kron(H, I2)),
+            (("H", 1), np.kron(I2, H)),
+            (("S", 0), np.kron(S, I2)),
+            (("S", 1), np.kron(I2, S)),
+            (("CNOT", 0, 1), CNOT),
+            (("CNOT", 1, 0), cnot_ba),
+        )
+    eye = np.eye(2**n_qubits, dtype=complex)
+    table = {canon_key(eye): (eye, ())}
+    frontier = [(eye, ())]
     while frontier:
         nxt = []
-        for m in frontier:
-            for g in (H, S):
-                c = g @ m
-                k = _canon_key(c)
-                if k not in found:
-                    found[k] = c
-                    nxt.append(c)
+        for m, seq in frontier:
+            for step, g in gens:
+                mm = g @ m
+                key = canon_key(mm)
+                if key not in table:
+                    table[key] = (mm, seq + (step,))
+                    nxt.append(table[key])
         frontier = nxt
-    assert len(found) == 24
-    return tuple(found.values())
+    assert len(table) == {1: 24, 2: 11520}[n_qubits]
+    return table
 
 
 #: All 24 single-qubit Cliffords (fixed order; index is the sampling label).
-CLIFFORD_1Q = _enumerate_1q_cliffords()
+CLIFFORD_1Q = tuple(m for m, _ in clifford_table(1).values())

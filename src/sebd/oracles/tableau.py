@@ -2,8 +2,10 @@
 
 Bit-packed CHP-style tableau (destabilizer + stabilizer generator rows with
 phase exponents mod 4).  Arbitrary Clifford unitaries are admitted by
-decomposing them into H/S/CNOT sequences found by breadth-first search over
-the Clifford group, matching matrices up to global phase; a gate with no
+decomposing them into H/S/CNOT sequences, matched up to global phase in
+sebd.gates.clifford_table: the one breadth-first enumeration of the one-
+and two-qubit Clifford groups, which also gives the circuits' CLIFFORD_1Q.
+The two-qubit table is built on the first two-qubit gate. A gate with no
 match raises, which is how non-Clifford input is detected.
 
 Depolarizing noise enters per trajectory as the erasure unraveling: with
@@ -15,12 +17,11 @@ projective Z measurement with probability 2*eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import log
 
 import numpy as np
 
-from ..gates import CNOT, H, I2, S
+from ..gates import canon_key, clifford_table
 from ..lightcone import Circuit2D
 
 __all__ = [
@@ -38,80 +39,34 @@ class TableauError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# Clifford decomposition tables
-
-
-def _canon_key(m: np.ndarray) -> bytes:
-    idx = np.argmax(np.abs(m) > 1e-6)
-    ph = m.flat[idx] / abs(m.flat[idx])
-    return (np.round(m / ph, 6) + 0.0).tobytes()
-
-
-@lru_cache(maxsize=1)
-def _table_1q() -> dict:
-    table = {_canon_key(np.eye(2, dtype=complex)): ()}
-    frontier = [(np.eye(2, dtype=complex), ())]
-    gens = (("H", H), ("S", S))
-    while frontier:
-        nxt = []
-        for m, seq in frontier:
-            for name, g in gens:
-                mm = g @ m
-                key = _canon_key(mm)
-                if key not in table:
-                    table[key] = seq + ((name, 0),)
-                    nxt.append((mm, seq + ((name, 0),)))
-        frontier = nxt
-    if len(table) != 24:
-        raise TableauError("single-qubit Clifford table has wrong size")
-    return table
-
-
-@lru_cache(maxsize=1)
-def _table_2q() -> dict:
-    cnot_ba = CNOT.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    gens = (
-        (("H", 0), np.kron(H, I2)),
-        (("H", 1), np.kron(I2, H)),
-        (("S", 0), np.kron(S, I2)),
-        (("S", 1), np.kron(I2, S)),
-        (("CNOT", 0, 1), CNOT),
-        (("CNOT", 1, 0), cnot_ba),
-    )
-    table = {_canon_key(np.eye(4, dtype=complex)): ()}
-    frontier = [(np.eye(4, dtype=complex), ())]
-    while frontier:
-        nxt = []
-        for m, seq in frontier:
-            for step, g in gens:
-                mm = g @ m
-                key = _canon_key(mm)
-                if key not in table:
-                    table[key] = seq + (step,)
-                    nxt.append((mm, seq + (step,)))
-        frontier = nxt
-    if len(table) != 11520:
-        raise TableauError("two-qubit Clifford table has wrong size")
-    return table
-
-
 def clifford_sequence(m: np.ndarray) -> tuple:
     """H/S/CNOT realization of a Clifford unitary, up to global phase."""
     m = np.asarray(m, dtype=complex)
-    if m.shape == (2, 2):
-        seq = _table_1q().get(_canon_key(m))
-    elif m.shape == (4, 4):
-        seq = _table_2q().get(_canon_key(m))
-    else:
+    n_qubits = {(2, 2): 1, (4, 4): 2}.get(m.shape)
+    if n_qubits is None:
         raise TableauError("only 1- and 2-qubit gates are supported")
-    if seq is None:
+    hit = clifford_table(n_qubits).get(canon_key(m))
+    if hit is None:
         raise TableauError("gate is not Clifford")
-    return seq
+    return hit[1]
 
 
 # ---------------------------------------------------------------------------
 # tableau core
+
+
+def _phase_sum(a, b, c, d):
+    """The rowsum phase rule: summed over qubits, the exponent of i (+1 for
+    XY, YZ, ZX, -1 for the reverse) that the product of the Pauli with
+    x, z bits (a, b) and the one with bits (c, d), in that order, picks
+    up. (c, d) may stack rows on a leading axis; the sum runs over the last
+    (word) axis."""
+    na, nb = ~a, ~b
+    plus = (a & b & d & ~c) | (a & nb & c & d) | (na & b & c & ~d)
+    minus = (a & b & c & ~d) | (a & nb & ~c & d) | (na & b & c & d)
+    pc = np.bitwise_count(plus).sum(axis=-1).astype(np.int64)
+    mc = np.bitwise_count(minus).sum(axis=-1).astype(np.int64)
+    return pc - mc
 
 
 class Tableau:
@@ -195,18 +150,8 @@ class Tableau:
 
     # -- row products -----------------------------------------------------
 
-    def _g_sum(self, src: int, targets: np.ndarray) -> np.ndarray:
-        a, b = self.X[src], self.Z[src]
-        c, d = self.X[targets], self.Z[targets]
-        na, nb = ~a, ~b
-        plus = (a & b & d & ~c) | (a & nb & c & d) | (na & b & c & ~d)
-        minus = (a & b & c & ~d) | (a & nb & ~c & d) | (na & b & c & d)
-        pc = np.bitwise_count(plus).sum(axis=1).astype(np.int64)
-        mc = np.bitwise_count(minus).sum(axis=1).astype(np.int64)
-        return pc - mc
-
     def _mult_rows(self, targets: np.ndarray, src: int):
-        g = self._g_sum(src, targets)
+        g = _phase_sum(self.X[src], self.Z[src], self.X[targets], self.Z[targets])
         self.phase[targets] = (self.phase[targets] + self.phase[src] + g) % 4
         self.X[targets] ^= self.X[src]
         self.Z[targets] ^= self.Z[src]
@@ -251,13 +196,8 @@ class Tableau:
         ph = 0
         for i in np.nonzero(xcol[:n])[0]:
             src = n + int(i)
-            aw, bw = xs, zs
             c, d = self.X[src], self.Z[src]
-            na, nb = ~aw, ~bw
-            plus = (aw & bw & d & ~c) | (aw & nb & c & d) | (na & bw & c & ~d)
-            minus = (aw & bw & c & ~d) | (aw & nb & ~c & d) | (na & bw & c & d)
-            ph += int(np.bitwise_count(plus).sum()) - int(np.bitwise_count(minus).sum())
-            ph += int(self.phase[src])
+            ph += int(_phase_sum(xs, zs, c, d)) + int(self.phase[src])
             xs = xs ^ c
             zs = zs ^ d
         outcome = (ph % 4) // 2

@@ -59,20 +59,20 @@ def planted_points(eps_c=0.05, nu=1.3, sizes=(8, 12, 16, 24)):
 
 class TestDataCollapse:
     def test_planted_crossing_recovered(self):
-        fit = data_collapse(planted_points())
+        fit, _ = data_collapse(planted_points())
         assert fit.identifiable
         assert abs(fit.eps_c - 0.05) / 0.05 < 0.05
         assert abs(fit.nu - 1.3) / 1.3 < 0.10
 
     def test_error_box_contains_optimum(self):
-        fit = data_collapse(planted_points())
+        fit, _ = data_collapse(planted_points())
         eps_lo, eps_hi, nu_lo, nu_hi = fit.box
         assert eps_lo <= fit.eps_c <= eps_hi
         assert nu_lo <= fit.nu <= nu_hi
 
     def test_constant_data_non_identifiable(self):
         pts = [(e, ell, 0.7) for ell in (8, 16) for e in np.linspace(0.01, 0.09, 9)]
-        fit = data_collapse(pts)
+        fit, _ = data_collapse(pts)
         assert not fit.identifiable
         assert fit.r_min < 1e-18
 
@@ -84,12 +84,12 @@ class TestDataCollapse:
 
     def test_argmin_invariances(self):
         pts = planted_points(sizes=(8, 16))
-        base = data_collapse(pts)
+        base, _ = data_collapse(pts)
         rng = np.random.default_rng(0)
         shuffled = [pts[i] for i in rng.permutation(len(pts))]
-        assert data_collapse(shuffled).eps_c == pytest.approx(base.eps_c, abs=1e-9)
+        assert data_collapse(shuffled)[0].eps_c == pytest.approx(base.eps_c, abs=1e-9)
         scaled = [(e, ell, 3.0 * y) for e, ell, y in pts]
-        refit = data_collapse(scaled)
+        refit, _ = data_collapse(scaled)
         assert refit.eps_c == pytest.approx(base.eps_c, abs=1e-9)
         assert refit.nu == pytest.approx(base.nu, abs=1e-9)
         assert refit.r_min == pytest.approx(9.0 * base.r_min, rel=1e-6)
@@ -105,7 +105,7 @@ class TestDataCollapse:
         assert r2 == pytest.approx(4.0 * r1, rel=1e-12)
 
     def test_grid_dump(self):
-        fit, (eps_grid, nu_grid, r) = data_collapse(planted_points(sizes=(8, 16)), return_grid=True)
+        fit, (eps_grid, nu_grid, r) = data_collapse(planted_points(sizes=(8, 16)))
         assert r.shape == (len(eps_grid), len(nu_grid))
         assert r.min() >= 0.0
         assert fit.r_min <= r.min() + 1e-15
@@ -122,6 +122,6 @@ class TestDataCollapse:
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit, (_, nu_grid, r) = data_collapse(pts, return_grid=True)
+            fit, (_, nu_grid, r) = data_collapse(pts)
         assert nu_grid[np.unravel_index(np.argmin(r), r.shape)[1]] > NU_RANGE[1]
         assert fit.nu == NU_RANGE[1]

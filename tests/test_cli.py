@@ -30,9 +30,14 @@ from sebd.serialize import (
 
 def test_import_loads_no_scipy():
     # scipy is only needed by fits, the unraveling optimizer and a rare SVD
-    # fallback; `sebd sample` should not pay for importing it
+    # fallback, and the tableau oracle only by tests; `sebd sample` should
+    # not pay for importing either (the two-qubit Clifford table alone took
+    # about a second to build)
     src = str(Path(sebd.__file__).resolve().parents[1])
-    probe = "import sys, sebd.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    probe = (
+        "import sys, sebd.cli; print(sorted(m for m in sys.modules"
+        " if m.startswith('scipy') or m == 'sebd.oracles.tableau'))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
@@ -161,12 +166,14 @@ def test_unravel_optimize_config_channels(tmp_path):
         assert r["phase_mf"] in ("ordered", "disordered")
 
 
-def test_unravel_optimize_kraus_file(tmp_path):
+def test_unravel_optimize_kraus_file(tmp_path, capsys):
     kraus = NoiseModel("dephasing", 0.1).kraus("projective")
     path = tmp_path / "kraus.json"
     path.write_text(json.dumps(kraus_to_dict(kraus)))
     out = tmp_path / "out"
     assert main(["unravel-optimize", str(path), "--out", str(out)]) == 0
+    # the label already names its epsilon; a stray "eps=-" used to follow it
+    assert capsys.readouterr().out.startswith(f"{kraus.label} [numeric] x=")
     rows = read_csv(out / "unravel.csv", UNRAVEL)
     assert list(rows[0]) == _UNRAVEL_HEADER
     assert len(rows) == 1
@@ -318,6 +325,33 @@ def test_phase_sweep_table_matches_pointwise_for_any_worker_count(tmp_path):
         assert row["status"] == point["status"]
 
 
+@pytest.mark.parametrize("seeds, pools", (([1], []), ([1, 2, 3], [3])))
+def test_phase_sweep_pool_never_exceeds_its_cells(tmp_path, monkeypatch, seeds, pools):
+    # the pool used to take --workers as given, and it forks every worker at
+    # its first submit; a stand-in pool records its size and maps in-process
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools_made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    pools_made = []
+    monkeypatch.setattr("sebd.cli.ProcessPoolExecutor", RecordingPool)
+    config = tmp_path / "config.yaml"
+    config.write_text(f"epsilons: [0.25]\nlx_list: [4]\nseeds: {seeds}\nn_trajectories: 1\n")
+    out = tmp_path / "out"
+    assert main(["phase-sweep", "--config", str(config), "--out", str(out), "--workers", "64"]) == 0
+    assert pools_made == pools
+    assert [int(row["seed"]) for row in read_csv(out / "tau.csv", TAU)] == seeds
+
+
 @pytest.mark.parametrize(
     "strip, why",
     (
@@ -461,6 +495,6 @@ def test_command_outputs_are_pinned(tmp_path, monkeypatch, capsys):
         "collapse/collapse_grid.csv": "52e7251752e2bf4c",
         "unravel-config stdout": "da1aa197740f8cff",
         "unravel/unravel.csv": "44646525ecb53e79",
-        "unravel-kraus stdout": "c298e348573aaef6",
+        "unravel-kraus stdout": "3760fa8044922b2f",
         "kraus/unravel.csv": "fc9162b00ecfee88",
     }

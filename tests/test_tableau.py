@@ -1,11 +1,18 @@
 """Stabilizer tableau oracle: decomposition tables, measurement statistics,
 entropies, and noise unravelings, cross-checked against the dense oracles."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sebd
 from sebd.channels import NoiseModel, choi_matrix, make_dephasing, make_depolarizing
-from sebd.gates import CLIFFORD_1Q, CNOT, CZ, H as H_GATE, I2, S as S_GATE, SWAP, X, Y, Z, fsim, iswap
+from sebd.gates import CLIFFORD_1Q, CNOT, CZ, H as H_GATE, I2, S as S_GATE, SWAP, X, Y, Z, clifford_table, fsim, iswap
 from sebd.lightcone import build_lattice, random_instance
 from sebd.oracles.dense import DenseVector, dense_evolve
 from sebd.oracles.tableau import (
@@ -66,6 +73,41 @@ class TestCliffordSequences:
             clifford_sequence(fsim(np.pi / 2, np.pi / 6))
         with pytest.raises(TableauError):
             clifford_sequence(np.eye(8))
+
+    def test_tables_are_pinned(self):
+        # recorded before the one- and two-qubit searches became one: the
+        # matrices of CLIFFORD_1Q in order, and each table's keys and step
+        # sequences in insertion order. The matrices are rounded to 12
+        # digits, as a few entries hold roundoff (2.2e-17 where a pure-Python
+        # product gives 0) whose last bits depend on the BLAS kernel.
+        def digest(chunks):
+            h = hashlib.sha256()
+            for chunk in chunks:
+                h.update(chunk)
+            return h.hexdigest()[:16]
+
+        got = {"CLIFFORD_1Q": digest((np.round(m, 12) + 0.0).tobytes() for m in CLIFFORD_1Q)}
+        for n in (1, 2):
+            got[f"{n}q"] = digest(key + repr(seq).encode() for key, (_, seq) in clifford_table(n).items())
+        assert got == {"CLIFFORD_1Q": "b9bab7e9d0399020", "1q": "fb798c72b58584d3", "2q": "ea4c24f4b7e3d9d3"}
+
+    def test_two_qubit_table_is_built_on_first_use(self):
+        probe = (
+            "import numpy as np; from sebd.gates import clifford_table; "
+            "from sebd.oracles.tableau import clifford_sequence; "
+            "clifford_sequence(np.eye(2)); print(clifford_table.cache_info().currsize); "
+            "clifford_sequence(np.eye(4)); print(clifford_table.cache_info().currsize)"
+        )
+        src = str(Path(sebd.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert out.stdout.split() == ["1", "2"]
 
 
 class TestTableauStates:
