@@ -76,6 +76,22 @@ def canon_key(m: np.ndarray) -> bytes:
     return (np.round(m / ph, 6) + 0.0).tobytes()
 
 
+# magnitudes of the real and imaginary parts of a product of H, S and CNOT
+# on at most two qubits; 1/sqrt(2) as H holds it
+_CLIFFORD_PARTS = np.array([0.0, 0.5 / np.sqrt(2), 0.5, 1 / np.sqrt(2), 1.0])
+
+
+def _snap(m: np.ndarray) -> np.ndarray:
+    """m with each real and imaginary part snapped to the nearest of 0 and
+    +-_CLIFFORD_PARTS, and no -0.0: the exact product, whatever the BLAS
+    kernel's roundoff. No entry may move by more than 1e-12."""
+    parts = m.view(float)
+    k = np.abs(np.abs(parts)[..., None] - _CLIFFORD_PARTS).argmin(axis=-1)
+    exact = np.copysign(_CLIFFORD_PARTS[k], parts) + 0.0  # + 0.0 turns -0.0 into 0.0
+    assert np.abs(exact - parts).max() <= 1e-12, "not a product of H, S and CNOT"
+    return exact.view(complex)
+
+
 @cache
 def clifford_table(n_qubits: int) -> dict[bytes, tuple[np.ndarray, tuple]]:
     """The n-qubit Clifford group (n = 1 or 2) up to global phase, by one
@@ -84,8 +100,10 @@ def clifford_table(n_qubits: int) -> dict[bytes, tuple[np.ndarray, tuple]]:
 
     Maps each element's canon_key to its matrix and the sequence of steps
     ("H", q), ("S", q), ("CNOT", control, target) whose product, first step
-    applied first, it is; entries are in discovery order. Built on first
-    use: the two-qubit table (11520 elements) takes about a second.
+    applied first, it is; entries are in discovery order. The matrices are
+    snapped to their exact entries (_snap), so the table's bytes do not
+    depend on the BLAS kernel. Built on first use: the two-qubit table
+    (11520 elements) takes about a second.
     """
     if n_qubits == 1:
         gens = ((("H", 0), H), (("S", 0), S))
@@ -113,7 +131,8 @@ def clifford_table(n_qubits: int) -> dict[bytes, tuple[np.ndarray, tuple]]:
                     nxt.append(table[key])
         frontier = nxt
     assert len(table) == {1: 24, 2: 11520}[n_qubits]
-    return table
+    exact = _snap(np.array([m for m, _ in table.values()]))
+    return {key: (m, seq) for (key, (_, seq)), m in zip(table.items(), exact)}
 
 
 #: All 24 single-qubit Cliffords (fixed order; index is the sampling label).

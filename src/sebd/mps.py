@@ -19,11 +19,15 @@ right of it a right isometry (A.reshape(l, 2*r) has orthonormal rows), so
 each lane's norm and all its weight sit in ``tensors[center]``. Single-site
 operations (Kraus sampling, measurement, projection, entropies) first move
 the centre onto their site with one stacked QR per step. A two-site update
-only needs the centre somewhere in its block {pos, pos+1}: the SVD of the
-block leaves an isometry on one side and puts the singular values on the
-other, which becomes the new centre (the right site by default, the left
-one with ``center_left``). Swap routing towards the gate therefore carries
-the centre along with the swapped content, and no QR runs between swaps.
+only needs the centre somewhere in its block {pos, pos+1}: the SVD of a
+gate's block leaves an isometry on one side and puts the singular values on
+the other, which becomes the new centre (the right site by default, the
+left one with ``center_left``). A routing swap follows the swap rule of
+TruncationPolicy: it is the identity or one QR/LQ where it splits exactly,
+and an SVD like a gate's elsewhere, and either leaves the centre on the
+side it is asked for. Swap routing towards the gate therefore carries the
+centre along with the swapped content, and no centre move runs between
+swaps.
 
 Loose slots: in SEBD every qubit enters the strip fresh and leaves it at
 its readout, and from its load until its first two-qubit gate, and again
@@ -79,27 +83,30 @@ roundoff of zero and its vectors may lie in the padding): the tensors are
 padded to the largest rank of any lane, and each lane's values past its
 own rank are zeroed and its kept ones renormalized; when every lane keeps
 the same count, the common case, the values are cut by one slice and no
-mask is built. ``ranks`` holds every lane's own dimensions of the chain's
-bonds, ``bond_dims()`` the padded ones, ``discarded`` each lane's
-discarded weight by lane id, and ``trunc_log`` their sum. ``peak`` holds
-each lane's peak bond dimension by lane id. apply_2q raises it to the
-lane's largest rank on return, after its routing swaps back, so a rank a
-swap passes through on its way does not count, and a lane that fails
-inside the gate keeps the peak it had. Only apply_2q's truncations raise a
-rank (attach_reference's Bell pair aside, which sample never attaches), so
-no other kernel touches peak. ``rng.random()``
-returns one uniform for every lane id of the block, and each lane makes
-its own Born pick and its own measurement: its bit is 0 when its uniform
-falls below its own p0. ``entropy`` and ``reference_entropy`` return one
-value per lane. A lane whose Born check, hard_fail_chi, measurement (a
-null branch) or projection (a probability that is not finite) fails leaves
-the state, with the error text kept in ``failed``; a lane whose projection
-falls below the floor leaves it silently (its weight is 0). The checks are
-written so that NaN fails them. A lane leaving takes its tensors and its
-loose vectors along; ``lanes`` lists the ids of those left, and the last
-one leaving raises its error (MpsError when it left silently), so a state
-of one lane fails as a single trajectory would. ``to_dense``,
-``amplitude`` and ``norm`` read a state of one lane.
+mask is built. A routing swap splits each lane by its own ranks and peak,
+as it would alone (the swap rule): the lanes split exactly take the
+identity when it is exact for each of them and one stacked QR otherwise,
+and the rest the truncated SVD. ``ranks`` holds every lane's own
+dimensions of the chain's bonds, ``bond_dims()`` the padded ones,
+``discarded`` each lane's discarded weight by lane id, and ``trunc_log``
+their sum. ``peak`` holds each lane's peak bond dimension by lane id.
+apply_2q raises it to the lane's largest rank on return, after its routing
+swaps back, so a rank a swap passes through on its way does not count, and
+a lane that fails inside the gate keeps the peak it had. Only apply_2q
+raises a rank (attach_reference's Bell pair aside, which sample never
+attaches), so no other kernel touches peak. ``rng.random()`` returns one
+uniform for every lane id of the block, and each lane makes its own Born
+pick and its own measurement: its bit is 0 when its uniform falls below its
+own p0. ``entropy`` and ``reference_entropy`` return one value per lane.
+A lane whose Born check, hard_fail_chi, measurement (a null branch) or
+projection (a probability that is not finite) fails leaves the state, with
+the error text kept in ``failed``; a lane whose projection falls below the
+floor leaves it silently (its weight is 0). The checks are written so that
+NaN fails them. A lane leaving takes its tensors and its loose vectors
+along; ``lanes`` lists the ids of those left, and the last one leaving
+raises its error (MpsError when it left silently), so a state of one lane
+fails as a single trajectory would. ``to_dense``, ``amplitude`` and
+``norm`` read a state of one lane.
 """
 
 from __future__ import annotations
@@ -129,11 +136,22 @@ class TruncationOverflow(MpsError):
 class TruncationPolicy:
     """SVD truncation rule: relative cutoff first, then a hard cap.
 
-    Singular values with lambda/lambda_max >= svd_cutoff are kept, at most
-    chi_max of them; a cutoff below SVD_FLOOR acts as SVD_FLOOR, so a
-    cutoff of 0 keeps every value that is not roundoff of zero. If
-    hard_fail_chi is set and the post-cutoff rank exceeds it, the operation
-    raises instead of truncating silently.
+    It applies where a two-site block is split by SVD: a gate's, and a
+    routing swap's outside the swap rule below (a readout's split is cut at
+    SVD_FLOOR alone). Singular values with lambda/lambda_max >= svd_cutoff
+    are kept, at most chi_max of them; a cutoff below SVD_FLOOR acts as
+    SVD_FLOOR, so a cutoff of 0 keeps every value that is not roundoff of
+    zero. If hard_fail_chi is set and the post-cutoff rank exceeds it, the
+    operation raises instead of truncating silently.
+
+    Swap rule: a routing swap only reorders the chain. A lane whose exact
+    bound 2 min(l, r), l and r its own ranks of the block's outer bonds,
+    does not exceed its peak chi so far is split exactly, with no SVD and
+    nothing discarded, whatever the cutoff, and that bound is its new bond.
+    Every other lane takes the truncated SVD. An exact split may keep null
+    directions, since the bound can exceed the rank, but never past the
+    peak: it raises no lane's peak, and none reaches chi_max or fails
+    hard_fail_chi, which the peak never passes.
     """
 
     chi_max: int = 512
@@ -403,27 +421,10 @@ class MatrixProductState:
 
     # -- canonical form ----------------------------------------------------
 
-    def _own_part(self, c: int) -> np.ndarray | None:
-        """The tensor at c with each lane's entries past its own ranks zeroed.
-
-        None when no lane is padded there. Householder QR leaves rows that
-        are exactly zero out of every reflector, so with the padding zeroed
-        and a lane's own rows first, a rank-deficient lane completes its
-        isometry inside its own ranks, as it would alone, and roundoff in
-        the padding cannot tilt it.
-        """
-        t = self.tensors[c]
-        rl, rr = self.ranks[:, c], self.ranks[:, c + 1]
-        l, r = t.shape[-3], t.shape[-1]
-        if (rl == l).all() and (rr == r).all():
-            return None
-        rows, cols = np.arange(l) < rl[:, None], np.arange(r) < rr[:, None]
-        return t * (rows[:, :, None, None] & cols[:, None, None, :])
-
     def _shift_right(self):
         c = self.center
         a, b = self.tensors[c], self.tensors[c + 1]
-        own = self._own_part(c)
+        own = _own_part(a, self.ranks[:, c], self.ranks[:, c + 1])
         if own is not None:  # rows (l, s): a lane's own rows come first
             a = own
         n, l, s, r = a.shape
@@ -437,7 +438,7 @@ class MatrixProductState:
         # LQ from the QR of the transpose: a = rm.T @ q.T, q.T has orthonormal rows
         c = self.center
         a, b = self.tensors[c], self.tensors[c - 1]
-        own = self._own_part(c)
+        own = _own_part(a, self.ranks[:, c], self.ranks[:, c + 1])
         if own is not None:  # columns (r, s), so a lane's own ones come first
             a = own.swapaxes(-1, -2)
         n, l, s, r = a.shape
@@ -489,14 +490,16 @@ class MatrixProductState:
 
         A loose site joins the chain first (_join), so routing runs over
         chain positions. The gate matrix is ordered so its first tensor
-        factor acts on i. Every adjacent update (including routing
-        swaps) is truncated per policy, with the discarded probability
-        mass accumulated in discarded. With ``kraus``, the channel then
-        acts on site i and after it on site j, each Born-sampled like
-        apply_kraus (one rng.random() per site) on the gate's two-site
-        block before it is split; the pair of sampled indices is
-        returned, each an array over the lanes live on return, otherwise
-        None. On return each live lane's peak is raised to its largest rank.
+        factor acts on i. The gate's block is truncated per policy, with
+        the discarded probability mass accumulated in discarded; the
+        routing swaps follow the policy's swap rule, exact for a lane
+        within its peak chi and truncated otherwise. With ``kraus``, the
+        channel then acts on site i and after it on site j, each
+        Born-sampled like apply_kraus (one rng.random() per site) on the
+        gate's two-site block before it is split; the pair of sampled
+        indices is returned, each an array over the lanes live on return,
+        otherwise None. On return each live lane's peak is raised to its
+        largest rank.
         """
         if i == j:
             raise MpsError("two-qubit gate needs distinct sites")
@@ -524,13 +527,14 @@ class MatrixProductState:
         self, pos: int, g: np.ndarray | None, policy: TruncationPolicy,
         center_left: bool = False, kraus=None, rng=None, i_right: bool = False,
     ):
-        """Two-site update on (pos, pos+1); g None swaps the two sites.
+        """Two-site update on (pos, pos+1); g None swaps the two sites (_swap).
 
         The centre moves only if it lies outside the block. Afterwards it
-        sits on pos+1, or on pos if center_left is set. With ``kraus`` the
-        channel is sampled on the left site and then on the right one (the
-        other way round if i_right) after the gate (_sample_pair), and the
-        two indices are returned.
+        sits on pos+1, or on pos if center_left is set. A gate's block is
+        split by truncated SVD (_svd_split), a swap's by the swap rule.
+        With ``kraus`` the channel is sampled on the left site and then on
+        the right one (the other way round if i_right) after the gate
+        (_sample_pair), and the two indices are returned.
         """
         if self.center < pos:
             self._move_center(pos)
@@ -540,33 +544,74 @@ class MatrixProductState:
         n, l, r = len(a), a.shape[-3], b.shape[-1]
         theta = a.reshape(n, l * 2, -1) @ b.reshape(n, -1, 2 * r)
         if g is None:
-            theta = theta.reshape(n, l, 2, 2, r).swapaxes(-3, -2)
-        else:
-            theta = np.matmul(g, theta.reshape(n, l, 4, r))
+            return self._swap(pos, theta.reshape(n, l, 2, 2, r), policy, center_left)
+        theta = np.matmul(g, theta.reshape(n, l, 4, r))
         picks = None
         if kraus is not None:
             picks, theta = self._sample_pair(theta, kraus, rng, i_right)
-        u, s, vh = _robust_svd(theta.reshape(len(theta), l * 2, 2 * r))
-        s, kept = self._truncate(s, policy, pos)
+        left, right, kept = self._svd_split(pos, theta, policy, center_left)
+        if kept is not None and picks is not None:
+            picks = tuple(q[kept] for q in picks)
+        self.tensors[pos], self.tensors[pos + 1] = left, right
+        self.center = pos if center_left else pos + 1
+        return picks
+
+    def _svd_split(self, pos, theta, policy, center_left, rows=slice(None)):
+        """Split the block theta (B, l, 4, r) of the lanes ``rows`` at pos by truncated SVD.
+
+        Returns the left and right tensors, the centre's side (the left one
+        if center_left) carrying the kept singular values, and the mask of
+        the lanes kept (None when all were).
+        """
+        n, l, _, r = theta.shape
+        u, s, vh = _robust_svd(theta.reshape(n, l * 2, 2 * r))
+        s, kept = self._truncate(s, policy, pos, rows)
         if kept is not None:
             u, vh = u[kept], vh[kept]
-            if picks is not None:
-                picks = tuple(q[kept] for q in picks)
         n, width = s.shape
         if width < u.shape[-1]:
             u, vh = u[..., :width], vh[..., :width, :]
         # u and vh are the SVD's own arrays, so they can be scaled in place
         if center_left:
             u *= s[..., None, :]
-            self.center = pos
         else:
             vh *= s[..., None]
-            self.center = pos + 1
-        self.tensors[pos] = u.reshape(n, l, 2, width)
-        self.tensors[pos + 1] = vh.reshape(n, width, 2, r)
-        return picks
+        return u.reshape(n, l, 2, width), vh.reshape(n, width, 2, r), kept
 
-    def _truncate(self, s: np.ndarray, policy: TruncationPolicy, pos: int):
+    def _swap(self, pos: int, theta: np.ndarray, policy: TruncationPolicy, center_left: bool):
+        """Swap the sites of the block theta (B, l, 2, 2, r) at pos by TruncationPolicy's swap rule.
+
+        The lanes the rule splits exactly take _exact_split and the others
+        _svd_split; a block that holds both splits each kind as a subset of
+        its lanes and pads the two to one width.
+        """
+        n, l, _, _, r = theta.shape
+        rl, rr = self.ranks[:, pos], self.ranks[:, pos + 2]
+        bound = 2 * np.minimum(rl, rr)
+        exact = bound <= self.peak[self.lanes]
+        if exact.all():
+            left, right = _exact_split(theta, rl, rr, center_left)
+            self.ranks[:, pos + 1] = bound
+        elif not exact.any():
+            swapped = theta.swapaxes(-3, -2).reshape(n, l, 4, r)
+            left, right, _ = self._svd_split(pos, swapped, policy, center_left)
+        else:
+            lanes, svd = self.lanes, ~exact
+            el, er = _exact_split(theta[exact], rl[exact], rr[exact], center_left)
+            self.ranks[exact, pos + 1] = bound[exact]
+            swapped = theta[svd].swapaxes(-3, -2).reshape(-1, l, 4, r)
+            sl, sr, _ = self._svd_split(pos, swapped, policy, center_left, svd)
+            live = np.isin(lanes, self.lanes)  # a lane past hard_fail_chi has left
+            w = max(el.shape[-1], sl.shape[-1])
+            left = np.zeros((n, l, 2, w), dtype=theta.dtype)
+            right = np.zeros((n, w, 2, r), dtype=theta.dtype)
+            left[exact, ..., : el.shape[-1]], right[exact, : el.shape[-1]] = el, er
+            left[svd & live, ..., : sl.shape[-1]], right[svd & live, : sl.shape[-1]] = sl, sr
+            left, right = left[live], right[live]
+        self.tensors[pos], self.tensors[pos + 1] = left, right
+        self.center = pos if center_left else pos + 1
+
+    def _truncate(self, s: np.ndarray, policy: TruncationPolicy, pos: int, rows=slice(None)):
         """Truncate the singular values s (B, k) of the block at pos; returns (values, lanes kept).
 
         Values with s/s_max >= svd_cutoff (SVD_FLOOR at least) are kept, at
@@ -577,11 +622,12 @@ class MatrixProductState:
         rank are zeroed, and the values come cut to the largest rank kept.
         When every lane keeps the same count, the common case, that is one
         slice of all rows. The mask of lanes kept is None when all were.
+        s may hold a subset ``rows`` (a mask) of the lanes.
         """
         cap, cut = policy.hard_fail_chi, max(policy.svd_cutoff, SVD_FLOOR)
         s2 = s * s
         # a lane's values past its own rank are padding; the cutoff may not keep them
-        own = 2 * np.minimum(self.ranks[:, pos], self.ranks[:, pos + 2])
+        own = 2 * np.minimum(self.ranks[rows, pos], self.ranks[rows, pos + 2])
         if (s[:, 0] > 0.0).all():  # s0 / s0 = 1 passes the cutoff, so every lane keeps one or more
             want = np.minimum((s / s[:, :1] >= cut).sum(axis=1), own)
         else:
@@ -590,24 +636,28 @@ class MatrixProductState:
             want = np.where(s[:, 0] > 0.0, np.clip(want, 1, own), 1)
         lanes_kept = None
         if cap is not None and (want > cap).any():
-            over = want > cap
-            lanes_kept = self._retire(over, TruncationOverflow, [
-                f"needed bond {w} exceeds hard_fail_chi={cap}" for w in want[over]
+            over = np.zeros(len(self.lanes), dtype=bool)
+            over[rows] = want > cap
+            live = self._retire(over, TruncationOverflow, [
+                f"needed bond {w} exceeds hard_fail_chi={cap}" for w in want[want > cap]
             ])
+            lanes_kept = live[rows]
+            if not isinstance(rows, slice):
+                rows = rows[live]
             s, s2, want = s[lanes_kept], s2[lanes_kept], want[lanes_kept]
         keep = np.minimum(want, policy.chi_max)
-        self.ranks[:, pos + 1] = keep
-        width = keep[0]
+        self.ranks[rows, pos + 1] = keep
+        lanes, width = self.lanes[rows], keep.max(initial=0)
         if (keep == width).all():  # one slice of every row
             kept = s2.sum(axis=1)
             total = np.maximum(kept, PROB_FLOOR)
             if width < s.shape[1]:
-                self.discarded[self.lanes] += s2[:, width:].sum(axis=1) / total
+                self.discarded[lanes] += s2[:, width:].sum(axis=1) / total
                 s, kept = s[:, :width], s2[:, :width].sum(axis=1)
             return s / np.sqrt(kept / total)[:, None], lanes_kept
         total = np.maximum(s2.sum(axis=1, keepdims=True), PROB_FLOOR)
         tail = np.arange(s.shape[1]) >= keep[:, None]
-        self.discarded[self.lanes] += np.where(tail, s2, 0.0).sum(axis=1) / total[:, 0]
+        self.discarded[lanes] += np.where(tail, s2, 0.0).sum(axis=1) / total[:, 0]
         kept = np.where(tail, 0.0, s2).sum(axis=1, keepdims=True)
         return np.where(tail, 0.0, s)[:, : keep.max()] / np.sqrt(kept / total), lanes_kept
 
@@ -861,13 +911,19 @@ class MatrixProductState:
         self.ranks = np.tile([1, 2, 1], (n, 1))
 
     def reference_entropy(self) -> np.ndarray:
-        """Von Neumann entropy of the reference's one-site reduced state, one per lane."""
+        """Von Neumann entropy of the reference's one-site reduced state, one per lane.
+
+        It is exactly 0 for a lane whose bond right of the reference has own
+        rank 1, whose reduced state has rank 1, rather than the roundoff of
+        its eigenvalues.
+        """
         if not self._has_ref():
             raise MpsError("no reference attached")
         self._move_center(0)
         a = self.tensors[0][:, 0]  # (B, 2, r): the reference's leg, then its right bond
         evals = np.clip(np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2)), 0.0, None)
-        return _spectrum_entropy(evals / evals.sum(axis=-1, keepdims=True))
+        h = _spectrum_entropy(evals / evals.sum(axis=-1, keepdims=True))
+        return np.where(self.ranks[:, 1] == 1, 0.0, h)
 
     # -- dense access ------------------------------------------------------
 
@@ -899,6 +955,54 @@ class MatrixProductState:
         for s in self._loose_slots():
             amp *= complex(self.loose[s, 0, bits[s]])
         return amp
+
+
+def _exact_split(theta: np.ndarray, rl: np.ndarray, rr: np.ndarray, center_left: bool):
+    """The exact split (left, right) of swapped blocks theta (B, l, 2, 2, r) of own ranks rl, rr.
+
+    It reads the swapped block as a matrix m with rows (l, s) and columns
+    (r, s), so each lane's own rows and columns come first, with its
+    padding zeroed (_own_part), and cuts it to the widest lane's bound
+    2 min(rl, rr): past its own bound a lane's part of m is padding. With
+    the centre on the left and every lane's rr <= rl, m is the left tensor
+    and the identity the right one; with the centre on the right and every
+    lane's rl <= rr, the identity is the left tensor and m the right one.
+    Otherwise one stacked QR of m (an LQ for the centre on the left)
+    splits it.
+    """
+    n, l, _, _, r = theta.shape
+    own = _own_part(theta.reshape(n, l, 4, r), rl, rr)
+    if own is not None:
+        theta = own.reshape(theta.shape)
+    m = theta.transpose(0, 1, 3, 4, 2).reshape(n, 2 * l, 2 * r)
+    # a = q c puts the isometry q on a's rows: m's, or m^T's for the centre on the left
+    a, side, other = (m.swapaxes(-1, -2), rr, rl) if center_left else (m, rl, rr)
+    w = 2 * np.minimum(rl, rr).max()
+    if (side <= other).all():  # a read-only identity: no kernel writes a tensor in place
+        d = a.shape[-2]
+        q, c = np.broadcast_to(np.eye(d, w, dtype=a.dtype), (n, d, w)), a[:, :w]
+    else:
+        q, c = np.linalg.qr(a)
+        q, c = q[..., :w], c[:, :w]
+    left, right = (c.swapaxes(-1, -2), q.swapaxes(-1, -2)) if center_left else (q, c)
+    # the right tensor's columns are (r, s): put its physical leg in the middle
+    return left.reshape(n, l, 2, w), right.reshape(n, w, r, 2).swapaxes(-1, -2)
+
+
+def _own_part(t: np.ndarray, rl: np.ndarray, rr: np.ndarray) -> np.ndarray | None:
+    """t (B, l, s, r) with each lane's entries past its own ranks rl, rr zeroed.
+
+    None when no lane is padded there. Householder QR leaves rows that
+    are exactly zero out of every reflector, so with the padding zeroed
+    and a lane's own rows first, a rank-deficient lane completes its
+    isometry inside its own ranks, as it would alone, and roundoff in
+    the padding cannot tilt it.
+    """
+    l, r = t.shape[-3], t.shape[-1]
+    if (rl == l).all() and (rr == r).all():
+        return None
+    rows, cols = np.arange(l) < rl[:, None], np.arange(r) < rr[:, None]
+    return t * (rows[:, :, None, None] & cols[:, None, None, :])
 
 
 def _born_pick(probs: np.ndarray, u: np.ndarray):

@@ -77,7 +77,8 @@ class TrajectoryRecord:
     order. entropies holds the von Neumann entropy at the mid-chain cut
     after every row-step, when sample is asked for it. chi_max_seen is the
     largest bond dimension of the trajectory's state as each two-qubit
-    gate, its routing swaps included, leaves it (MatrixProductState.peak).
+    gate, its routing swaps included, leaves it (MatrixProductState.peak);
+    a routing swap's exact split never raises it (TruncationPolicy).
     A failed trajectory carries the error text in `failed` and partial
     telemetry; it is never silently dropped.
     """

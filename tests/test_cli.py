@@ -49,6 +49,30 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_phase_sweep_table_is_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    # after the last readout the reference is pure and its bond has rank 1:
+    # s_final is written as exactly 0, not as roundoff whose digits move
+    # with the BLAS thread count
+    src = str(Path(sebd.__file__).resolve().parents[1])
+    (tmp_path / "sweep.yaml").write_text(
+        "unravel_form: weak-tetrahedron\nseeds: [3]\nlx_list: [4]\nschedule: ABCDABCD\n"
+        "epsilons: [0.02]\nn_trajectories: 2\n"
+    )
+    tables = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src}
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        subprocess.run(
+            [sys.executable, "-m", "sebd.cli", "phase-sweep", "--config", "sweep.yaml",
+             "--out", f"out{threads}"],
+            cwd=tmp_path, env=env, capture_output=True, check=True, timeout=300,
+        )
+        tables.append((tmp_path / f"out{threads}" / "tau.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert tables[0].decode().splitlines()[2].split(",")[5] == "0.00000000e+00"
+
+
 def test_sample_writes_one_record_per_trajectory(tmp_path):
     config = tmp_path / "config.yaml"
     config.write_text(

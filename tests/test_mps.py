@@ -1,6 +1,7 @@
 """MPS backend tests, cross-checked against the dense oracles."""
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from sebd.channels import (
     make_dephasing,
     make_depolarizing,
 )
-from sebd.gates import CNOT, CZ, H, W, X, fsim, pauli_half_power
+from sebd import mps
+from sebd.gates import CNOT, CZ, H, SWAP, W, X, fsim, pauli_half_power
 from sebd.lightcone import build_lattice, compile_sebd, random_instance
 from sebd.mps import (
     DEFAULT_POLICY,
@@ -550,8 +552,10 @@ def test_kraus_weights_are_branch_norms():
 
 
 def _count_linalg(monkeypatch):
-    calls = {"qr": 0, "svd": 0}
-    for name in calls:
+    """Counts numpy's QR and SVD calls, and the routing swaps that call neither:
+    the identity splits."""
+    calls = {"qr": 0, "svd": 0, "identity": 0}
+    for name in ("qr", "svd"):
         fn = getattr(np.linalg, name)
 
         def counted(*args, _fn=fn, _name=name, **kw):
@@ -559,31 +563,196 @@ def _count_linalg(monkeypatch):
             return _fn(*args, **kw)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    swap = MatrixProductState._swap
+
+    def counted_swap(self, *args, **kw):
+        before = calls["qr"] + calls["svd"]
+        swap(self, *args, **kw)
+        calls["identity"] += calls["qr"] + calls["svd"] == before
+
+    monkeypatch.setattr(MatrixProductState, "_swap", counted_swap)
     return calls
 
 
 WORKLOAD_POLICY = TruncationPolicy(chi_max=256, svd_cutoff=1e-12)
 
 
-@pytest.mark.parametrize("lattice, policy, qr, svd", (
-    pytest.param(("square", 4, 8), DEFAULT_POLICY, 48, 115, id="square-4x8"),
-    pytest.param(("heavy-hex", 7, None), DEFAULT_POLICY, 39, 41, id="heavy-hex-7"),
+@pytest.mark.parametrize("lattice, policy, qr, svd, identity", (
+    pytest.param(("square", 4, 8), DEFAULT_POLICY, 74, 59, 30, id="square-4x8"),
+    pytest.param(("heavy-hex", 7, None), DEFAULT_POLICY, 42, 35, 3, id="heavy-hex-7"),
     # the benchmark's sample workloads
-    pytest.param(("heavy-hex", 11, None), WORKLOAD_POLICY, 133, 135, id="heavy-hex-11"),
-    pytest.param(("square", 6, 18), WORKLOAD_POLICY, 202, 517, id="square-6x18"),
+    pytest.param(("heavy-hex", 11, None), WORKLOAD_POLICY, 143, 115, 10, id="heavy-hex-11"),
+    pytest.param(("square", 6, 18), WORKLOAD_POLICY, 339, 243, 137, id="square-6x18"),
 ))
-def test_qr_calls_per_trajectory(monkeypatch, lattice, policy, qr, svd):
+def test_qr_calls_per_trajectory(monkeypatch, lattice, policy, qr, svd, identity):
     # centre moves are structural: one QR per step the centre travels to
-    # reach a site or a two-site block, none between routing swaps and none
-    # for the noise that follows a gate, which is sampled on its block. A
-    # slot stays off the chain until its first two-qubit gate and leaves it
-    # at its readout, so product slots cost no QR, swap or SVD
+    # reach a site or a two-site block, and none for the noise that follows
+    # a gate, which is sampled on its block. A routing swap is the identity
+    # or one QR/LQ for the lanes whose exact bound is within their peak chi,
+    # and an SVD for the rest (at first, before any peak is raised), so
+    # most SVDs are the gates' and the readouts'. A slot stays off the
+    # chain until its first two-qubit gate and leaves it at its readout, so
+    # product slots cost no QR, swap or SVD
     noise = NoiseModel(kind="depolarizing", epsilon=0.05)
     c = random_instance(build_lattice(*lattice), "ABCD", "fsim", noise, seed=3)
     cfg = RunConfig(circuit=compile_sebd(c, "weak-tetrahedron"), master_seed=1, policy=policy)
     calls = _count_linalg(monkeypatch)
     assert run_trajectory(cfg, 0).ok
-    assert calls == {"qr": qr, "svd": svd}
+    assert calls == {"qr": qr, "svd": svd, "identity": identity}
+
+
+def _controlled(u):
+    """|0><0| kron I + |1><1| kron u: it leaves a product state whose control is |0> alone."""
+    g = np.eye(4, dtype=complex)
+    g[2:, 2:] = u
+    return g
+
+
+def _lanes_of_own_ranks(rng, n=6, lanes=3):
+    """A state of three lanes in different product states, with each lane's
+    dense oracle: lane 0 fills every slot, and lanes 1 and 2 about half and
+    a third of them, the rest left |0>, so controlled gates leave each lane
+    its own ranks and its own peak."""
+    psi = MatrixProductState.new_product_state(n, lanes=lanes)
+    fill = [np.ones(n, dtype=bool)] + [rng.random(n) < p for p in (0.5, 0.3)]
+    for b in range(lanes):
+        for s in np.flatnonzero(fill[b]):
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            psi.loose[s, b] = v / np.linalg.norm(v)
+    dense = []
+    for b in range(lanes):  # every slot is loose: the lane's state is its vectors' product
+        dense.append(DenseVector(n))
+        dense[-1].psi = one_lane_view(psi, b).to_dense().copy()
+    return psi, dense
+
+
+@pytest.mark.parametrize("seed", (13, 14, 26))  # seeds that run every branch
+def test_routing_swaps_split_exactly_per_lane(monkeypatch, seed):
+    # gates routed both ways run both centre sides of a swap, each as the
+    # identity split and as a QR, with lanes padded, and each also with
+    # other lanes of the block past their peak and so split by SVD. After
+    # every gate each lane cut to its own ranks must read as its dense
+    # oracle, and as the same lane run alone: its ranks, peak and discarded
+    # weight too; every tensor stays complex
+    n = 6
+    rng = np.random.default_rng(seed)
+    psi, dense = _lanes_of_own_ranks(rng, n)
+    alone = [MatrixProductState(psi.loose[:, b : b + 1].copy()) for b in range(len(dense))]
+    qr, split = np.linalg.qr, mps._exact_split
+    calls, branches = [0], set()
+
+    def counted_qr(*args, **kw):
+        calls[0] += 1
+        return qr(*args, **kw)
+
+    def counted_split(theta, rl, rr, center_left):
+        before = calls[0]
+        out = split(theta, rl, rr, center_left)
+        if len(rl) > 1 and ((rl != rl[0]).any() or (rr != rr[0]).any()):  # lanes padded
+            branches.add((center_left, calls[0] > before, len(rl) < len(psi.lanes)))
+        return out
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(mps, "_exact_split", counted_split)
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += [tuple(int(k) for k in rng.choice(n, 2, replace=False)) for _ in range(12)]
+    for i, j in pairs:
+        g = _controlled(unitary_group.rvs(2, random_state=rng))
+        psi.apply_2q(i, j, g, BIG)
+        for b, (dv, one) in enumerate(zip(dense, alone)):
+            dv.apply_2q(i, j, g)
+            one.apply_2q(i, j, g, BIG)
+            view = one_lane_view(psi, b)
+            np.testing.assert_allclose(view.to_dense(), dv.to_dense(), atol=1e-10)
+            np.testing.assert_allclose(one.to_dense(), dv.to_dense(), atol=1e-10)
+            assert_canonical(view)
+            assert all(t.dtype == complex for t in psi.tensors)
+            np.testing.assert_array_equal(psi.ranks[b], one.ranks[0])
+            assert psi.peak[b] == one.peak[0]
+            assert psi.discarded[b] == pytest.approx(one.discarded[0], abs=1e-14)
+    # (centre on the left, a QR ran, other lanes took the SVD): each side
+    # as the identity and as a QR, alone and beside lanes split by SVD
+    assert branches == set(itertools.product((False, True), repeat=3))
+
+
+def _schmidt_ranks(psi, cut=1e-12):
+    """Each cut's Schmidt rank of a dense state (2,)*n in slot order, at a relative cutoff."""
+    n = psi.ndim
+    ranks = []
+    for k in range(1, n):
+        s = np.linalg.svd(psi.reshape(2**k, -1), compute_uv=False)
+        ranks.append(int((s >= cut * s[0]).sum()))
+    return ranks
+
+
+def test_routing_swaps_leave_a_product_state_at_rank_one():
+    # CNOTs on |00000> act as the identity: however far the last one is
+    # routed, every bond keeps rank 1 and the peak chi stays 1
+    psi = MatrixProductState.new_product_state(5)
+    for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]:
+        psi.apply_2q(i, j, CNOT, WORKLOAD_POLICY)
+    assert psi.ranks.tolist() == [[1] * 6]
+    assert psi.peak.tolist() == [1]
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_peak_is_the_largest_schmidt_rank_so_far(seed):
+    # a lane's peak chi is the largest Schmidt rank its state has had on
+    # return from a gate, whether the routing swaps split exactly or by SVD:
+    # an exact split that could leave null directions never raises the peak
+    n = 6
+    rng = np.random.default_rng(seed)
+    psi, dense = _lanes_of_own_ranks(rng, n)
+    want = np.ones(len(dense), dtype=int)
+    for _ in range(14):
+        i, j = (int(k) for k in rng.choice(n, 2, replace=False))
+        g = _controlled(unitary_group.rvs(2, random_state=rng))
+        psi.apply_2q(i, j, g, WORKLOAD_POLICY)
+        for b, dv in enumerate(dense):
+            dv.apply_2q(i, j, g)
+            want[b] = max(want[b], *_schmidt_ranks(dv.to_dense()))
+        np.testing.assert_array_equal(psi.peak, want)
+        assert (psi.ranks <= want[:, None]).all()
+
+
+@pytest.mark.parametrize("center_left", (False, True))
+def test_routing_swap_ignores_what_the_padding_holds(center_left):
+    # a lane's entries past its own ranks lie outside its state, so the
+    # split of a swap must read its own part alone: with roundoff written
+    # into the padding of the block's outer bonds, each lane must still
+    # read as its dense oracle with the two slots swapped, in canonical form
+    rng = np.random.default_rng(4)
+    psi, dense = _lanes_of_own_ranks(rng)
+    for i, j in [(0, 1), (2, 3), (4, 5), (1, 2), (3, 4), (0, 3), (2, 5)]:
+        g = _controlled(unitary_group.rvs(2, random_state=rng))
+        psi.apply_2q(i, j, g, BIG)
+        for dv in dense:
+            dv.apply_2q(i, j, g)
+    # a block with a lane padded on the bond the centre's side splits off,
+    # and a lane whose own bound lies on the centre's side, so a QR runs
+    rl, rr = psi.ranks[:, :-2], psi.ranks[:, 2:]
+    dims = np.array([t.shape[-3] for t in psi.tensors] + [1])
+    padded = (rr < dims[2:]) if center_left else (rl < dims[:-2])
+    qr = (rr > rl) if center_left else (rl > rr)
+    pos = int(np.flatnonzero(padded.any(axis=0) & qr.any(axis=0))[0])
+    psi._move_center(pos)  # before the roundoff: a centre move zeroes the padding it passes
+    a, b, rl, rr = psi.tensors[pos], psi.tensors[pos + 1], rl[:, pos], rr[:, pos]
+    for lane in range(len(psi.lanes)):
+        a[lane, rl[lane] :] = 1e-3 * rng.normal(size=a[lane, rl[lane] :].shape)
+        b[lane, ..., rr[lane] :] = 1e-3 * rng.normal(size=b[lane, ..., rr[lane] :].shape)
+    psi.peak[:] = 2 * psi.ranks.max()  # every lane splits exactly
+    split, qrs = mps._exact_split, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "qr", lambda *args, _qr=np.linalg.qr: qrs.append(1) or _qr(*args))
+        patch.setattr(mps, "_exact_split", lambda *args: qrs.append(0) or split(*args))
+        psi._apply_adjacent(pos, None, BIG, center_left=center_left)
+    assert qrs == [0, 1]  # one exact split, by one QR
+    slots = [k // 2 for k in psi._keys[pos : pos + 2]]
+    for lane, dv in enumerate(dense):
+        dv.apply_2q(*slots, SWAP)
+        view = one_lane_view(psi, lane)
+        np.testing.assert_allclose(view.to_dense(), dv.to_dense(), atol=1e-10)
+        assert_canonical(view)
 
 
 # -- loose slots: a slot joins the chain at its first two-qubit gate and

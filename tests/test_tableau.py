@@ -91,6 +91,14 @@ class TestCliffordSequences:
             got[f"{n}q"] = digest(key + repr(seq).encode() for key, (_, seq) in clifford_table(n).items())
         assert got == {"CLIFFORD_1Q": "b9bab7e9d0399020", "1q": "fb798c72b58584d3", "2q": "ea4c24f4b7e3d9d3"}
 
+    def test_clifford_1q_entries_are_exact(self):
+        # every real and imaginary part is 0, +-1/2, +-1/sqrt(2) (as H holds
+        # it) or +-1 bitwise, with no -0.0, whatever the BLAS kernel
+        exact = np.array([0.0, 0.5, H_GATE[0, 0].real, 1.0])
+        allowed = {v.tobytes() for v in np.concatenate((exact, -exact[1:]))}
+        parts = np.array(CLIFFORD_1Q).view(float).ravel()
+        assert {v.tobytes() for v in parts} <= allowed
+
     def test_two_qubit_table_is_built_on_first_use(self):
         probe = (
             "import numpy as np; from sebd.gates import clifford_table; "
