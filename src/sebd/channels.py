@@ -160,7 +160,7 @@ class NoiseModel:
         """Materialize the Kraus set for a given unraveling form (default: first listed)."""
         form = form or self.forms()[0]
         if form not in self.forms():
-            raise ChannelError(f"form {form!r} not valid for {self.kind}")
+            raise ChannelError(f"form {form!r} not valid for {self.kind}; choose from {self.forms()}")
         if self.kind == "dephasing":
             return make_dephasing(self.epsilon, form)
         if self.kind == "depolarizing":
@@ -358,7 +358,8 @@ def optimize_unraveling(
 
     The gauge is parameterized by Givens rotations with phases and explored
     with a derivative-free (Powell) restart search; ``budget`` counts random
-    restarts. Deterministic for fixed seed; returns (best set, best x).
+    restarts. Deterministic for fixed seed; returns (best set, best x), the
+    set being gauge_transform of k by the best unitary's first len(k) columns.
     """
     from scipy.optimize import minimize  # lazy: importing sebd loads no scipy
 
@@ -394,6 +395,4 @@ def optimize_unraveling(
     if -res.fun > best_val:
         best_val = -res.fun
         best_params = res.x
-    u = _givens_unitary(n_out, best_params)
-    ops = np.einsum("ji,iab->jab", u, base)
-    return KrausSet(tuple(ops), label=k.label + " optimized"), float(best_val)
+    return gauge_transform(k, _givens_unitary(n_out, best_params)[:, :n_in]), float(best_val)

@@ -21,9 +21,9 @@ compile_sebd before any trajectory runs; the sampler takes only compiled
 circuits. All randomness flows from the config seeds, so reruns with the
 same config produce byte-identical outputs. --workers parallelizes sample
 over its lane blocks of up to 256 trajectories, and phase-sweep over sweep
-cells; a pool never holds more processes than there are blocks or cells,
-and one block or cell runs in-process. Results are reduced in
-deterministic order either way. Each
+cells, both through sebd.sampler.map_jobs, whose pool never holds more
+processes than there are blocks or cells and which runs one block or cell
+in-process. Results are reduced in deterministic order either way. Each
 subcommand takes only the flags it reads (benchmark also accepts
 --workers, which it ignores). sample and benchmark run one instance, so a
 config whose lx_list or seeds holds more than one entry is refused before
@@ -36,7 +36,8 @@ config that sets ly. Each key takes the type of its ExperimentConfig
 field: integer keys (ly, n_trajectories, aspect, chi_max, n_bitstrings,
 the entries of lx_list and seeds) refuse a value that int() would change,
 such as 2.5, every numeric key refuses a bool, string keys refuse a
-non-string, and an epsilon must be >= 0 (NaN is refused).
+non-string, an epsilon must be >= 0 (NaN is refused), and no two epsilons
+may share the {:g} text that tags their output files and table rows.
 
 Config keys (defaults in parentheses):
     lattice (square), ly (optional), schedule (ABCD), gate_family (fsim),
@@ -61,7 +62,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -78,7 +78,7 @@ from .experiments import (
     sweep_rng,
 )
 from .oracles.dense import DENSE_MAX_QUBITS
-from .sampler import sample
+from .sampler import map_jobs, sample
 from .statmech import critical_x, predicted_phase
 from .serialize import (
     BENCHMARK,
@@ -126,10 +126,6 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _eps_tag(epsilon: float) -> str:
-    return f"{epsilon:g}"
-
-
 # ---------------------------------------------------------------------------
 # sample
 
@@ -142,7 +138,7 @@ def cmd_sample(args) -> int:
         circuit = cfg.instance(eps, cfg.lx_list[0], cfg.ly, cfg.seeds[0])
         run = cfg.run_config(circuit, eps, cfg.seeds[0])
         records = sample(run, workers=args.workers, mid_entropy=entropy)
-        tag = _eps_tag(eps)
+        tag = f"{eps:g}"
         stream_path = out / f"samples_eps{tag}.txt"
         with stream_path.open("w") as fh:
             for rec in records:
@@ -190,12 +186,7 @@ def cmd_phase_sweep(args) -> int:
         for l_x in cfg.lx_list
         for seed in cfg.seeds
     ]
-    workers = min(args.workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_cell, jobs))
-    else:
-        points = [_sweep_cell(j) for j in jobs]
+    points = map_jobs(_sweep_cell, jobs, args.workers)
     tau_path = out / "tau.csv"
     write_csv(tau_path, TAU, points)
     print(f"{len(points)} sweep cells -> {tau_path}")
@@ -214,7 +205,7 @@ def cmd_benchmark(args) -> int:
     out = _outdir(cfg)
     for eps in cfg.epsilons:
         circuit = cfg.instance(eps, cfg.lx_list[0], cfg.ly, cfg.seeds[0])
-        tag = _eps_tag(eps)
+        tag = f"{eps:g}"
         save_circuit(out / f"instance_eps{tag}.json", circuit)
         rng = sweep_rng(cfg.seeds[0], 1)
         z_list = [

@@ -86,12 +86,6 @@ class ExperimentConfig:
             raise ConfigError(f"gate_family must be one of {GATE_FAMILIES}")
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"noise_kind must be one of {NOISE_KINDS}")
-        model = NoiseModel(self.noise_kind, 0.0)
-        if self.unravel_form is not None and self.unravel_form not in model.forms():
-            raise ConfigError(
-                f"unravel_form {self.unravel_form!r} not valid for "
-                f"{self.noise_kind}; choose from {model.forms()}"
-            )
         if not self.schedule or set(self.schedule) - set(LAYER_LABELS):
             raise ConfigError(f"schedule must be a non-empty string over {LAYER_LABELS!r}")
         for name in ("epsilons", "lx_list", "seeds"):
@@ -101,6 +95,12 @@ class ExperimentConfig:
             raise ConfigError("seeds must lie in [0, 2**63)")
         if any(not e >= 0 for e in self.epsilons):  # NaN among them
             raise ConfigError("epsilons must be non-negative")
+        # an epsilon's output files and table rows carry its {:g} text, so
+        # two epsilons with one text would overwrite or pool each other
+        texts = [f"{e:g}" for e in self.epsilons]
+        clash = [e for e, t in zip(self.epsilons, texts) if texts.count(t) > 1]
+        if clash:
+            raise ConfigError(f"epsilons {clash} share output tags {sorted({f'{e:g}' for e in clash})}")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories must be positive")
         if self.aspect < 3:
@@ -115,14 +115,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown telemetry fields {sorted(bad)}")
         # the truncation policy, every lattice and every channel are built
         # here once, so a value they refuse stops the run before any output
-        # is written
+        # is written; the channel's build is the one check of unravel_form,
+        # made at every epsilon, 0 included
         try:
             self.policy()
             for l_x in self.lx_list:
                 self.lattice_at(l_x, self.ly)
             for e in self.epsilons:
-                if e > 0:
-                    self.noise(e).kraus(self.form(e))
+                NoiseModel(self.noise_kind, e).kraus(self.unravel_form)
         except ValueError as exc:  # LatticeError and ChannelError among them
             raise ConfigError(str(exc)) from exc
 

@@ -294,13 +294,6 @@ class EffectiveCircuit1D:
     def coords(self) -> list:
         return [ev.coord for ev in self.events() if isinstance(ev, MeasureReset)]
 
-    def max_gate_range(self) -> int:
-        r = 0
-        for ev in self.events():
-            if isinstance(ev, Gate) and ev.j is not None:
-                r = max(r, abs(ev.i - ev.j))
-        return r
-
     def counts(self) -> dict:
         """Events by kind; a noisy gate adds two noise events, one per slot."""
         out = {"gate1": 0, "gate2": 0, "noise": 0, "measure": 0}

@@ -690,12 +690,11 @@ class MatrixProductState:
         oracle's consumption so shared-seed runs stay in lockstep.
         """
         i = self._int(site)
-        if i is None:  # the loose vector is a (1, 2, 1) block that holds its own weight
-            pick, x = self._sample_kraus(self.loose[site][:, None, :, None], kraus, rng)
+        pick, x = self._sample_kraus(self._readout_site(site, i), kraus, rng)
+        if i is None:
             self.loose[site] = x[:, 0, :, 0]
-            return pick
-        self._move_center(i)
-        pick, self.tensors[i] = self._sample_kraus(self.tensors[i], kraus, rng)
+        else:
+            self.tensors[i] = x
         return pick
 
     def _sample_kraus(self, x: np.ndarray, kraus, rng):

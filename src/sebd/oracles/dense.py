@@ -202,20 +202,6 @@ class DenseDensity:
             acc += f @ self.rho @ f.conj().T
         self.rho = acc
 
-    def project_reset(self, site: int, bit: int):
-        """Unnormalized readout step: keep the `bit` branch, reset the site.
-
-        The trace after a sequence of these equals the joint probability of
-        the recorded bits.
-        """
-        op = np.zeros((2, 2), dtype=complex)
-        op[0, bit] = 1.0
-        f = self._full(op, (site,))
-        self.rho = f @ self.rho @ f.conj().T
-
-    def trace(self) -> float:
-        return float(np.trace(self.rho).real)
-
     def probability(self, bits) -> float:
         idx = 0
         for b in bits:
@@ -233,18 +219,18 @@ def _spectrum_entropy(p: np.ndarray, n: float) -> float:
     return float(max(np.log(np.sum(p**n)) / (1.0 - n), 0.0) + 0.0)
 
 
-def dense_evolve(circuit, form: str | None = None) -> DenseDensity:
+def dense_evolve(circuit) -> DenseDensity:
     """Exact mixed-state evolution of a small 2D circuit.
 
     Applies every layer (rotations, bond gates, then the noise channel on
     each site) and returns the final density matrix. The channel acts as a
-    sum over Kraus branches, so the result is unraveling-independent; `form`
-    only picks which Kraus representation is summed.
+    sum over the Kraus branches of its family's default form; the result
+    does not depend on the unraveling, so no other form is offered.
     """
     n = circuit.lattice.n_sites
     if n > DENSE_MAX_QUBITS:
         raise ValueError(f"dense evolution capped at {DENSE_MAX_QUBITS} qubits, got {n}")
-    kraus = None if circuit.noise is None else circuit.noise.kraus(form)
+    kraus = None if circuit.noise is None else circuit.noise.kraus()
     rho = DenseDensity(n)
     for lg in circuit.layers:
         for s, g in enumerate(lg.rotations):

@@ -45,7 +45,7 @@ def _svd(mat: np.ndarray):
         return scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd")
 
 
-class MpoError(Exception):
+class MpoError(ValueError):
     """Invalid operation on a matrix product operator."""
 
 
@@ -247,9 +247,9 @@ class MPODensity:
 # drivers
 
 
-def _evolve_2d(circuit: Circuit2D, policy: TruncationPolicy, form: str | None) -> MPODensity:
+def _evolve_2d(circuit: Circuit2D, policy: TruncationPolicy) -> MPODensity:
     n = circuit.lattice.n_sites
-    kraus = None if circuit.noise is None else circuit.noise.kraus(form)
+    kraus = None if circuit.noise is None else circuit.noise.kraus()
     rho = MPODensity.product_pure(n)
     for lg in circuit.layers:
         for s, g in enumerate(lg.rotations):
@@ -308,11 +308,13 @@ def _evolve_1d(eff: EffectiveCircuit1D, policy: TruncationPolicy, z) -> MPODensi
     return rho
 
 
-def mpo_evolve(circuit, policy: TruncationPolicy = ORACLE_POLICY, z=None, form: str | None = None) -> MPODensity:
+def mpo_evolve(circuit, policy: TruncationPolicy = ORACLE_POLICY, z=None) -> MPODensity:
     """Exact-channel MPO evolution.
 
     For a Circuit2D: evolves all layers over the lattice sites in scan
-    order and returns the final normalized state (z must be None).
+    order and returns the final normalized state (z must be None). Each
+    channel is summed over the Kraus branches of its family's default form;
+    an exact channel evolution does not depend on the unraveling.
 
     For an EffectiveCircuit1D: streams the compiled event list with each
     readout projected onto the bit that `z` assigns to its 2D coordinate
@@ -322,9 +324,7 @@ def mpo_evolve(circuit, policy: TruncationPolicy = ORACLE_POLICY, z=None, form: 
     if isinstance(circuit, Circuit2D):
         if z is not None:
             raise MpoError("bitstring targets only apply to 1D effective circuits")
-        return _evolve_2d(circuit, policy, form)
+        return _evolve_2d(circuit, policy)
     if isinstance(circuit, EffectiveCircuit1D):
-        if form is not None:
-            raise MpoError("1D streams carry their Kraus sets already")
         return _evolve_1d(circuit, policy, z)
     raise MpoError(f"cannot evolve {type(circuit).__name__}")

@@ -32,7 +32,8 @@ warning that counts the failures, and raise SamplerError if all failed.
 
 Per-trajectory randomness comes from a counter-based Philox stream keyed by
 (master_seed, trajectory index), so results do not depend on scheduling or
-worker count.
+worker count. map_jobs is the package's one process pool: sample maps its
+blocks through it, and phase-sweep its sweep cells.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,6 +54,7 @@ __all__ = [
     "RunConfig",
     "SEED_LIMIT",
     "run_trajectory",
+    "map_jobs",
     "sample",
     "estimate_probability",
     "purification_run",
@@ -94,9 +97,6 @@ class TrajectoryRecord:
     @property
     def ok(self) -> bool:
         return self.failed is None
-
-    def bits_scan_order(self) -> tuple:
-        return tuple(self.z[c] for c in sorted(self.z, key=lambda c: (c[1], c[0])))
 
 
 @dataclass(eq=False)
@@ -154,6 +154,20 @@ def run_trajectory(cfg: RunConfig, index: int) -> TrajectoryRecord:
     return _sample_block(cfg, range(index, index + 1))[0]
 
 
+def map_jobs(fn, jobs, workers: int) -> list:
+    """[fn(job) for job in jobs], in job order.
+
+    The one pool rule of the package: at most min(workers, len(jobs))
+    processes, and in-process when that is 1. jobs is a sequence; fn and
+    the jobs must pickle.
+    """
+    n = min(workers, len(jobs))
+    if n <= 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def sample(cfg: RunConfig, workers: int = 1, mid_entropy: bool = False) -> list:
     """All n_trajectories records, ordered by trajectory index.
 
@@ -162,20 +176,13 @@ def sample(cfg: RunConfig, workers: int = 1, mid_entropy: bool = False) -> list:
     the bits, Kraus indices, peak chi and failure text of its trajectory
     run alone, with trunc_total and entropies agreeing to roundoff. With
     mid_entropy each record's entropies hold the entropy at the mid-chain
-    cut (n_sites // 2) after every row-step. With workers > 1 the blocks,
-    whose split does not depend on the worker count, are mapped over a
-    process pool. Memory: `sebd sample` on a square 8x24 (16 slots, chi
-    32, epsilon 0.02) peaked at 91 MB resident with K = 256, one block,
-    against 43 MB with K = 1.
+    cut (n_sites // 2) after every row-step. The blocks, whose split does
+    not depend on the worker count, go through map_jobs. Memory: `sebd
+    sample` on a square 8x24 (16 slots, chi 32, epsilon 0.02) peaked at
+    91 MB resident with K = 256, one block, against 43 MB with K = 1.
     """
     blocks = _lane_blocks(cfg.n_trajectories)
-    if workers <= 1 or len(blocks) == 1:
-        parts = [_sample_block(cfg, b, mid_entropy) for b in blocks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            parts = list(pool.map(
-                _sample_block, [cfg] * len(blocks), blocks, [mid_entropy] * len(blocks)
-            ))
+    parts = map_jobs(partial(_sample_block, cfg, mid_entropy=mid_entropy), blocks, workers)
     return [rec for part in parts for rec in part]
 
 

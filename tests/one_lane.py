@@ -5,6 +5,7 @@ lane id from each rng.random() and return one result per lane. A test of a
 single trajectory wraps its scalar rng in OneLane and reads each result as
 x[0]. step is the tests' own event dispatcher, so a reference loop built on
 it shares no dispatch code with the sampler's block loop that it checks.
+scan_bits reads a trajectory record's bits in scan order.
 """
 
 import numpy as np
@@ -43,3 +44,8 @@ def step(psi, ev, policy, rng, m: list) -> bool:
     if isinstance(ev, MeasureReset):
         return False
     raise TypeError(f"unknown event {ev!r}")
+
+
+def scan_bits(rec) -> tuple:
+    """rec.z's bits in scan order: row by row (y), then x within a row."""
+    return tuple(rec.z[c] for c in sorted(rec.z, key=lambda c: (c[1], c[0])))

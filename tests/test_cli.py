@@ -15,6 +15,7 @@ import sebd
 from sebd.channels import NoiseModel, unraveling_cost_x
 from sebd.cli import ConfigError, ExperimentConfig, load_config, main
 from sebd.experiments import purification_point
+from sebd.oracles.mpo import MpoError
 from sebd.serialize import (
     COLLAPSE,
     COLLAPSE_GRID,
@@ -305,6 +306,49 @@ def test_nan_epsilon_rejected_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epsilons", ("[0.0]", "[0.1]"))
+def test_bad_unravel_form_rejected_before_any_output(tmp_path, capsys, epsilons):
+    # the form is checked by building the channel at every epsilon, 0 included
+    config = tmp_path / "config.yaml"
+    config.write_text(f"lx_list: [2]\nly: 2\nunravel_form: projective\nepsilons: {epsilons}\n")
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(config), "--out", str(out)]) == 1
+    forms = NoiseModel("depolarizing").forms()
+    assert capsys.readouterr().err == (
+        f"error: form 'projective' not valid for depolarizing; choose from {forms}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ("sample", "benchmark", "phase-sweep"))
+def test_epsilons_with_one_file_tag_rejected_before_any_output(tmp_path, capsys, command):
+    # both wrote samples_eps0.05.txt, the second over the first; phase-sweep
+    # wrote two rows of epsilon 0.05, which collapse pooled into one cell
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "lx_list: [4]\nepsilons: [0.02, 0.05, 0.0500000001]\nn_trajectories: 1\nn_bitstrings: 1\n"
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: epsilons [0.05, 0.0500000001] share output tags ['0.05']\n"
+    )
+    assert not out.exists()
+
+
+def test_oracle_error_reported_not_raised(tmp_path, capsys, monkeypatch):
+    # MpoError derived from Exception, so main let it out as a traceback
+    def failing_oracle(*args, **kwargs):
+        raise MpoError("trace has imaginary part 0.000369952758")
+
+    monkeypatch.setattr("sebd.experiments.mpo_evolve", failing_oracle)
+    config = tmp_path / "config.yaml"
+    config.write_text("lx_list: [3]\nepsilons: [0.05]\nn_trajectories: 2\nn_bitstrings: 1\nreference: mpo\n")
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: trace has imaginary part 0.000369952758\n"
+
+
 @pytest.mark.parametrize("seed", (-1, 2**63, 2**64 - 1))
 def test_seeds_outside_philox_key_range_rejected(tmp_path, capsys, seed):
     with pytest.raises(ConfigError, match="seeds"):
@@ -367,7 +411,7 @@ def test_phase_sweep_pool_never_exceeds_its_cells(tmp_path, monkeypatch, seeds, 
             return map(fn, jobs)
 
     pools_made = []
-    monkeypatch.setattr("sebd.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("sebd.sampler.ProcessPoolExecutor", RecordingPool)
     config = tmp_path / "config.yaml"
     config.write_text(f"epsilons: [0.25]\nlx_list: [4]\nseeds: {seeds}\nn_trajectories: 1\n")
     out = tmp_path / "out"

@@ -144,8 +144,6 @@ class TestStreaming:
         with pytest.raises(MpoError):
             mpo_evolve(c, z=(0, 0, 0, 0))
         with pytest.raises(MpoError):
-            mpo_evolve(compile_sebd(c), z=(0,) * 4, form="projective")
-        with pytest.raises(MpoError):
             mpo_evolve("not a circuit")
 
     def test_policy_overflow(self):

@@ -42,6 +42,8 @@ from sebd.sampler import (
     sample,
 )
 
+from one_lane import scan_bits
+
 
 def small_noisy_circuit(seed=4, epsilon=0.1):
     lat = build_lattice("square", 2, 3)
@@ -52,7 +54,7 @@ def small_noisy_circuit(seed=4, epsilon=0.1):
 def records_to_counts(records, n_bits):
     counts = np.zeros(1 << n_bits)
     for rec in records:
-        counts[int("".join(map(str, rec.bits_scan_order())), 2)] += 1
+        counts[int("".join(map(str, scan_bits(rec))), 2)] += 1
     return counts
 
 
@@ -141,7 +143,7 @@ class TestRunTrajectory:
         c = random_instance(lat, "A", "fsim", noise, seed=1)
         k = 2500
         recs = sample(RunConfig(circuit=compile_sebd(c), n_trajectories=k, master_seed=5))
-        bits = np.array([rec.bits_scan_order() for rec in recs])
+        bits = np.array([scan_bits(rec) for rec in recs])
         freqs = bits.mean(axis=0)
         band = 4 * 0.5 / np.sqrt(k)
         assert np.all(np.abs(freqs - 0.5) < band)
@@ -155,7 +157,7 @@ class TestRunTrajectory:
         c = random_instance(lat, "ABC", "clifford-iswap-swap", noise, seed=12)
         k_mps = 1500
         recs = sample(RunConfig(circuit=compile_sebd(c), n_trajectories=k_mps, master_seed=2))
-        f_mps = np.array([rec.bits_scan_order() for rec in recs]).mean(axis=0)
+        f_mps = np.array([scan_bits(rec) for rec in recs]).mean(axis=0)
         n_real = 1500
         per_seed = np.array(
             [
@@ -203,7 +205,7 @@ class TestSample:
         ref = marginal_ones(rho)
         k = 1200
         recs = sample(RunConfig(circuit=compile_sebd(c), n_trajectories=k, master_seed=3))
-        freqs = np.array([rec.bits_scan_order() for rec in recs]).mean(axis=0)
+        freqs = np.array([scan_bits(rec) for rec in recs]).mean(axis=0)
         sigma = np.sqrt(np.clip(ref * (1 - ref), 1e-6, None) / k)
         assert np.all(np.abs(freqs - ref) < 4 * sigma)
 
@@ -214,7 +216,7 @@ class TestSample:
         ref = marginal_ones(mpo_evolve(c))
         k = 10**4
         recs = sample(RunConfig(circuit=compile_sebd(c), n_trajectories=k, master_seed=3))
-        freqs = np.array([rec.bits_scan_order() for rec in recs]).mean(axis=0)
+        freqs = np.array([scan_bits(rec) for rec in recs]).mean(axis=0)
         sigma = np.sqrt(np.clip(ref * (1 - ref), 1e-6, None) / k)
         assert np.all(np.abs(freqs - ref) < 4 * sigma)
 
@@ -248,7 +250,7 @@ class TestGoldenSeed:
         )
         for rec, want in zip(sample(cfg), golden):
             assert rec.ok
-            assert "".join(map(str, rec.bits_scan_order())) == want["bits"]
+            assert "".join(map(str, scan_bits(rec))) == want["bits"]
             assert "".join(map(str, rec.m)) == want["m"]
             assert abs(rec.trunc_total - want["trunc_total"]) <= 1e-20
 

@@ -19,6 +19,8 @@ from sebd.serialize import (
     write_csv,
 )
 
+from one_lane import scan_bits
+
 
 def small_circuit(seed=0):
     lat = build_lattice("square", 2, 3)
@@ -89,7 +91,7 @@ class TestSampleRecords:
         seed, groups, trunc, chi = parse_sample_record(line)
         assert seed == 3
         assert len(groups) == 3 and all(len(g) == 2 for g in groups)
-        assert "".join(groups) == "".join(str(b) for b in rec.bits_scan_order())
+        assert "".join(groups) == "".join(str(b) for b in scan_bits(rec))
         assert trunc == pytest.approx(rec.trunc_total, rel=1e-7, abs=1e-12)
         assert chi == rec.chi_max_seen
 
